@@ -22,6 +22,7 @@ from .geometry import (
 )
 from .process import (
     SCHEMA_VERSION,
+    arrival_permutation,
     default_parallelism,
     records_to_csv,
     records_to_jsonl,
@@ -188,9 +189,7 @@ def cmd_tau(args) -> int:
     for seed in args.seed:
         rec = run_once(nbhd, args.n, seed, engine=args.engine)
         if args.audit:
-            from .dynamics import closure as _closure
-
-            perm = _audit_perm(nbhd, args.n, seed, args.engine)
+            perm = arrival_permutation(args.n * args.n, seed, args.engine)
             _audit_tau(nbhd, args.n, perm, rec)
         records.append(rec)
     text = records_to_jsonl(records) if args.format == "jsonl" else records_to_csv(records)
@@ -199,16 +198,6 @@ def cmd_tau(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _audit_perm(nbhd, n, seed, engine):
-    from .process import _perm_kernel, random_permutation, _HAVE_NUMBA
-
-    if engine == "numba" and _HAVE_NUMBA:
-        import numpy as np
-
-        return _perm_kernel(n * n, np.uint64(int(seed) & (2 ** 64 - 1)))
-    return random_permutation(n * n, seed)
 
 
 def _audit_tau(nbhd, n, perm, rec) -> None:

@@ -22,11 +22,23 @@ PRNG contract (frozen under schema_version 1):
   swapping index i with a bounded draw below i+1, for i = n^2-1 down to 1.
 * per-run seeds in sweeps: one SplitMix64 output of (master_seed XOR
   run_index), run_index enumerating the model/n/seed grid row-major.
+
+The contract is this scalar definition; the test suite keeps it as a literal
+loop and checks every engine against it.  The numba kernel runs the loop
+itself.  The pure-Python engine produces the same stream faster: K lanes
+start 2^m steps apart (jump-ahead by powers of the GF(2) transition matrix,
+Blackman & Vigna, ACM TOMS 2021), are stepped together as uint64 vectors and
+concatenated into the first K * 2^m raw outputs; the draws are mapped as
+vectors, only raw >= 2^64 - n^2 are checked for rejection one by one, and a
+rejection shifts the later draws along the stream.  Only the Fisher-Yates
+swaps remain a scalar loop.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -45,8 +57,39 @@ SCHEMA_VERSION = 1
 _MASK = (1 << 64) - 1
 
 
+try:
+    from numba import njit
+
+    _HAVE_NUMBA = True
+except ImportError:  # pragma: no cover - numba is a declared dependency
+    _HAVE_NUMBA = False
+
+    def njit(*args, **kwargs):
+        def deco(f):
+            return f
+
+        return deco if not (args and callable(args[0])) else args[0]
+
+
+def _rejects(r, b):
+    """Whether raw draw ``r`` is rejected by the bounded draw below ``b``.
+
+    The frozen rule accepts r < (2^64 // b) * b = 2^64 - rem, where
+    rem = 2^64 mod b = (last + 1) mod b and last = (2^64 - 1) mod b; nothing
+    is rejected when b is a power of two.  No intermediate leaves [0, 2^64),
+    so Python ints and numba uint64s give the same answer.
+    """
+    last = _MASK % b
+    return last != b - np.uint64(1) and r >= _MASK - last
+
+
+# the kernel's compiled copy; Python callers keep the plain function, because
+# numba would type their small Python ints as int64, not uint64
+_rejects_u64 = njit(cache=True, nogil=True)(_rejects)
+
+
 # ---------------------------------------------------------------------------
-# Pure-Python PRNG (the reference the numba kernel must match bit-for-bit)
+# Pure-Python PRNG (the scalar definition every engine must match)
 # ---------------------------------------------------------------------------
 
 
@@ -79,6 +122,12 @@ class Xoshiro256StarStar:
             s.append(out)
         self.s = s
 
+    @classmethod
+    def from_state(cls, state: Sequence[int]) -> "Xoshiro256StarStar":
+        rng = cls.__new__(cls)
+        rng.s = [int(w) & _MASK for w in state]
+        return rng
+
     def next_raw(self) -> int:
         s = self.s
         result = (_rotl((s[1] * 5) & _MASK, 7) * 9) & _MASK
@@ -91,41 +140,138 @@ class Xoshiro256StarStar:
         s[3] = _rotl(s[3], 45)
         return result
 
-    def bounded(self, n: int) -> int:
-        limit = ((1 << 64) // n) * n
-        while True:
-            r = self.next_raw()
-            if r < limit:
-                return r % n
+
+# ---------------------------------------------------------------------------
+# The v1 stream in lanes: GF(2) jump-ahead
+# ---------------------------------------------------------------------------
+#
+# The xoshiro256** transition is linear over GF(2) on the 256-bit state
+# s[0] | s[1] << 64 | s[2] << 128 | s[3] << 192.  A matrix is stored as its
+# 256 columns, each a 256-bit int; column j is the image of bit j.  Lane k
+# starts 2^m steps after lane k - 1, so stepping K lanes together for 2^m
+# steps yields the first K * 2^m outputs of the scalar stream.
+
+
+
+def _pack(s: Sequence[int]) -> int:
+    return int(s[0]) | int(s[1]) << 64 | int(s[2]) << 128 | int(s[3]) << 192
+
+
+def _unpack(v: int) -> list:
+    return [(v >> (64 * w)) & _MASK for w in range(4)]
+
+
+def _apply(cols: list, v: int) -> int:
+    """Matrix-vector product over GF(2)."""
+    out = 0
+    for bit, col in zip(reversed(bin(v)[2:]), cols):
+        if bit == "1":
+            out ^= col
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_matrix(m: int) -> tuple:
+    """Columns of T^(2^m), T the one-step transition, by repeated squaring."""
+    if m > 0:
+        cols = _jump_matrix(m - 1)
+        return tuple(_apply(cols, c) for c in cols)
+    cols = []
+    for j in range(256):
+        rng = Xoshiro256StarStar.from_state(_unpack(1 << j))
+        rng.next_raw()
+        cols.append(_pack(rng.s))
+    return tuple(cols)
+
+
+def _lane_stream(seed: int, n_raw: int) -> tuple:
+    """The first K * 2^m >= n_raw raw outputs of the seed's stream.
+
+    Returns (raw, state): raw holds the outputs as a uint64 array in stream
+    order, and state is the generator state after the last of them.
+    """
+    # A lane start costs one Python matrix-vector product and a lane step ten
+    # numpy calls; lanes of about 2 sqrt(n_raw) steps balance the two.
+    m = max(0, (2 * math.isqrt(n_raw)).bit_length() - 1)
+    steps = 1 << m
+    lanes = max(1, -(-n_raw // steps))
+    jump = _jump_matrix(m)
+    starts = np.empty((4, lanes), dtype=np.uint64)
+    v = _pack(Xoshiro256StarStar(seed).s)
+    for k in range(lanes):
+        starts[:, k] = _unpack(v)
+        v = _apply(jump, v)
+    s0, s1, s2, s3 = starts
+    t = np.empty(lanes, dtype=np.uint64)
+    raw = np.empty((lanes, steps), dtype=np.uint64)
+    for j in range(steps):
+        raw[:, j] = s1
+        np.left_shift(s1, 17, out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, 45, out=t)
+        s3 >>= 19
+        s3 |= t
+    raw = raw.reshape(-1)
+    raw *= 5  # the ** scrambler, rotl(s1 * 5, 7) * 9, on the whole block
+    hi = raw >> 57
+    raw <<= 7
+    raw |= hi
+    raw *= 9
+    return raw, _unpack(v)
+
+
+def _bounded_draws(raw: np.ndarray, top: int, more) -> np.ndarray:
+    """Bounded draws below top, top - 1, ..., one per element of ``raw``.
+
+    ``raw`` is the uint64 raw stream the draws consume in order, and
+    ``more()`` returns the raw output after the last one handed over so far.
+    A rejected raw draw shifts every later draw one place down the stream.
+    Only raw >= 2^64 - top can be rejected, so only those are checked one by
+    one; a real rejection has probability below top / 2^64 per draw.
+    """
+    k = 0  # draws before k are final
+    while True:
+        near_top = np.flatnonzero(raw[k:] > _MASK - top).tolist()
+        rejected = next(
+            (k + c for c in near_top if _rejects(int(raw[k + c]), top - k - c)), None
+        )
+        if rejected is None:
+            break
+        tail = np.array([more()], dtype=np.uint64)
+        raw = np.concatenate((raw[:rejected], raw[rejected + 1:], tail))
+        k = rejected
+    draws = np.arange(top, top - raw.size, -1, dtype=np.uint64)
+    np.remainder(raw, draws, out=draws)
+    return draws.view(np.int64)
 
 
 def random_permutation(n_items: int, seed: int) -> np.ndarray:
-    """Seeded Fisher-Yates permutation of 0..n_items-1 (reference engine)."""
-    rng = Xoshiro256StarStar(seed)
-    perm = list(range(n_items))
-    for i in range(n_items - 1, 0, -1):
-        j = rng.bounded(i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    return np.asarray(perm, dtype=np.int64)
+    """Seeded Fisher-Yates permutation of 0..n_items-1 (the v1 stream).
+
+    Same result as the scalar loop the module docstring defines; the raw
+    stream comes from jump-ahead lanes and the draws are mapped as vectors.
+    """
+    if n_items < 2:
+        return np.arange(n_items, dtype=np.int64)
+    raw, state = _lane_stream(seed & _MASK, n_items - 1)
+    tail = Xoshiro256StarStar.from_state(state)
+    more = itertools.chain(raw[n_items - 1:].tolist(), iter(tail.next_raw, None))
+    draws = _bounded_draws(raw[: n_items - 1], n_items, more.__next__)
+    del raw  # at most two n_items-long arrays are alive at once
+    perm = np.arange(n_items, dtype=np.int64)
+    p = memoryview(perm)
+    for i, j in zip(range(n_items - 1, 0, -1), memoryview(draws)):
+        p[i], p[j] = p[j], p[i]
+    return perm
 
 
 # ---------------------------------------------------------------------------
 # numba kernels
 # ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-
-        return deco if not (args and callable(args[0])) else args[0]
-
 
 @njit(cache=True, nogil=True)
 def _sm64(state):
@@ -145,7 +291,6 @@ def _perm_kernel(n_items, seed):
     perm = np.arange(n_items, dtype=np.int64)
     for i in range(n_items - 1, 0, -1):
         bound = np.uint64(i + 1)
-        limit = (np.uint64(0xFFFFFFFFFFFFFFFF) // bound) * bound
         while True:
             r = ((s[1] * np.uint64(5)) << np.uint64(7)) | (
                 (s[1] * np.uint64(5)) >> np.uint64(57)
@@ -158,7 +303,7 @@ def _perm_kernel(n_items, seed):
             s[0] ^= s[3]
             s[2] ^= t
             s[3] = (s[3] << np.uint64(45)) | (s[3] >> np.uint64(19))
-            if result < limit:
+            if not _rejects_u64(result, bound):
                 break
         j = np.int64(result % bound)
         tmp = perm[i]
@@ -214,14 +359,24 @@ def _run_kernel(n, r, offs, perm):
 
 
 def _run_python(n, r, offs, perm):
-    """Pure-Python twin of _run_kernel (bit-exact same semantics)."""
+    """Pure-Python twin of _run_kernel (bit-exact same semantics).
+
+    Arrivals and small cascades run as scalar loops.  Once one arrival's
+    cascade has infected more than n sites, _expand finishes it a generation
+    at a time; the result is the same because the infected set after each
+    arrival is the closure of the arrivals so far, whatever order the
+    counter pushes run in.
+    """
     n2 = n * n
-    counts = [0] * n2
+    counts_arr = np.zeros(n2, dtype=np.int32)
+    counts = memoryview(counts_arr)
     infected = bytearray(n2)
     num = 0
     offsets = [(int(a), int(b)) for a, b in offs]
-    for t in range(n2):
-        s = int(perm[t])
+    deltas = [kx * n + ky for kx, ky in offsets]
+    reach = int(np.abs(offs).max(initial=0))
+    lo, hi = reach, n - reach  # rows/columns whose neighbours never wrap
+    for t, s in enumerate(memoryview(np.ascontiguousarray(perm, dtype=np.int64))):
         prev = num
         if not infected[s]:
             stack = [s]
@@ -229,17 +384,52 @@ def _run_python(n, r, offs, perm):
                 y = stack.pop()
                 if infected[y]:
                     continue
+                if num - prev > n:
+                    stack.append(y)
+                    num += _expand(n, r, offs, counts_arr, infected, stack)
+                    break
                 infected[y] = 1
                 num += 1
                 yx, yy = divmod(y, n)
-                for (kx, ky) in offsets:
-                    x = ((yx - kx) % n) * n + ((yy - ky) % n)
-                    counts[x] += 1
-                    if counts[x] == r and not infected[x]:
+                if lo <= yx < hi and lo <= yy < hi:
+                    targets = [y - d for d in deltas]
+                else:
+                    targets = [(yx - kx) % n * n + (yy - ky) % n for kx, ky in offsets]
+                for x in targets:
+                    c = counts[x] + 1
+                    counts[x] = c
+                    if c == r and not infected[x]:
                         stack.append(x)
         if num == n2:
             return t + 1, prev
     return n2, num
+
+
+def _expand(n, r, offs, counts, infected, pending) -> int:
+    """Finish a cascade from its pending sites, one generation at a time.
+
+    ``counts`` (an array) and ``infected`` (a bytearray) are updated in
+    place; returns the number of sites infected.
+    """
+    done = np.frombuffer(infected, dtype=np.uint8)
+    front = np.unique(np.asarray(pending, dtype=np.int64))
+    front = front[done[front] == 0]
+    reach = int(np.abs(offs).max(initial=0))
+    wrap = np.arange(-reach, n + reach) % n  # wrap[i + reach] == i mod n
+    rows = wrap * n
+    kx = reach - offs[:, :1]
+    ky = reach - offs[:, 1:]
+    added = 0
+    while front.size:
+        done[front] = 1
+        added += front.size
+        fx, fy = np.divmod(front, n)
+        sites, hits = np.unique((rows[fx + kx] + wrap[fy + ky]).ravel(), return_counts=True)
+        before = counts[sites]
+        after = before + hits
+        counts[sites] = after
+        front = sites[(before < r) & (after >= r) & (done[sites] == 0)]
+    return added
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +499,20 @@ def _offsets_array(nbhd: Neighbourhood) -> np.ndarray:
     return np.asarray(offs, dtype=np.int64)
 
 
+def _resolve_engine(engine: str) -> str:
+    if engine not in ("numba", "python"):
+        raise ValueError(f"unknown engine {engine!r}")
+    return "numba" if engine == "numba" and _HAVE_NUMBA else "python"
+
+
+def arrival_permutation(n_items: int, seed: int, engine: str = "numba") -> np.ndarray:
+    """The arrival order ``run_once`` draws for ``seed`` on ``engine``."""
+    seed = int(seed) & _MASK
+    if _resolve_engine(engine) == "numba":
+        return _perm_kernel(n_items, np.uint64(seed))
+    return random_permutation(n_items, seed)
+
+
 def run_once(
     nbhd: Neighbourhood,
     n: int,
@@ -322,21 +526,21 @@ def run_once(
         raise ValueError(
             f"torus side {n} too small for neighbourhood radius {nbhd.radius:.3f}"
         )
-    if engine not in ("numba", "python"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "numba" and not _HAVE_NUMBA:
-        engine = "python"
+    engine = _resolve_engine(engine)
     offs = _offsets_array(nbhd)
     seed = int(seed) & _MASK
+    n2 = n * n
     start = time.perf_counter()
     if permutation is not None:
         perm = np.asarray(permutation, dtype=np.int64)
-        if sorted(perm.tolist()) != list(range(n * n)):
+        if perm.shape != (n2,) or perm.min() < 0 or perm.max() >= n2:
             raise ValueError("injected permutation is not a bijection on the torus")
-    elif engine == "numba":
-        perm = _perm_kernel(n * n, np.uint64(seed))
+        seen = np.zeros(n2, dtype=bool)
+        seen[perm] = True
+        if not seen.all():
+            raise ValueError("injected permutation is not a bijection on the torus")
     else:
-        perm = random_permutation(n * n, seed)
+        perm = arrival_permutation(n2, seed, engine)
     if engine == "numba":
         tau, closure_before = _run_kernel(n, nbhd.threshold, offs, perm)
     else:

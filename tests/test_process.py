@@ -1,17 +1,26 @@
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from bperc import process
 from bperc.dynamics import Domain, closure
 from bperc.geometry import NeighbourhoodSpec, build_neighbourhood
 from bperc.process import (
     CSV_COLUMNS,
     Xoshiro256StarStar,
+    _bounded_draws,
+    _lane_stream,
     _perm_kernel,
+    _rejects,
     _run_kernel,
     _run_python,
+    arrival_permutation,
     derive_run_seed,
     jump_event_rate,
     random_permutation,
@@ -35,8 +44,30 @@ def row_major_permutation(n):
 
 
 # ---------------------------------------------------------------------------
-# PRNG: reference vs kernel, bit for bit
+# PRNG: every engine against the scalar definition, bit for bit
 # ---------------------------------------------------------------------------
+
+U64 = 1 << 64
+EDGE_SEEDS = (0, (1 << 63) + 5, U64 - 1)
+
+
+def reference_bounded(next_raw, b):
+    """The frozen v1 bounded draw, written as the contract states it."""
+    limit = (U64 // b) * b
+    while True:
+        r = next_raw()
+        if r < limit:
+            return r % b
+
+
+def reference_permutation(n_items, seed):
+    """The frozen v1 permutation: scalar backward Fisher-Yates."""
+    rng = Xoshiro256StarStar(seed)
+    perm = list(range(n_items))
+    for i in range(n_items - 1, 0, -1):
+        j = reference_bounded(rng.next_raw, i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 def test_splitmix_known_vector():
@@ -56,12 +87,122 @@ def test_permutation_is_bijection():
         assert sorted(perm.tolist()) == list(range(n_items))
 
 
+# lanes are 2^m <= n_items steps long, so n_items - 1 = 2^k raw draws fill
+# whole lanes; the neighbours of 2^k + 1 leave a lane short or start a new one
+LANE_EDGES = sorted({(1 << k) + d for k in range(1, 13) for d in (-1, 0, 1, 2)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_items=st.one_of(st.integers(0, 3000), st.sampled_from(LANE_EDGES)),
+    seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, U64 - 1)),
+)
+@example(n_items=0, seed=0)
+@example(n_items=1, seed=U64 - 1)
+@example(n_items=2, seed=(1 << 63) + 5)
+def test_permutation_matches_scalar_reference(n_items, seed):
+    assert random_permutation(n_items, seed).tolist() == reference_permutation(n_items, seed)
+
+
+@pytest.mark.parametrize("n_raw", [1, 2, 3, 15, 16, 17, 255, 256, 257, 4097, 70000])
+def test_lane_stream_matches_next_raw(n_raw):
+    for seed in EDGE_SEEDS:
+        raw, state = _lane_stream(seed, n_raw)
+        rng = Xoshiro256StarStar(seed)
+        assert raw.size >= n_raw
+        assert raw.tolist() == [rng.next_raw() for _ in range(raw.size)]
+        assert [int(w) for w in state] == rng.s
+
+
+def test_permutations_agree_under_threads_from_a_cold_cache():
+    # the pool threads of a sweep may all build the jump-ahead cache at once
+    process._jump_matrix.cache_clear()
+    want = reference_permutation(600, 9)
+    results = []
+    barrier = threading.Barrier(6)
+
+    def work():
+        barrier.wait(timeout=30)
+        results.append(random_permutation(600, 9).tolist())
+
+    threads = [threading.Thread(target=work) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [want] * 6
+
+
+@pytest.mark.parametrize("b", [2, 3, 4, 1 << 20])
+@pytest.mark.parametrize("r", [U64 - 1, U64 - 2])
+def test_rejection_rule_on_top_draws(r, b):
+    expect = r >= (U64 // b) * b  # only b = 3 rejects, and only 2^64 - 1
+    assert expect == (b == 3 and r == U64 - 1)
+    assert bool(_rejects(r, b)) == expect
+    assert bool(_rejects(np.uint64(r), np.uint64(b))) == expect  # the kernel's types
+
+
+def _draws_against_reference(stream, top, n_draws):
+    """_bounded_draws on the head of ``stream`` vs the scalar rule on all of it."""
+    rest = iter(stream[n_draws:])
+    got = _bounded_draws(np.array(stream[:n_draws], dtype=np.uint64), top, rest.__next__)
+    it = iter(stream)
+    want = [reference_bounded(it.__next__, top - d) for d in range(n_draws)]
+    assert got.tolist() == want
+
+
+def test_bounded_draws_realign_after_rejections():
+    # bounds 6, 5, 4, 3, 2: 2^64 mod b is 4, 1, 0, 1, 0
+    stream = [
+        U64 - 1, U64 - 4, U64 - 5,  # b=6: two rejections, then accepted
+        U64 - 1, 7,                 # b=5: one rejection
+        U64 - 1,                    # b=4: a power of two rejects nothing
+        U64 - 1, U64 - 2,           # b=3: one rejection
+        U64 - 1,                    # b=2
+        11, 12, 13,                 # never consumed
+    ]
+    _draws_against_reference(stream, 6, 5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    top=st.integers(2, 12),
+    values=st.lists(
+        st.one_of(st.integers(U64 - 12, U64 - 1), st.integers(0, U64 - 1)),
+        min_size=40,
+        max_size=40,
+    ),
+)
+def test_bounded_draws_match_scalar_rule(top, values):
+    # values near 2^64 make rejections common
+    it = iter(values)
+    try:
+        for d in range(top - 1):
+            reference_bounded(it.__next__, top - d)
+    except StopIteration:
+        assume(False)  # too many rejections for the 40 values drawn
+    _draws_against_reference(values, top, top - 1)
+
+
 def test_kernel_permutation_matches_reference():
     for n_items in (1, 2, 37, 32 * 32):
         for seed in (0, 1, 42, (1 << 63) + 5, (1 << 64) - 1):
-            ref = random_permutation(n_items, seed & ((1 << 64) - 1))
             ker = _perm_kernel(n_items, np.uint64(seed & ((1 << 64) - 1)))
-            assert ref.tolist() == ker.tolist(), (n_items, seed)
+            assert ker.tolist() == reference_permutation(n_items, seed), (n_items, seed)
+
+
+def test_arrival_permutation_is_what_run_once_draws(square):
+    perm = arrival_permutation(16 * 16, 3, "python")
+    assert perm.tolist() == reference_permutation(16 * 16, 3)
+    a = run_once(square, 16, 3, engine="python")
+    b = run_once(square, 16, 3, permutation=perm)
+    assert (a.tau, a.closure_before) == (b.tau, b.closure_before)
 
 
 def test_run_engines_agree(square):
@@ -114,49 +255,53 @@ def test_row_major_audit_from_scratch(square):
     assert before.size == rec.closure_before
 
 
-def test_incremental_matches_batch_closures(square):
-    # spot-check the incremental cascade at 32 checkpoints of a random run
-    rng = random.Random(6)
-    n = 16
+def _random_order(n, seed):
     perm = list(range(n * n))
-    rng.shuffle(perm)
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
+# (spec, n, arrival order, whether some cascade outgrows the scalar loop and
+# is finished by the generation-by-generation expansion)
+ORACLE_CASES = [
+    pytest.param(NeighbourhoodSpec.named("square"), 16, "random", True, id="square"),
+    pytest.param(NeighbourhoodSpec.named("square"), 12, "row-major", True, id="square-row-major"),
+    pytest.param(NeighbourhoodSpec.named("square4"), 12, "random", True, id="square4"),
+    pytest.param(NeighbourhoodSpec.named("diamond"), 15, "random", True, id="diamond-odd"),
+    pytest.param(NeighbourhoodSpec.named("diamond"), 16, "random", True, id="diamond-even"),
+    pytest.param(NeighbourhoodSpec.lp_ball("2", "2"), 10, "random", True, id="lp2"),
+    pytest.param(NeighbourhoodSpec.explicit([(0, 1), (1, 0), (2, 1), (-1, 2)], 2), 12,
+                 "random", True, id="asymmetric"),
+    # a threshold of 3 out of 4 neighbours keeps every cascade small
+    pytest.param(NeighbourhoodSpec.explicit([(0, 1), (1, 0), (-1, 0), (0, -1)], 3), 24,
+                 "random", False, id="scalar-only"),
+]
+
+
+@pytest.mark.parametrize("spec, n, order, handoff", ORACLE_CASES)
+def test_run_once_matches_batch_closures(monkeypatch, spec, n, order, handoff):
+    # tau and closure_before from the library's incremental cascade, checked
+    # against from-scratch closures as `bperc tau --audit` does
+    nbhd = build_neighbourhood(spec)
+    expansions = []
+    expand = process._expand
+
+    def counted(*args):
+        expansions.append(True)
+        return expand(*args)
+
+    monkeypatch.setattr(process, "_expand", counted)
     dom = Domain.torus(n)
-    sites = [divmod(p, n) for p in perm]
-    offs = np.asarray(sorted(o for o in square.offsets if o != (0, 0)),
-                      dtype=np.int64)
-    for k in range(0, n * n + 1, 8):
-        expect = len(closure(dom, square, sites[:k]).infected)
-        # run the python twin on a truncated permutation padded arbitrarily:
-        # its running count after k arrivals must equal the batch closure
-        counts = _running_counts(n, square.threshold, offs, perm)
-        assert counts[k] == expect
-
-
-def _running_counts(n, r, offs, perm):
-    """Infected-count trajectory of the incremental cascade."""
-    n2 = n * n
-    counts = [0] * n2
-    infected = bytearray(n2)
-    num = 0
-    out = [0]
-    offsets = [(int(a), int(b)) for a, b in offs]
-    for p in perm:
-        if not infected[p]:
-            stack = [p]
-            while stack:
-                y = stack.pop()
-                if infected[y]:
-                    continue
-                infected[y] = 1
-                num += 1
-                yx, yy = divmod(y, n)
-                for kx, ky in offsets:
-                    x = ((yx - kx) % n) * n + ((yy - ky) % n)
-                    counts[x] += 1
-                    if counts[x] == r and not infected[x]:
-                        stack.append(x)
-        out.append(num)
-    return out
+    for seed in range(3):
+        perm = row_major_permutation(n) if order == "row-major" else _random_order(n, seed)
+        rec = run_once(nbhd, n, 0, permutation=perm, engine="python")
+        sites = [divmod(p, n) for p in perm]
+        before = closure(dom, nbhd, sites[: rec.tau - 1])
+        after = closure(dom, nbhd, sites[: rec.tau])
+        assert not before.is_full()
+        assert after.is_full()
+        assert before.size == rec.closure_before
+    assert bool(expansions) == handoff
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +315,22 @@ def test_run_once_rejects_small_torus(square):
 
 
 def test_run_once_rejects_bad_permutation(square):
-    with pytest.raises(ValueError):
-        run_once(square, 5, 0, permutation=[0] * 25)
+    # repeated entries
+    for perm in ([0] * 25, list(range(23)) + [0, 24]):
+        with pytest.raises(ValueError, match="not a bijection"):
+            run_once(square, 5, 0, permutation=perm)
+
+
+def test_run_once_rejects_permutation_of_wrong_length(square):
+    for perm in (list(range(24)), list(range(26)), [list(range(5))] * 5):
+        with pytest.raises(ValueError, match="not a bijection"):
+            run_once(square, 5, 0, permutation=perm)
+
+
+def test_run_once_rejects_permutation_off_the_torus(square):
+    for perm in (list(range(1, 26)), [-1] + list(range(1, 25))):
+        with pytest.raises(ValueError, match="not a bijection"):
+            run_once(square, 5, 0, permutation=perm)
 
 
 def test_run_once_rejects_bad_engine(square):
