@@ -183,20 +183,37 @@ class Neighbourhood:
         return len(self.offsets) - (1 if (0, 0) in self.offsets else 0)
 
 
-def _lp_member(p, s: Fraction, x: int, y: int) -> bool:
-    # Continuum body scaled so its max Euclidean norm is exactly s:
-    #   p <= 2 : farthest point of the lp ball of radius a sits on an axis -> a = s
-    #   p = inf: farthest point is a corner -> half-width s/sqrt(2)
-    ax, ay = abs(x), abs(y)
+def _lp_offsets(p, s: Fraction) -> frozenset:
+    """The lattice points of the lp ball of scale s, row by row in integers.
+
+    The continuum body is scaled so its max Euclidean norm is exactly s:
+    for p <= 2 the farthest point of the lp ball of radius a sits on an axis,
+    so a = s; for p = inf it is a corner, so the half-width is s/sqrt(2).
+    With s = num/den, row x holds the points with |y| <= h(|x|), where
+      p = 1  : h = floor(s - |x|)        = (num - |x| den) // den
+      p = 2  : h = floor(sqrt(s^2 - x^2)) = isqrt((num^2 - x^2 den^2) // den^2)
+      p = inf: h = floor(s / sqrt(2))    = isqrt(num^2 // (2 den^2)),
+               for the rows with |x| <= h.
+    floor(sqrt(q)) = isqrt(floor(q)) for rational q >= 0, so every bound is exact.
+    """
+    num, den = s.numerator, s.denominator
     if p == 1:
-        return ax + ay <= s
-    if p == 2:
-        return x * x + y * y <= s * s
-    if p is math.inf:
-        m = max(ax, ay)
-        return 2 * m * m <= s * s
-    raise ValueError(
-        "lp_ball supports p in {1, 2, inf}; other exponents have no exact lattice test here"
+        xmax = num // den
+        heights = [(num - ax * den) // den for ax in range(xmax + 1)]
+    elif p == 2:
+        xmax = num // den
+        heights = [math.isqrt((num * num - ax * ax * den * den) // (den * den))
+                   for ax in range(xmax + 1)]
+    elif p is math.inf:
+        xmax = math.isqrt(num * num // (2 * den * den))
+        heights = [xmax] * (xmax + 1)
+    else:
+        raise ValueError(
+            "lp_ball supports p in {1, 2, inf}; other exponents have no exact lattice test here"
+        )
+    return frozenset(
+        (x, y) for x in range(-xmax, xmax + 1)
+        for y in range(-heights[abs(x)], heights[abs(x)] + 1)
     )
 
 
@@ -224,13 +241,7 @@ def build_neighbourhood(spec: NeighbourhoodSpec) -> Neighbourhood:
         return Neighbourhood(frozenset(offsets), r, spec.name)
 
     if spec.kind == "lp_ball":
-        bound = int(spec.s) + 1
-        offsets = frozenset(
-            (x, y)
-            for x in range(-bound, bound + 1)
-            for y in range(-bound, bound + 1)
-            if _lp_member(spec.p, spec.s, x, y)
-        )
+        offsets = _lp_offsets(spec.p, spec.s)
         if not offsets:
             raise ValueError("lp_ball scale too small: empty offset set")
         name = f"lp{'inf' if spec.p is math.inf else spec.p}_s{spec.s}"
@@ -276,7 +287,16 @@ def _with_explicit_threshold(offsets: frozenset, r, name: str) -> Neighbourhood:
 
 
 # ---------------------------------------------------------------------------
-# Critical thresholds and stability, by exact angular sweep
+# Critical thresholds and stability, by one exact rotating angular sweep
+#
+# The negative-side count of a direction u changes only when u crosses a
+# breakpoint, a direction perpendicular to some offset.  The breakpoints are
+# sorted by angle once; the count at the first one is taken directly, and
+# every later count, at a breakpoint or on the open arc after it, follows
+# from the previous one by adding the offsets that enter the open negative
+# side and subtracting those that leave it.  With the multiplicity of each
+# primitive offset direction in a dict, that is O(|K| log |K|) for the sort
+# and O(|K|) for everything else.
 # ---------------------------------------------------------------------------
 
 
@@ -300,21 +320,40 @@ def breakpoint_directions(offsets: Iterable[Site]) -> list[Direction]:
     return sort_by_angle(dirs)
 
 
-def _arc_midpoint(a: Direction, b: Direction) -> Direction:
-    # exact interior direction of the (< pi) arc from a to b; antipodal pairs
-    # (possible only for degenerate single-offset sets) fall back to a quarter turn
-    sx, sy = a.x + b.x, a.y + b.y
-    if sx == 0 and sy == 0:
-        return a.rot90()
-    return Direction.of(sx, sy)
+def _sweep(offsets: list, bps: list) -> list[tuple[int, int]]:
+    """(count at b, count on the open arc after b) for each breakpoint b of bps.
+
+    An offset with primitive direction w has <w, u> < 0 exactly for u strictly
+    between rot90(w) and rot270(w), counter-clockwise.  So the offsets with
+    direction rot270(b) = (b.y, -b.x) enter the negative side as u turns past
+    b, and those with direction rot90(b) = (-b.y, b.x) leave it as u reaches b.
+    """
+    mult: dict[Site, int] = {}
+    for x, y in offsets:
+        if x or y:
+            g = math.gcd(x, y)
+            w = (x // g, y // g)
+            mult[w] = mult.get(w, 0) + 1
+    first = count = negative_count(offsets, bps[0])
+    out = []
+    for i, b in enumerate(bps):
+        arc = count + mult.get((b.y, -b.x), 0)
+        out.append((count, arc))
+        nxt = bps[(i + 1) % len(bps)]
+        count = arc - mult.get((-nxt.y, nxt.x), 0)
+    if count != first:
+        raise AssertionError(
+            f"angular sweep did not close: {count} after a full turn, {first} at the start"
+        )
+    return out
 
 
 def critical_threshold(offsets: Iterable[Site]) -> int:
     """1 + min over directions of the strictly-negative-side count.
 
     The count on each open arc dominates the counts at its endpoints, so the
-    minimum is attained at a breakpoint; evaluating all breakpoints exactly
-    is therefore sufficient.
+    minimum is attained at a breakpoint.  One rotating sweep gives the count
+    at every breakpoint, in O(|K| log |K|) for the whole set.
     """
     offsets = list(offsets)
     if not offsets:
@@ -322,7 +361,7 @@ def critical_threshold(offsets: Iterable[Site]) -> int:
     bps = breakpoint_directions(offsets)
     if not bps:
         return 1  # only the origin: no direction sees a negative side
-    return 1 + min(negative_count(offsets, d) for d in bps)
+    return 1 + min(c for c, _ in _sweep(offsets, bps))
 
 
 @dataclass(frozen=True)
@@ -415,19 +454,13 @@ def stability_report(nbhd: Neighbourhood) -> StabilityReport:
     offsets = list(nbhd.offsets)
     r = nbhd.threshold
     bps = breakpoint_directions(offsets)
-    entries = []
     if not bps:
         d = Direction(1, 0)
-        c = 0
-        entries.append(SweepEntry("arc", d, d, c, c < r))
-        return StabilityReport(r, tuple(entries))
-    m = len(bps)
-    for i, d in enumerate(bps):
-        c = negative_count(offsets, d)
+        return StabilityReport(r, (SweepEntry("arc", d, d, 0, 0 < r),))
+    entries = []
+    for i, (c, c_arc) in enumerate(_sweep(offsets, bps)):
+        d, nxt = bps[i], bps[(i + 1) % len(bps)]
         entries.append(SweepEntry("point", d, d, c, c < r))
-        nxt = bps[(i + 1) % m]
-        mid = _arc_midpoint(d, nxt)
-        c_arc = negative_count(offsets, mid)
         entries.append(SweepEntry("arc", d, nxt, c_arc, c_arc < r))
     return StabilityReport(r, tuple(entries))
 

@@ -1,13 +1,20 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bperc.geometry import (
     Direction,
     ModelWarning,
+    Neighbourhood,
     NeighbourhoodSpec,
+    StabilityReport,
+    SweepEntry,
+    _lp_offsets,
     angular_cmp,
     breakpoint_directions,
     build_neighbourhood,
@@ -54,6 +61,43 @@ def oracle_threshold(offsets):
         dots = dirs_arr @ offs.T
         best = min(best, int((dots < 0).sum(axis=1).min()))
     return 1 + best
+
+
+def _mid(a, b):
+    """Exact interior direction of the counter-clockwise arc from a to b; an
+    antipodal pair (only collinear offset sets have one) takes a quarter turn."""
+    s = (a.x + b.x, a.y + b.y)
+    return Direction.of(*s) if s != (0, 0) else a.rot90()
+
+
+def reference_stability_report(nbhd):
+    """The O(|K| m) report: every breakpoint and arc midpoint counted directly."""
+    offsets = list(nbhd.offsets)
+    r = nbhd.threshold
+    bps = breakpoint_directions(offsets)
+    if not bps:
+        d = Direction(1, 0)
+        return StabilityReport(r, (SweepEntry("arc", d, d, 0, 0 < r),))
+    entries = []
+    m = len(bps)
+    for i, d in enumerate(bps):
+        c = negative_count(offsets, d)
+        entries.append(SweepEntry("point", d, d, c, c < r))
+        nxt = bps[(i + 1) % m]
+        c_arc = negative_count(offsets, _mid(d, nxt))
+        entries.append(SweepEntry("arc", d, nxt, c_arc, c_arc < r))
+    return StabilityReport(r, tuple(entries))
+
+
+def lp_member(p, s, x, y):
+    """Brute-force lp-ball membership of (x, y), in Fractions."""
+    ax, ay = abs(x), abs(y)
+    if p == 1:
+        return ax + ay <= s
+    if p == 2:
+        return x * x + y * y <= s * s
+    m = max(ax, ay)
+    return 2 * m * m <= s * s
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +162,20 @@ def test_linf_ball_s2_is_boxtimes():
 
 
 def test_lp_ball_rejects_unsupported_exponent():
-    with pytest.raises(ValueError):
-        build_neighbourhood(NeighbourhoodSpec.lp_ball("3/2", "4"))
+    msg = "lp_ball supports p in {1, 2, inf}; other exponents have no exact lattice test here"
+    for p in ("3/2", "3"):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            build_neighbourhood(NeighbourhoodSpec.lp_ball(p, 4))
+
+
+@pytest.mark.parametrize("p", ["1", "2", "inf"])
+@pytest.mark.parametrize("s", ["1/2", "1", "3/2", "7/3", "5/2", "4", "17/4", "100/7", "12"])
+def test_lp_offsets_match_brute_force(p, s):
+    spec = NeighbourhoodSpec.lp_ball(p, s)
+    bound = int(spec.s) + 1
+    brute = {(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)
+             if lp_member(spec.p, spec.s, x, y)}
+    assert _lp_offsets(spec.p, spec.s) == brute
 
 
 def test_explicit_threshold_validation():
@@ -179,6 +235,15 @@ def test_eq4_interval_for_large_s():
             assert s * s / 2 <= nb.threshold <= 2 * s * s, (p, s, nb.threshold)
 
 
+@pytest.mark.parametrize("p", ["1", "2", "inf"])
+@pytest.mark.parametrize("s", [32, 64])
+def test_threshold_and_stable_set_at_large_s(p, s):
+    nb = build_neighbourhood(NeighbourhoodSpec.lp_ball(p, str(s)))
+    assert s * s / 2 <= nb.threshold <= 2 * s * s
+    stable = AXES | DIAG if p == "inf" else AXES
+    assert stability_report(nb).stable_points == dirs(stable)
+
+
 def test_small_s_violations_warn_not_fail():
     import warnings
 
@@ -220,9 +285,55 @@ def test_stability_partition_property(named_models):
         assert all(k != kinds[i - 1] for i, k in enumerate(kinds))
 
 
-def _mid(a, b):
-    s = (a.x + b.x, a.y + b.y)
-    return Direction.of(*s) if s != (0, 0) else a.rot90()
+def _check_sweep(offsets, r):
+    nb = Neighbourhood(frozenset(offsets), r)
+    assert stability_report(nb).entries == reference_stability_report(nb).entries
+    bps = breakpoint_directions(offsets)
+    assert critical_threshold(offsets) == 1 + min(
+        (negative_count(offsets, d) for d in bps), default=0
+    )
+
+
+_coord = st.integers(-5, 5)
+_point = st.tuples(_coord, _coord)
+_primitive = _point.filter(lambda v: math.gcd(*v) == 1)
+
+
+@st.composite
+def _on_one_line(draw, both_signs):
+    """Multiples of one primitive direction: one ray, or a line through 0."""
+    wx, wy = draw(_primitive)
+    ks = draw(st.lists(st.integers(-4 if both_signs else 1, 4), min_size=1, max_size=6))
+    return [(k * wx, k * wy) for k in ks]
+
+
+_offset_sets = st.one_of(
+    st.lists(_point, min_size=1, max_size=14),  # asymmetric in general
+    st.builds(lambda ray, rest: ray + rest,
+              _on_one_line(both_signs=False), st.lists(_point, max_size=6)),
+    _on_one_line(both_signs=True),  # collinear
+    st.builds(lambda v, origin: [v] + ([(0, 0)] if origin else []),
+              _point.filter(lambda v: v != (0, 0)), st.booleans()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(offsets=_offset_sets, r=st.integers(0, 16))
+@example(offsets=[(0, 0)], r=1)
+@example(offsets=[(1, 0)], r=1)
+@example(offsets=[(2, 3), (0, 0)], r=2)
+@example(offsets=[(1, 0), (2, 0)], r=2)
+@example(offsets=[(1, 0), (2, 0), (0, 1), (-3, -1)], r=2)
+@example(offsets=[(1, 1), (-2, -2), (3, 3), (0, 0)], r=2)
+def test_sweep_matches_reference(offsets, r):
+    _check_sweep(offsets, r)
+
+
+@pytest.mark.parametrize("p", ["1", "2", "inf"])
+@pytest.mark.parametrize("s", ["16", "24"])
+def test_sweep_matches_reference_on_lp_balls(p, s):
+    nb = build_neighbourhood(NeighbourhoodSpec.lp_ball(p, s))
+    _check_sweep(nb.offsets, nb.threshold)
 
 
 def test_stability_rotation_invariance():
