@@ -9,7 +9,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence, Union
 
 Site = tuple[int, int]
@@ -84,7 +83,23 @@ def angular_cmp(u: Direction, v: Direction) -> int:
 
 
 def sort_by_angle(dirs: Iterable[Direction]) -> list[Direction]:
-    return sorted(dirs, key=cmp_to_key(angular_cmp))
+    """Sort by angle from (1,0), counter-clockwise, in the order of angular_cmp.
+
+    The key is the half of the circle, then -x/y, which grows with the angle
+    inside a half (the axis direction, y = 0, comes first in its half),
+    scaled by S = max y^2 and floored.  Distinct slopes in one half differ
+    by at least 1/|y1 y2| >= 1/S, so their keys differ in the same order,
+    and equal slopes get equal keys: the integer key is exact.
+    """
+    dirs = list(dirs)
+    scale = max((d.y * d.y for d in dirs), default=1)
+
+    def key(d: Direction) -> tuple[int, bool, int]:
+        if d.y == 0:
+            return (0 if d.x > 0 else 1, False, 0)
+        return (0 if d.y > 0 else 1, True, -d.x * scale // d.y)
+
+    return sorted(dirs, key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +326,13 @@ def breakpoint_directions(offsets: Iterable[Site]) -> list[Direction]:
     The half-plane count is constant on each open arc between consecutive
     breakpoints, so these are the only places where anything can change.
     """
-    dirs = set()
+    prim = set()
     for x, y in offsets:
-        if x == 0 and y == 0:
-            continue
-        dirs.add(Direction.of(-y, x))
-        dirs.add(Direction.of(y, -x))
-    return sort_by_angle(dirs)
+        if x or y:
+            g = math.gcd(x, y)
+            prim.add((-y // g, x // g))
+            prim.add((y // g, -x // g))
+    return sort_by_angle(Direction(x, y) for x, y in prim)
 
 
 def _sweep(offsets: list, bps: list) -> list[tuple[int, int]]:

@@ -1,16 +1,35 @@
 """Quasi-droplets: half-plane intersections over quasi-stable directions.
 
 Constraints are <x, u> <= m_u with u a primitive integer normal and m_u an
-integer (absent = unbounded in that direction).  All geometry is exact: the
-continuum polygon has Fraction vertices, side lengths are compared through
-their squared values, and lattice counting uses integer floor/ceil division.
+integer (absent = unbounded in that direction), kept sorted by the angle of
+u.  All geometry is exact.
+
+The continuum polygon is the intersection of the half-planes, built in one
+pass over the sorted constraints with a deque: each new half-plane pops the
+lines at either end whose last corner it cuts off strictly.  Corners are
+integer homogeneous triples (X, Y, D), D > 0, from Cramer's rule on two
+lines, and a corner is outside <x, u> <= m iff u.x X + u.y Y > m D; only the
+finished vertices become Fractions.  Whether the set is bounded is read off
+the normals first: it is iff every gap between angularly consecutive normals
+is below a half turn.  A gap of exactly a half turn is a strip, empty iff
+its two levels sum below zero; otherwise the set is unbounded and raises.
+
+The polygon is computed once per droplet and kept on the instance outside
+the dataclass fields, so equality, hashing, repr, JSON and pickles do not
+see it.  It records the face of every constraint direction (an edge, or the
+vertex where a slack or touching line meets the polygon), so side lengths
+are O(1).  The lattice count is Σ floor(R(y)) - Σ ceil(L(y)) + rows over the
+rows of the polygon: every non-horizontal edge on a line a x + b y = m
+adds one floor sum Σ_y floor((m - b y) / |a|) over the rows it spans, so a
+count costs O(k log) for k constraints instead of O(rows * k).
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .geometry import (
     Direction,
@@ -31,15 +50,105 @@ def _ceildiv(p: int, q: int) -> int:
     return -((-p) // q) if q > 0 else -(p // (-q))
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Σ_{i=0}^{n-1} floor((a i + b) / m) for n >= 0 and m > 0, in O(log m).
+
+    Whole multiples of m come out of a and b in closed form; what remains
+    counts lattice points under a line, which is the same sum with the
+    roles of a and m exchanged, as in Euclid's algorithm.
+    """
+    total = 0
+    while n > 0:
+        q, a = divmod(a, m)
+        total += q * (n * (n - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * n
+        top = a * n + b
+        if top < m:
+            break
+        n, b, m, a = top // m, top % m, a, m
+    return total
+
+
 class DegenerateDropletError(ValueError):
     pass
+
+
+class _Polygon(NamedTuple):
+    vertices: tuple  # CCW Fraction vertices, repeats merged
+    faces: dict  # every constraint direction -> its face: an edge (start, end) or a vertex
+
+
+_EMPTY = _Polygon((), {})
+
+
+def _corner(g, h) -> tuple[int, int, int]:
+    """Homogeneous (X, Y, D) of the crossing of two lines with cross(u, v) > 0."""
+    (u, m), (v, n) = g, h
+    return (m * v.y - n * u.y, u.x * n - v.x * m, u.x * v.y - u.y * v.x)
+
+
+def _cuts(h, corner) -> bool:
+    """Does the half-plane h leave the corner strictly outside?"""
+    (u, m), (x, y, d) = h, corner
+    return u.x * x + u.y * y > m * d
+
+
+def _intersect(cons: tuple) -> _Polygon:
+    if not cons:
+        raise DegenerateDropletError("no constraints: unbounded")
+    if any(angular_cmp(u, v) >= 0 for (u, _), (v, _) in zip(cons, cons[1:])):
+        raise ValueError("constraints must be sorted by angle, one per direction")
+    for (u, mu), (v, mv) in zip(cons, cons[1:] + cons[:1]):
+        c = u.cross(v)
+        if c == 0 and u != v and mu + mv < 0:
+            return _EMPTY  # v = -u: the strip between them is empty
+        if c <= 0:  # a gap of half a turn or more: the set runs off along rot90(u)
+            raise DegenerateDropletError("constraint set does not bound the plane")
+
+    dq: deque = deque()
+    for h in cons:
+        while len(dq) >= 2 and _cuts(h, _corner(dq[-2], dq[-1])):
+            dq.pop()
+        while len(dq) >= 2 and _cuts(h, _corner(dq[0], dq[1])):
+            dq.popleft()
+        if dq and dq[-1][0].cross(h[0]) <= 0:
+            return _EMPTY  # h turns half a turn or more from what is left
+        dq.append(h)
+    while len(dq) >= 3 and _cuts(dq[0], _corner(dq[-2], dq[-1])):
+        dq.pop()
+    while len(dq) >= 3 and _cuts(dq[-1], _corner(dq[0], dq[1])):
+        dq.popleft()
+    if len(dq) < 3 or dq[-1][0].cross(dq[0][0]) <= 0:
+        return _EMPTY
+
+    lines = list(dq)
+    corners = []  # corners[j]: where lines[j] meets lines[j + 1]
+    for g, h in zip(lines, lines[1:] + lines[:1]):
+        x, y, d = _corner(g, h)
+        corners.append((Fraction(x, d), Fraction(y, d)))
+    vertices = [p for p, q in zip(corners, corners[-1:] + corners[:-1]) if p != q]
+    # a line of the boundary runs from the corner before it to the one after
+    # it; a constraint off the boundary touches the polygon at the corner after
+    # the last boundary line that precedes it in angle
+    faces = {}
+    on = {u: j for j, (u, _) in enumerate(lines)}
+    j = len(lines) - 1
+    for u, _ in cons:
+        if u in on:
+            j = on[u]
+            p, q = corners[j - 1], corners[j]
+            faces[u] = (p,) if p == q else (p, q)
+        else:
+            faces[u] = (corners[j],)
+    return _Polygon(tuple(vertices or corners[:1]), faces)
 
 
 @dataclass(frozen=True)
 class QuasiDroplet:
     """Intersection of half-planes <x, u> <= m_u over quasi-stable directions."""
 
-    constraints: tuple  # sorted tuple of (Direction, int)
+    constraints: tuple  # tuple of (Direction, int), sorted by angle
 
     @staticmethod
     def of(constraints) -> "QuasiDroplet":
@@ -69,62 +178,53 @@ class QuasiDroplet:
         x, y = site
         return all(u.x * x + u.y * y <= m for u, m in self.constraints)
 
+    def __getstate__(self):
+        # the cached polygon is derived from the constraints: leave it out
+        return {"constraints": self.constraints}
+
     # -- continuum polygon -------------------------------------------------
+
+    def _shape(self) -> _Polygon:
+        shape = self.__dict__.get("_polygon")
+        if shape is None:
+            shape = _intersect(self.constraints)
+            object.__setattr__(self, "_polygon", shape)
+        return shape
 
     def polygon(self) -> list:
         """CCW Fraction vertex list of the continuum polygon (possibly empty
         or lower-dimensional); raises on unbounded constraint sets."""
-        cons = self.constraints
-        if not cons:
-            raise DegenerateDropletError("no constraints: unbounded")
-        smax = max(max(abs(u.x), abs(u.y)) for u, _ in cons)
-        mmax = max(abs(m) for _, m in cons)
-        B = 2 * smax * (mmax + 1) + 10
-        poly = [
-            (Fraction(-B), Fraction(-B)),
-            (Fraction(B), Fraction(-B)),
-            (Fraction(B), Fraction(B)),
-            (Fraction(-B), Fraction(B)),
-        ]
-        for u, m in cons:
-            poly = _clip(poly, u.x, u.y, m)
-            if not poly:
-                return []
-        if any(max(abs(x), abs(y)) >= B for x, y in poly):
-            raise DegenerateDropletError("constraint set does not bound the plane")
-        return _dedup(poly)
+        return list(self._shape().vertices)
 
     def is_empty_continuum(self) -> bool:
-        return not self.polygon()
+        return not self._shape().vertices
 
-    def support(self, u: Direction, poly=None) -> Fraction:
+    def support(self, u: Direction) -> Fraction:
         """max <x, u> over the continuum polygon (may be below the m_u level)."""
-        poly = self.polygon() if poly is None else poly
+        poly = self._shape().vertices
         if not poly:
             raise DegenerateDropletError("empty droplet has no support value")
         return max(u.x * x + u.y * y for x, y in poly)
 
-    def side_vertices(self, u: Direction, poly=None) -> list:
+    def side_vertices(self, u: Direction) -> list:
         """Vertices of the u-side: the face where <x, u> is maximal."""
-        poly = self.polygon() if poly is None else poly
-        if not poly:
+        shape = self._shape()
+        if u in shape.faces:
+            return list(shape.faces[u])
+        if not shape.vertices:
             return []
-        h = max(u.x * x + u.y * y for x, y in poly)
-        return [(x, y) for x, y in poly if u.x * x + u.y * y == h]
+        h = self.support(u)
+        return [(x, y) for x, y in shape.vertices if u.x * x + u.y * y == h]
 
-    def side_length_sq(self, u: Direction, poly=None) -> Fraction:
-        vs = self.side_vertices(u, poly)
+    def side_length_sq(self, u: Direction) -> Fraction:
+        vs = self.side_vertices(u)
         if len(vs) < 2:
             return Fraction(0)
-        # project on the perpendicular to find the two extreme face vertices
-        w = u.rot90()
-        proj = [(w.x * x + w.y * y, (x, y)) for x, y in vs]
-        (_, a), (_, b) = min(proj), max(proj)
-        return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+        (ax, ay), (bx, by) = vs
+        return (ax - bx) ** 2 + (ay - by) ** 2
 
     def all_side_lengths_sq(self) -> dict:
-        poly = self.polygon()
-        return {u: self.side_length_sq(u, poly) for u in self.directions}
+        return {u: self.side_length_sq(u) for u in self.directions}
 
     # -- lattice points ----------------------------------------------------
 
@@ -145,7 +245,7 @@ class QuasiDroplet:
         return (lo, hi) if lo <= hi else None
 
     def y_range(self) -> Optional[tuple[int, int]]:
-        poly = self.polygon()
+        poly = self._shape().vertices
         if not poly:
             return None
         ys = [y for _, y in poly]
@@ -164,14 +264,31 @@ class QuasiDroplet:
         return out
 
     def lattice_point_count(self) -> int:
-        yr = self.y_range()
-        if yr is None:
+        """Σ floor(R(y)) - Σ ceil(L(y)) + 1 over the rows y of the polygon.
+
+        An edge on the line u.x x + u.y y = m with u.x != 0 takes the rows of
+        its half-open y span [ceil(y_lo), ceil(y_hi)).  Rising edges (u.x > 0)
+        give R(y) = (m - u.y y) / u.x and falling ones give L, where
+        -ceil(L(y)) = floor((m - u.y y) / |u.x|), so each edge adds one floor
+        sum.  The top row, when its height is an integer, is counted from
+        its vertices.
+        """
+        shape = self._shape()
+        if not shape.vertices:
             return 0
-        total = 0
-        for y in range(yr[0], yr[1] + 1):
-            iv = self.row_interval(y)
-            if iv is not None:
-                total += iv[1] - iv[0] + 1
+        ys = [y for _, y in shape.vertices]
+        top = max(ys)
+        total = math.ceil(top) - math.ceil(min(ys))
+        for u, m in self.constraints:
+            face = shape.faces[u]
+            if u.x and len(face) == 2:
+                (_, y1), (_, y2) = face
+                r1, r2 = math.ceil(y1), math.ceil(y2)
+                lo = min(r1, r2)
+                total += _floor_sum(abs(r1 - r2), abs(u.x), -u.y, m - u.y * lo)
+        if top.denominator == 1:
+            xs = [x for x, y in shape.vertices if y == top]
+            total += math.floor(max(xs)) - math.ceil(min(xs)) + 1
         return total
 
     def contains_droplet(self, other: "QuasiDroplet") -> bool:
@@ -185,34 +302,6 @@ class QuasiDroplet:
     @staticmethod
     def from_json(obj: dict) -> "QuasiDroplet":
         return QuasiDroplet.of([((ux, uy), m) for ux, uy, m in obj["constraints"]])
-
-
-def _clip(poly, a: int, b: int, m: int):
-    """Sutherland-Hodgman clip of a convex polygon by a x + b y <= m."""
-    if not poly:
-        return []
-    out = []
-    n = len(poly)
-    vals = [a * x + b * y - m for x, y in poly]
-    for i in range(n):
-        p, vp = poly[i], vals[i]
-        q, vq = poly[(i + 1) % n], vals[(i + 1) % n]
-        if vp <= 0:
-            out.append(p)
-        if (vp < 0 < vq) or (vq < 0 < vp):
-            t = Fraction(vp, vp - vq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return out
-
-
-def _dedup(poly):
-    out = []
-    for v in poly:
-        if not out or v != out[-1]:
-            out.append(v)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +346,10 @@ class ExtensionParams:
 
     def non_degenerate(self, qd: QuasiDroplet) -> bool:
         """Every stable side >= sqrt(C); every other side >= C^(1/3)."""
-        poly = qd.polygon()
-        if not poly:
+        if qd.is_empty_continuum():
             return False
         for u in qd.directions:
-            lsq = qd.side_length_sq(u, poly)
+            lsq = qd.side_length_sq(u)
             if self.is_stable(u):
                 if not side_ge_sqrt(lsq, self.big_C):
                     return False
@@ -395,7 +483,7 @@ def extension_algorithm(
         for u in current.directions:
             if params.is_stable(u):
                 continue
-            if side_ge_cbrt(current.side_length_sq(u, poly), C, mult=2):
+            if side_ge_cbrt(current.side_length_sq(u), C, mult=2):
                 try:
                     current = u_extension(current, u)
                 except DegenerateDropletError:
@@ -411,7 +499,7 @@ def extension_algorithm(
         for u in current.directions:
             if not params.is_stable(u):
                 continue
-            if not side_ge_sqrt(current.side_length_sq(u, poly), C, mult=2):
+            if not side_ge_sqrt(current.side_length_sq(u), C, mult=2):
                 continue
             try:
                 grown = u_extension(current, u)

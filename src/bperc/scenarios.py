@@ -8,7 +8,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
-import jsonschema
 import numpy as np
 
 from .dynamics import Configuration, Domain, closure, parse_grid_text
@@ -75,6 +74,10 @@ class Scenario:
 
 
 def scenario_from_json(obj: dict, source: str = "<inline>") -> Scenario:
+    # imported here: jsonschema adds about 3 MB to every process that
+    # imports bperc, and only scenario validation needs it
+    import jsonschema
+
     try:
         jsonschema.validate(obj, scenario_schema())
     except jsonschema.ValidationError as e:

@@ -349,9 +349,8 @@ def test_criterion_11_extension_invariants():
                 c = d.lattice_point_count()
                 if c < prev_count:
                     problems.append((model, s, "count decreased"))
-                poly = d.polygon()
                 for u in d.directions:
-                    lsq = d.side_length_sq(u, poly)
+                    lsq = d.side_length_sq(u)
                     if lsq > 0 and not side_ge_cbrt(lsq, C):
                         problems.append((model, s, f"short side {u}"))
                 if (step.kind == "unstable" and fills_checked < 2

@@ -3,7 +3,10 @@ import json
 import pytest
 
 from bperc.cli import main
+from bperc.geometry import Direction, NeighbourhoodSpec, build_neighbourhood
+from bperc.quasidroplets import ExtensionParams, QuasiDroplet
 from bperc.scenarios import corpus_dir
+from test_quasidroplets import bar_steps, edge_walk_droplet, reference_count
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +232,27 @@ def test_extend_trace_output(capsys, tmp_path):
     assert json.loads(lines[-1])["status"] in ("stalled", "exited", "step_limit")
     counts = [json.loads(l)["lattice_points"] for l in lines[:-1]]
     assert counts == sorted(counts)
+
+
+def test_extend_counts_match_row_oracle(capsys, tmp_path):
+    params = ExtensionParams(build_neighbourhood(NeighbourhoodSpec.lp_ball(2, 4)), 4096)
+    steps = bar_steps(4, params)
+    steps[Direction(1, 1)] *= 3  # long enough for unstable steps
+    steps[Direction(1, 0)] *= 2  # and for a stable one, witnessed past the right face
+    qd, _ = edge_walk_droplet(4, steps)
+    right = qd.level(Direction(1, 0))
+    droplet = tmp_path / "droplet.json"
+    droplet.write_text(json.dumps(qd.to_json()))
+    aprime = tmp_path / "aprime.json"
+    aprime.write_text(json.dumps([[right + 3, y] for y in range(-3, 4)]))
+    code, out, _ = run_cli(capsys, "extend", "--lp", "2", "--s", "4",
+                           "--droplet", str(droplet), "--a-prime", str(aprime),
+                           "--big-c", "4096", "--stop-bound", "1000")
+    assert code == 0
+    steps = [json.loads(line) for line in out.strip().splitlines()[:-1]]
+    assert {"unstable", "stable"} <= {st["kind"] for st in steps}
+    for st in steps:
+        assert st["lattice_points"] == reference_count(QuasiDroplet.from_json(st["droplet"]))
 
 
 def test_version_flag(capsys):

@@ -2,6 +2,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import example, given, settings
@@ -126,6 +127,25 @@ def test_angular_cmp_is_exact_on_close_slopes():
     assert angular_cmp(a, b) < 0
     assert angular_cmp(b, a) > 0
     assert angular_cmp(a, a) == 0
+
+
+def _coords(bound):
+    return st.tuples(st.integers(-bound, bound), st.integers(-bound, bound))
+
+
+_directions = st.one_of(_coords(3), _coords(10 ** 6)).filter(any).map(
+    lambda v: Direction.of(*v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ds=st.lists(_directions, max_size=60))
+@example(ds=[Direction(1000000, 999999), Direction(999999, 1000000), Direction(1, 0),
+             Direction(-1, 0), Direction(0, -1), Direction(-999999, -1000000)])
+@example(ds=[Direction(1, 0), Direction(-1, 0), Direction(1, 0), Direction(0, 1)])
+def test_sort_by_angle_matches_angular_cmp(ds):
+    # the integer key sorts exactly as the comparison that defines the order
+    assert sort_by_angle(ds) == sorted(ds, key=cmp_to_key(angular_cmp))
+    assert sort_by_angle(iter(ds)) == sort_by_angle(ds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import math
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bperc.geometry import (
     Direction,
@@ -15,12 +19,149 @@ from bperc.quasidroplets import (
     DegenerateDropletError,
     ExtensionParams,
     QuasiDroplet,
+    _ceildiv,
+    _floordiv,
     extension_algorithm,
     side_ge_cbrt,
     side_ge_sqrt,
     slab_points,
     u_extension,
 )
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: Sutherland-Hodgman clipping of a box that no bounded
+# droplet reaches, on Fractions, and lattice counting row by row
+# ---------------------------------------------------------------------------
+
+
+def _clip(poly, a, b, m):
+    """Sutherland-Hodgman clip of a convex polygon by a x + b y <= m."""
+    if not poly:
+        return []
+    out = []
+    n = len(poly)
+    vals = [a * x + b * y - m for x, y in poly]
+    for i in range(n):
+        p, vp = poly[i], vals[i]
+        q, vq = poly[(i + 1) % n], vals[(i + 1) % n]
+        if vp <= 0:
+            out.append(p)
+        if (vp < 0 < vq) or (vq < 0 < vp):
+            t = Fraction(vp, vp - vq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def _dedup(poly):
+    out = []
+    for v in poly:
+        if not out or v != out[-1]:
+            out.append(v)
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    return out
+
+
+def reference_polygon(qd):
+    """The continuum polygon by clipping a box of half-width B: every vertex
+    of a bounded droplet lies inside it, and an unbounded one reaches it."""
+    cons = qd.constraints
+    if not cons:
+        raise DegenerateDropletError("no constraints: unbounded")
+    smax = max(max(abs(u.x), abs(u.y)) for u, _ in cons)
+    mmax = max(abs(m) for _, m in cons)
+    B = 2 * smax * (mmax + 1) + 10
+    poly = [
+        (Fraction(-B), Fraction(-B)),
+        (Fraction(B), Fraction(-B)),
+        (Fraction(B), Fraction(B)),
+        (Fraction(-B), Fraction(B)),
+    ]
+    for u, m in cons:
+        poly = _clip(poly, u.x, u.y, m)
+        if not poly:
+            return []
+    if any(max(abs(x), abs(y)) >= B for x, y in poly):
+        raise DegenerateDropletError("constraint set does not bound the plane")
+    return _dedup(poly)
+
+
+def reference_side_vertices(poly, u):
+    if not poly:
+        return []
+    h = max(u.x * x + u.y * y for x, y in poly)
+    return [(x, y) for x, y in poly if u.x * x + u.y * y == h]
+
+
+def reference_side_length_sq(poly, u):
+    vs = reference_side_vertices(poly, u)
+    if len(vs) < 2:
+        return Fraction(0)
+    w = u.rot90()
+    proj = [(w.x * x + w.y * y, (x, y)) for x, y in vs]
+    (_, a), (_, b) = min(proj), max(proj)
+    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+
+
+def reference_y_range(poly):
+    if not poly:
+        return None
+    ys = [y for _, y in poly]
+    lo, hi = math.ceil(min(ys)), math.floor(max(ys))
+    return (lo, hi) if lo <= hi else None
+
+
+def reference_rows(qd, poly):
+    """(y, lo, hi) for every row of the polygon holding a lattice point."""
+    yr = reference_y_range(poly)
+    if yr is None:
+        return []
+    rows = []
+    for y in range(yr[0], yr[1] + 1):
+        lo, hi = None, None
+        for u, m in qd.constraints:
+            c = m - u.y * y
+            if u.x > 0:
+                v = _floordiv(c, u.x)
+                hi = v if hi is None else min(hi, v)
+            elif u.x < 0:
+                v = _ceildiv(c, u.x)
+                lo = v if lo is None else max(lo, v)
+            elif c < 0:
+                break
+        else:
+            if lo <= hi:
+                rows.append((y, lo, hi))
+    return rows
+
+
+def reference_count(qd):
+    return sum(hi - lo + 1 for _, lo, hi in reference_rows(qd, reference_polygon(qd)))
+
+
+def is_rotation(a, b):
+    """Equal as cyclic sequences."""
+    return len(a) == len(b) and (not a or any(a == b[i:] + b[:i] for i in range(len(b))))
+
+
+def assert_matches_reference(qd):
+    try:
+        ref = reference_polygon(qd)
+    except DegenerateDropletError as e:
+        with pytest.raises(DegenerateDropletError, match=re.escape(str(e))):
+            qd.polygon()
+        return None
+    poly = qd.polygon()
+    assert is_rotation(poly, ref), (qd, poly, ref)
+    rows = reference_rows(qd, ref)
+    assert qd.lattice_point_count() == sum(hi - lo + 1 for _, lo, hi in rows)
+    assert qd.lattice_points() == [(x, y) for y, lo, hi in rows for x in range(lo, hi + 1)]
+    assert qd.y_range() == reference_y_range(ref)
+    for u in qd.directions:
+        assert qd.side_length_sq(u) == reference_side_length_sq(ref, u), (qd, u)
+        assert sorted(qd.side_vertices(u)) == sorted(reference_side_vertices(ref, u)), (qd, u)
+    return ref
 
 
 def edge_walk_droplet(s, side_steps):
@@ -52,6 +193,19 @@ def edge_walk_droplet(s, side_steps):
 def uniform_steps(s, t):
     """side_steps giving every direction the same step count t."""
     return {u: t for u in quasi_stable_directions(s)}
+
+
+def bar_steps(s, params, extra=0):
+    """side_steps whose faces clear the side bars of params by extra steps:
+    sqrt(C) on stable directions, C^(1/3) on the others."""
+    steps = {}
+    for u in quasi_stable_directions(s):
+        bar = side_ge_sqrt if params.is_stable(u) or params.is_stable(u.neg()) else side_ge_cbrt
+        t = 1
+        while not bar(Fraction(t * t * u.norm_sq()), params.big_C):
+            t += 1
+        steps[u] = t + extra
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +249,8 @@ def test_edge_walk_droplet_sides_are_exact():
     # the construction predicts every side length exactly: t_u^2 * |u|^2
     for s in (1, 2):
         qd, steps = edge_walk_droplet(s, uniform_steps(s, 4))
-        poly = qd.polygon()
         for u, t in steps.items():
-            assert qd.side_length_sq(u, poly) == t * t * u.norm_sq(), (s, u)
+            assert qd.side_length_sq(u) == t * t * u.norm_sq(), (s, u)
 
 
 def test_lattice_membership_matches_row_intervals():
@@ -115,6 +268,125 @@ def test_lattice_membership_matches_row_intervals():
 def test_json_round_trip():
     qd, _ = edge_walk_droplet(2, uniform_steps(2, 3))
     assert QuasiDroplet.from_json(qd.to_json()).constraints == qd.constraints
+
+
+@st.composite
+def constraint_subsets(draw):
+    """A random subset of Q(1)..Q(4), levelled a few steps around the
+    supporting lines of 1-3 integer anchor points: negative steps can empty
+    the set, zero steps make segments and points, few directions leave it
+    unbounded."""
+    s = draw(st.integers(1, 4))
+    q = sort_by_angle(quasi_stable_directions(s))
+    keep = draw(st.lists(st.booleans(), min_size=len(q), max_size=len(q)))
+    point = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    anchors = draw(st.lists(point, min_size=1, max_size=3))
+    step = st.sampled_from([0, 0, 0, -1, -2, 1, 2, 5, 20])
+    return QuasiDroplet.of({u: max(u.dot(a) for a in anchors) + draw(step)
+                            for u, k in zip(q, keep) if k})
+
+
+_qd = QuasiDroplet.of
+
+
+BOX = {(1, 0): 100, (-1, 0): 100, (0, 1): 100, (0, -1): 100}
+
+
+@settings(max_examples=300, deadline=None)
+@given(qd=constraint_subsets())
+# empty: crossed axis levels, the anti-parallel pair of the search-limit test
+# alone and boxed, a triangle turned inside out
+@example(qd=_qd({(1, 0): -1, (-1, 0): 0, (0, 1): 5, (0, -1): 0}))
+@example(qd=_qd({(1, 2): 0, (-1, -2): -5}))
+@example(qd=_qd({(1, 2): 0, (-1, -2): -5, **BOX}))
+@example(qd=_qd({(1, 0): 0, (0, 1): 0, (-1, -1): -1}))
+# unbounded: no constraints, one, a quarter plane, a nonempty strip, a wedge
+@example(qd=_qd({}))
+@example(qd=_qd({(1, 1): 3}))
+@example(qd=_qd({(1, 0): 5, (0, 1): 5}))
+@example(qd=_qd({(1, 2): 5, (-1, -2): 0}))
+@example(qd=_qd({(1, 0): 5, (1, 2): 5, (-1, 1): 0}))
+# slack and redundant constraints: far off, touching a corner, through an
+# edge's end, cutting a corner
+@example(qd=_qd({(1, 0): 5, (0, 1): 5, (-1, 0): 0, (0, -1): 0, (1, 1): 100, (-1, 1): 5}))
+@example(qd=_qd({(1, 0): 5, (0, 1): 5, (-1, 0): 0, (0, -1): 0, (1, 1): 10, (2, 1): 15}))
+@example(qd=_qd({(1, 0): 5, (0, 1): 5, (-1, 0): 0, (0, -1): 0, (1, 1): 9, (1, -1): 5}))
+# segments: vertical, diagonal with extra lines through its ends, and one
+# whose line holds every other lattice point
+@example(qd=_qd({(1, 0): 0, (-1, 0): 0, (0, 1): 5, (0, -1): 0}))
+@example(qd=_qd({(1, -1): 0, (-1, 1): 0, (1, 1): 6, (-1, -1): 0, (0, 1): 3,
+                 (1, 0): 3, (-1, 0): 0, (1, 2): 100}))
+@example(qd=_qd({(1, 2): 1, (-1, -2): -1, (1, 0): 3, (-1, 0): 0}))
+# points: a lattice point where three lines meet, and (1/3, 1/3)
+@example(qd=_qd({(1, 0): 0, (0, 1): 0, (-1, -1): 0}))
+@example(qd=_qd({(2, 1): 1, (-2, -1): -1, (1, 2): 1, (-1, -2): -1}))
+def test_polygon_and_counts_match_reference(qd):
+    assert_matches_reference(qd)
+
+
+def test_degenerate_shapes_and_counts():
+    seg = _qd({(1, 2): 1, (-1, -2): -1, (1, 0): 3, (-1, 0): 0})
+    assert sorted(seg.polygon()) == [(0, Fraction(1, 2)), (3, -1)]
+    assert seg.lattice_point_count() == 2  # (1, 0) and (3, -1)
+    assert seg.side_length_sq(Direction(1, 2)) == 9 + Fraction(9, 4)
+    point = _qd({(2, 1): 1, (-2, -1): -1, (1, 2): 1, (-1, -2): -1})
+    assert point.polygon() == [(Fraction(1, 3), Fraction(1, 3))]
+    assert point.lattice_point_count() == 0
+    assert _qd({(1, 0): 0, (0, 1): 0, (-1, -1): 0}).lattice_point_count() == 1
+
+
+def test_large_droplet_matches_reference():
+    # a seed droplet of criterion 11's largest case: Q(6), C = 13824
+    params = ExtensionParams(build_neighbourhood(NeighbourhoodSpec.named("square")), 13824)
+    qd, _ = edge_walk_droplet(6, bar_steps(6, params, extra=2))
+    assert params.non_degenerate(qd)
+    assert assert_matches_reference(qd) is not None
+    assert qd.lattice_point_count() == 1126073
+
+
+def test_unsorted_constraints_rejected():
+    qd = QuasiDroplet(tuple(reversed(_qd(BOX).constraints)))
+    with pytest.raises(ValueError, match="sorted by angle"):
+        qd.polygon()
+
+
+# ---------------------------------------------------------------------------
+# The per-droplet polygon cache
+# ---------------------------------------------------------------------------
+
+
+def test_polygon_result_is_a_copy():
+    qd = _qd({(1, 0): 5, (0, 1): 5, (-1, 0): 0, (0, -1): 0, (1, 1): 8})
+    first = qd.polygon()
+    snapshot = list(first)
+    first.append((Fraction(99), Fraction(99)))
+    first[0] = (Fraction(-7), Fraction(-7))
+    assert qd.polygon() == snapshot
+    qd.side_vertices(Direction(1, 1)).clear()
+    assert qd.side_length_sq(Direction(1, 1)) == 8
+
+
+def test_derived_droplets_do_not_carry_the_cache():
+    qd = _qd({(1, 0): 5, (0, 1): 5, (-1, 0): 0, (0, -1): 0})
+    before = qd.polygon()
+    grown = qd.with_level(Direction(1, 0), 8)
+    rebuilt = QuasiDroplet.of(qd.constraints)
+    assert "_polygon" not in vars(grown) and "_polygon" not in vars(rebuilt)
+    assert is_rotation(grown.polygon(), reference_polygon(grown))
+    assert grown.lattice_point_count() == 54 and qd.lattice_point_count() == 36
+    assert rebuilt.polygon() == before
+
+
+def test_cache_is_invisible_to_equality_hash_json_and_pickle():
+    cons = {(1, 0): 5, (0, 1): 5, (-1, 0): 0, (0, -1): 0, (1, 1): 8}
+    fresh, used = _qd(cons), _qd(cons)
+    used.polygon()
+    assert fresh == used and hash(fresh) == hash(used)
+    assert repr(fresh) == repr(used) and fresh.to_json() == used.to_json()
+    assert pickle.dumps(fresh) == pickle.dumps(used)
+    back = pickle.loads(pickle.dumps(used))
+    assert back == used and "_polygon" not in vars(back)
+    assert back.polygon() == used.polygon()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import pytest
 
@@ -13,10 +12,7 @@ from bperc.scenarios import (
     load_scenario,
     run_scenario,
     scenario_from_json,
-    scenario_schema,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def minimal_scenario(**overrides):
@@ -161,11 +157,6 @@ def test_load_scenario_round_trip_via_file(tmp_path):
     p.write_text(json.dumps(minimal_scenario()))
     sc = load_scenario(p)
     assert sc.name == "two-sites-fill-a-square"
-
-
-def test_schema_file_in_repo_matches_packaged_schema():
-    repo_schema = json.loads((REPO_ROOT / "schema" / "scenario.v1.json").read_text())
-    assert repo_schema == scenario_schema()
 
 
 # ---------------------------------------------------------------------------
