@@ -27,7 +27,6 @@ from .dynamics import (
     infection_graph,
     is_closed,
     parse_grid_text,
-    restricted_closure,
     synchronous_step,
     to_grid_text,
 )

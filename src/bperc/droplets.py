@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .dynamics import Domain, closure_synchronous
+from .dynamics import Domain, closure
 from .geometry import Neighbourhood, NeighbourhoodSpec, Site, build_neighbourhood
 
 # Stable directions, in the fixed storage order of the radii vectors.
@@ -155,7 +155,7 @@ def single_site_growth_check(d: Droplet, site: Site, nbhd: Neighbourhood) -> boo
     target = smallest_containing(d, site)
     seed = d.points() | {tuple(site)}
     dom = _bounding_domain(target.points() | seed, 2 * nbhd.radius_ceil + 2)
-    cfg = closure_synchronous(dom, nbhd, seed)
+    cfg = closure(dom, nbhd, seed)
     return cfg.infected == frozenset(target.points())
 
 
@@ -170,7 +170,7 @@ def internally_filled(d: Droplet, A: Iterable[Site], nbhd: Neighbourhood) -> boo
     if not seed:
         return False
     dom = _bounding_domain(dpts, 2 * nbhd.radius_ceil + 2)
-    cfg = closure_synchronous(dom, nbhd, seed)
+    cfg = closure(dom, nbhd, seed)
     return cfg.infected == frozenset(dpts)
 
 

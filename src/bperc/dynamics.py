@@ -2,10 +2,11 @@
 
 Two engines compute the same thing:
 
-* an event-driven engine (per-site infected-neighbour counters plus a round
-  queue) used as the primary implementation, and
-* a vectorised synchronous engine (numpy shifts) used for oracle checks and
-  for bulk droplet verification.
+* ``closure``, the primary implementation: a counter push on flat index
+  arrays, one synchronous generation at a time by ``push_generations``,
+  the cascade step the arrival process in ``bperc.process`` shares, and
+* ``closure_synchronous``, iterated whole-grid neighbour counts (numpy
+  shifts): the independent oracle the tests check ``closure`` against.
 
 Both report per-site generation times with synchronous-round semantics: a
 site's time is the first parallel round at which it has >= r infected
@@ -148,22 +149,64 @@ class Configuration:
     def is_full(self) -> bool:
         return len(self.infected) == self.domain.size
 
-    def time_of(self, site: Site) -> int:
-        return self.times[tuple(site)]
-
     @staticmethod
     def initial(domain: Domain, initial: Iterable[Site]) -> "Configuration":
-        initial = frozenset(map(tuple, initial))
-        bad = [s for s in initial if not domain.contains(s)]
-        if bad:
-            raise ValueError(f"initial sites outside domain: {sorted(bad)[:5]}")
-        infected = initial | domain.frozen
-        return Configuration(domain, infected, {s: 0 for s in infected}, 0)
+        infected = _inside(domain, initial, "initial") | domain.frozen
+        return Configuration(domain, infected, dict.fromkeys(infected, 0), 0)
+
+
+def _inside(domain: Domain, sites: Iterable[Site], what: str) -> frozenset:
+    """``sites`` as a set of tuples, each checked to lie in ``domain``."""
+    sites = frozenset(map(tuple, sites))
+    xmin, ymin, xmax, ymax = domain.bounds
+    bad = [(x, y) for x, y in sites if not (xmin <= x <= xmax and ymin <= y <= ymax)]
+    if bad:
+        raise ValueError(f"{what} sites outside domain: {sorted(bad)[:5]}")
+    return sites
 
 
 # ---------------------------------------------------------------------------
-# Event-driven closure
+# The counter-push cascade on flat arrays
 # ---------------------------------------------------------------------------
+
+
+def offsets_array(nbhd: Neighbourhood) -> np.ndarray:
+    """The nonzero offsets, sorted, as a (|K*|, 2) int64 array."""
+    offs = sorted(o for o in nbhd.offsets if o != (0, 0))
+    return np.asarray(offs, dtype=np.int64).reshape(-1, 2)
+
+
+def grid_targets(width: int, height: int, offs: np.ndarray) -> Callable:
+    """``targets`` for push_generations on a width x height torus with site
+    (x, y) at index x*height + y: y - k for each front site y and offset k."""
+    reach = int(np.abs(offs).max(initial=0))
+    rows = np.arange(-reach, width + reach) % width * height
+    cols = np.arange(-reach, height + reach) % height
+    kx, ky = reach - offs[:, :1], reach - offs[:, 1:]
+
+    def targets(front):
+        fx, fy = np.divmod(front, height)
+        return (rows[fx + kx] + cols[fy + ky]).ravel()
+
+    return targets
+
+
+def push_generations(counts, done, front, r, targets):
+    """The counter-push cascade, one synchronous generation at a time.
+
+    ``counts`` and ``done`` are flat arrays over the sites, updated in place;
+    ``targets(front)`` gives the site each offset pushes from each front site.
+    Yields ``front``, then each round's sites whose count crosses r and that
+    are not done.
+    """
+    while front.size:
+        done[front] = 1
+        yield front
+        sites, hits = np.unique(targets(front), return_counts=True)
+        before = counts[sites]
+        after = before + hits
+        counts[sites] = after
+        front = sites[(before < r) & (after >= r) & (done[sites] == 0)]
 
 
 def closure(
@@ -174,56 +217,41 @@ def closure(
 ) -> Configuration:
     """Least fixed point of the threshold rule, with generation times.
 
-    ``region``, if given, limits which sites may become infected (the
-    restricted closure); initial sites outside it stay infected but inert
-    targets.  Counters are pushed: each newly infected y raises the count of
-    every x with y in x + offsets, i.e. x = y - k.
+    ``region``, if given, limits which sites may become infected; initial
+    sites outside it stay infected and still push.  A box is padded by the
+    offsets' reach with sites that start done, like the initial and frozen
+    sites and those outside ``region``, so pushes leaving it infect nothing.
     """
     domain.validate_for(nbhd)
     cfg = Configuration.initial(domain, initial)
-    allowed = None if region is None else frozenset(map(tuple, region))
-    if allowed is not None:
-        bad = [s for s in allowed if not domain.contains(s)]
-        if bad:
-            raise ValueError(f"region sites outside domain: {sorted(bad)[:5]}")
+    allowed = None if region is None else _inside(domain, region, "region")
+    offs = offsets_array(nbhd)
+    xmin, ymin, xmax, ymax = domain.bounds
+    pad = 0 if domain.kind == "torus" else int(np.abs(offs).max(initial=0))
+    width, height = xmax - xmin + 1 + 2 * pad, ymax - ymin + 1 + 2 * pad
 
-    r = nbhd.threshold
-    offsets = [o for o in nbhd.offsets if o != (0, 0)]
-    infected = set(cfg.infected)
+    def index(sites):
+        pts = np.array(list(sites), dtype=np.int64).reshape(-1, 2)
+        return (pts[:, 0] + pad - xmin) * height + (pts[:, 1] + pad - ymin)
+
+    done = np.ones(width * height, dtype=np.uint8)  # the padding stays done
+    if allowed is None:
+        done.reshape(width, height)[pad:width - pad, pad:height - pad] = 0
+    else:
+        done[index(allowed)] = 0
+    front = index(cfg.infected)
+    done[front] = 1
+    counts = np.zeros(width * height, dtype=np.int32)
+    targets = grid_targets(width, height, offs)
+    new = list(push_generations(counts, done, front, nbhd.threshold, targets))[1:]
+    if not new:
+        return cfg
+    xs, ys = np.divmod(np.concatenate(new), height)
+    sites = zip((xs + xmin - pad).tolist(), (ys + ymin - pad).tolist())
+    gens = np.repeat(np.arange(1, len(new) + 1), [f.size for f in new]).tolist()
     times = dict(cfg.times)
-    counts: dict = {}
-    frontier = list(infected)
-    generation = 0
-    wrap = domain.wrap
-    while frontier:
-        # raise counters for everything infected in this round
-        next_frontier = []
-        for (yx, yy) in frontier:
-            for (kx, ky) in offsets:
-                x = wrap(yx - kx, yy - ky)
-                if x is None or x in infected:
-                    continue
-                if allowed is not None and x not in allowed:
-                    continue
-                c = counts.get(x, 0) + 1
-                counts[x] = c
-                if c == r:
-                    next_frontier.append(x)
-        if not next_frontier:
-            break
-        generation += 1
-        for x in next_frontier:
-            infected.add(x)
-            times[x] = generation
-        frontier = next_frontier
-    return Configuration(domain, frozenset(infected), times, generation)
-
-
-def restricted_closure(
-    domain: Domain, nbhd: Neighbourhood, initial: Iterable[Site], region: Iterable[Site]
-) -> Configuration:
-    """Closure where only sites inside ``region`` may become infected."""
-    return closure(domain, nbhd, initial, region=region)
+    times.update(zip(sites, gens))
+    return Configuration(domain, frozenset(times), times, len(new))
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +289,20 @@ def _neighbour_counts(domain: Domain, nbhd: Neighbourhood, grid: np.ndarray) -> 
     return counts
 
 
+def _ready(domain: Domain, nbhd: Neighbourhood, grid: np.ndarray) -> np.ndarray:
+    """The healthy sites of ``grid`` with at least r infected neighbours."""
+    return (_neighbour_counts(domain, nbhd, grid) >= nbhd.threshold) & ~grid
+
+
 def synchronous_step(cfg: Configuration, nbhd: Neighbourhood) -> Configuration:
     """One parallel application of the rule; identity on closed configurations."""
     cfg.domain.validate_for(nbhd)
-    grid = _to_grid(cfg.domain, cfg.infected)
-    counts = _neighbour_counts(cfg.domain, nbhd, grid)
-    new = (counts >= nbhd.threshold) & ~grid
-    if not new.any():
+    added = _from_grid(cfg.domain, _ready(cfg.domain, nbhd, _to_grid(cfg.domain, cfg.infected)))
+    if not added:
         return cfg
-    xmin, ymin, _, _ = cfg.domain.bounds
-    xs, ys = np.nonzero(new)
-    added = list(zip((xs + xmin).tolist(), (ys + ymin).tolist()))
-    times = dict(cfg.times) if cfg.times is not None else None
     g = cfg.generation + 1
-    if times is not None:
-        for s in added:
-            times[s] = g
-    return Configuration(cfg.domain, cfg.infected | frozenset(added), times, g)
+    times = None if cfg.times is None else {**cfg.times, **dict.fromkeys(added, g)}
+    return Configuration(cfg.domain, cfg.infected | added, times, g)
 
 
 def closure_synchronous(
@@ -290,30 +315,24 @@ def closure_synchronous(
     domain.validate_for(nbhd)
     cfg = Configuration.initial(domain, initial)
     grid = _to_grid(domain, cfg.infected)
-    mask = None if region is None else _to_grid(domain, map(tuple, region))
+    allowed = None if region is None else _inside(domain, region, "region")
+    mask = None if allowed is None else _to_grid(domain, allowed)
     times = dict(cfg.times)
-    xmin, ymin, _, _ = domain.bounds
-    r = nbhd.threshold
     g = 0
     while True:
-        counts = _neighbour_counts(domain, nbhd, grid)
-        new = (counts >= r) & ~grid
+        new = _ready(domain, nbhd, grid)
         if mask is not None:
             new &= mask
         if not new.any():
             break
         g += 1
-        xs, ys = np.nonzero(new)
-        for x, y in zip((xs + xmin).tolist(), (ys + ymin).tolist()):
-            times[(x, y)] = g
+        times.update(dict.fromkeys(_from_grid(domain, new), g))
         grid |= new
     return Configuration(domain, _from_grid(domain, grid), times, g)
 
 
 def is_closed(cfg: Configuration, nbhd: Neighbourhood) -> bool:
-    grid = _to_grid(cfg.domain, cfg.infected)
-    counts = _neighbour_counts(cfg.domain, nbhd, grid)
-    return not ((counts >= nbhd.threshold) & ~grid).any()
+    return not _ready(cfg.domain, nbhd, _to_grid(cfg.domain, cfg.infected)).any()
 
 
 # ---------------------------------------------------------------------------

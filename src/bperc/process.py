@@ -50,6 +50,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .dynamics import grid_targets, offsets_array, push_generations
 from .geometry import Neighbourhood
 
 SCHEMA_VERSION = 1
@@ -414,22 +415,7 @@ def _expand(n, r, offs, counts, infected, pending) -> int:
     done = np.frombuffer(infected, dtype=np.uint8)
     front = np.unique(np.asarray(pending, dtype=np.int64))
     front = front[done[front] == 0]
-    reach = int(np.abs(offs).max(initial=0))
-    wrap = np.arange(-reach, n + reach) % n  # wrap[i + reach] == i mod n
-    rows = wrap * n
-    kx = reach - offs[:, :1]
-    ky = reach - offs[:, 1:]
-    added = 0
-    while front.size:
-        done[front] = 1
-        added += front.size
-        fx, fy = np.divmod(front, n)
-        sites, hits = np.unique((rows[fx + kx] + wrap[fy + ky]).ravel(), return_counts=True)
-        before = counts[sites]
-        after = before + hits
-        counts[sites] = after
-        front = sites[(before < r) & (after >= r) & (done[sites] == 0)]
-    return added
+    return sum(f.size for f in push_generations(counts, done, front, r, grid_targets(n, n, offs)))
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +480,6 @@ class ProcessRecord:
         }
 
 
-def _offsets_array(nbhd: Neighbourhood) -> np.ndarray:
-    offs = sorted(o for o in nbhd.offsets if o != (0, 0))
-    return np.asarray(offs, dtype=np.int64)
-
-
 def _resolve_engine(engine: str) -> str:
     if engine not in ("numba", "python"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -527,7 +508,7 @@ def run_once(
             f"torus side {n} too small for neighbourhood radius {nbhd.radius:.3f}"
         )
     engine = _resolve_engine(engine)
-    offs = _offsets_array(nbhd)
+    offs = offsets_array(nbhd)
     seed = int(seed) & _MASK
     n2 = n * n
     start = time.perf_counter()

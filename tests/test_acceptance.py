@@ -19,7 +19,7 @@ from bperc.droplets import (
     model_neighbourhood,
     single_site_growth_check,
 )
-from bperc.dynamics import Domain, closure, closure_synchronous, restricted_closure
+from bperc.dynamics import Domain, closure, closure_synchronous
 from bperc.geometry import (
     Direction,
     NeighbourhoodSpec,
@@ -304,7 +304,7 @@ def _self_fill_ok(before, after, v, nbhd):
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     dom = Domain.rect(min(xs) - 1, min(ys) - 1, max(xs) + 1, max(ys) + 1)
-    cfg = restricted_closure(dom, nbhd, sorted(seeds), slab)
+    cfg = closure(dom, nbhd, sorted(seeds), region=slab)
     return all(p in cfg.infected for p in slab)
 
 

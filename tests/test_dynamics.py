@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bperc.dynamics import (
     Configuration,
@@ -10,12 +12,11 @@ from bperc.dynamics import (
     infection_graph,
     is_closed,
     parse_grid_text,
-    restricted_closure,
     synchronous_step,
     to_grid_text,
 )
 from bperc.geometry import Direction, NeighbourhoodSpec, build_neighbourhood
-from conftest import random_instances
+from conftest import NAMED, random_instances
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +141,95 @@ def test_idempotent(square):
         assert c2.generation == 0
 
 
+# Every named model, plus lp balls of scale s <= 3: p = inf with s = 1 is the
+# lone offset (0, 0), so nothing ever pushes.
+_SPECS = [NeighbourhoodSpec.named(m) for m in NAMED] + [
+    NeighbourhoodSpec.lp_ball(p, s)
+    for p in ("1", "2", "inf") for s in ("1", "3/2", "2", "5/2", "3")
+]
+_NBHDS = [build_neighbourhood(spec) for spec in _SPECS]
+
+
+@st.composite
+def closure_cases(draw):
+    """(domain, neighbourhood, initial, region) over every domain kind.
+
+    The torus side starts at its minimum 2R + 1; rectangles sit off centre;
+    the region, when given, is drawn independently of the initial set, so
+    it may leave initial sites out; the initial set may be empty.
+    """
+    nbhd = draw(st.sampled_from(_NBHDS))
+    rnd = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["torus", "box", "rect", "framed_rect"]))
+    if kind == "torus":
+        dom = Domain.torus(draw(st.integers(0, 6)) + 2 * nbhd.radius_ceil + 1)
+    elif kind == "box":
+        dom = Domain.box(draw(st.integers(0, 6)))
+    else:
+        x0, y0 = draw(st.integers(-8, 8)), draw(st.integers(-8, 8))
+        x1, y1 = x0 + draw(st.integers(0, 12)), y0 + draw(st.integers(0, 12))
+        dom = Domain.rect(x0, y0, x1, y1)
+        if kind == "framed_rect":
+            frozen = [p for p in dom.sites() if rnd.random() < 0.1]
+            dom = Domain.framed_rect(x0, y0, x1, y1, frozen)
+    density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.3, 0.6]))
+    initial = [p for p in dom.sites() if rnd.random() < density]
+    region = None
+    if draw(st.booleans()):
+        keep = draw(st.sampled_from([0.0, 0.5, 0.8, 1.0]))
+        region = [p for p in dom.sites() if rnd.random() < keep]
+    return dom, nbhd, initial, region
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=closure_cases())
+@example(case=(Domain.torus(3), _NBHDS[0], [(0, 0), (1, 1)], None))
+# diamond: the site just right of the box sees both initial sites
+@example(case=(Domain.rect(2, -3, 6, 1), _NBHDS[3], [(6, -2), (6, 0)], None))
+def test_closure_equals_synchronous_oracle(case):
+    dom, nbhd, initial, region = case
+    a = closure(dom, nbhd, initial, region=region)
+    b = closure_synchronous(dom, nbhd, initial, region=region)
+    assert a.infected == b.infected
+    assert a.times == b.times
+    assert a.generation == b.generation
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=closure_cases(), seed=st.integers(0, 2 ** 32))
+def test_closure_is_monotone(case, seed):
+    dom, nbhd, initial, region = case
+    rng = random.Random(seed)
+    fewer = [p for p in initial if rng.random() < 0.6]
+    big = closure(dom, nbhd, initial, region=region).infected
+    assert closure(dom, nbhd, fewer, region=region).infected <= big
+    if region is not None:
+        smaller = [p for p in region if rng.random() < 0.6]
+        assert closure(dom, nbhd, initial, region=smaller).infected <= big
+        assert big <= closure(dom, nbhd, initial).infected
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=closure_cases())
+def test_closure_is_idempotent(case):
+    dom, nbhd, initial, region = case
+    once = closure(dom, nbhd, initial, region=region)
+    twice = closure(dom, nbhd, sorted(once.infected), region=region)
+    assert twice.infected == once.infected
+    assert twice.generation == 0
+
+
+def test_synchronous_oracle_rejects_region_outside_domain(square):
+    # negative coordinates used to wrap through numpy indexing
+    dom = Domain.rect(0, 0, 4, 4)
+    region = [(-4, 1), (-4, 2), (-3, 1), (-3, 2)]
+    for engine in (closure, closure_synchronous):
+        with pytest.raises(ValueError, match="region sites outside domain"):
+            engine(dom, square, [(1, 1), (2, 2)], region=region)
+        with pytest.raises(ValueError, match="region sites outside domain"):
+            engine(dom, square, [(1, 1), (2, 2)], region=[(5, 0)])
+
+
 # ---------------------------------------------------------------------------
 # Restricted closure
 # ---------------------------------------------------------------------------
@@ -149,18 +239,18 @@ def test_restricted_full_region_is_closure(square):
     dom = Domain.box(5)
     sites = [(0, 0), (1, 1), (3, 3)]
     a = closure(dom, square, sites)
-    b = restricted_closure(dom, square, sites, list(dom.sites()))
+    b = closure(dom, square, sites, region=list(dom.sites()))
     assert a.infected == b.infected and a.times == b.times
 
 
 def test_restricted_empty_region_is_identity(square):
     dom = Domain.box(5)
-    cfg = restricted_closure(dom, square, [(0, 0), (1, 1)], [])
+    cfg = closure(dom, square, [(0, 0), (1, 1)], region=[])
     assert cfg.infected == frozenset({(0, 0), (1, 1)})
 
 
 def test_restricted_single_admissible_site(square):
-    cfg = restricted_closure(Domain.box(5), square, [(0, 0), (1, 1)], [(0, 1)])
+    cfg = closure(Domain.box(5), square, [(0, 0), (1, 1)], region=[(0, 1)])
     assert cfg.infected == frozenset({(0, 0), (1, 1), (0, 1)})
 
 
@@ -170,7 +260,7 @@ def test_restricted_agrees_with_locality(square):
     sites = [(0, 0), (1, 1)]
     region = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
     a = closure(dom, square, sites)
-    b = restricted_closure(dom, square, sites, region)
+    b = closure(dom, square, sites, region=region)
     assert a.infected == b.infected
 
 
