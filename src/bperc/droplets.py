@@ -4,13 +4,16 @@ A droplet is the lattice intersection of closed half-planes perpendicular to
 the model's stable directions, stored as one integer radius per direction:
 x is inside iff <x, u> <= l_u for every stable direction u.  Radii are kept
 coordinate-wise minimal (canonical), so the radius for u is exactly the
-maximum of <x, u> over the point set.
+maximum of <x, u> over the point set.  Canonical radii, point counts and
+row intervals are closed forms, O(1) per droplet (see ``_canonical``).
 """
 from __future__ import annotations
 
 import heapq
 import random
 from dataclasses import dataclass
+from itertools import chain
+from numbers import Integral
 from typing import Iterable, Optional
 
 from .dynamics import Domain, closure
@@ -27,6 +30,12 @@ def model_neighbourhood(model: str) -> Neighbourhood:
     if model not in _MODELS:
         raise ValueError(f"droplet model must be 'square' or 'triangular', got {model!r}")
     return build_neighbourhood(NeighbourhoodSpec.named(model))
+
+
+def _hexagon(radii: tuple) -> tuple:
+    """Six radii (a, b, c, d, e, f): a rectangle's diagonals are x+y <= a+b
+    and -x-y <= c+d, so both models share one closed form."""
+    return radii if len(radii) == 6 else radii + (radii[0] + radii[1], radii[2] + radii[3])
 
 
 @dataclass(frozen=True)
@@ -48,31 +57,51 @@ class Droplet:
         """Inclusive x-interval of row y, or None when the row is empty."""
         if self.radii is None:
             return None
-        l = dict(zip(self.dirs, self.radii))
-        if y > l[(0, 1)] or -y > l[(0, -1)]:
-            return None
-        lo, hi = -l[(-1, 0)], l[(1, 0)]
-        if self.model == "triangular":
-            hi = min(hi, l[(1, 1)] - y)
-            lo = max(lo, -l[(-1, -1)] - y)
-        if lo > hi:
-            return None
-        return lo, hi
+        a, b, c, d, e, f = _hexagon(self.radii)
+        lo, hi = max(-c, -f - y), min(a, e - y)
+        return (lo, hi) if -d <= y <= b and lo <= hi else None
 
     def rows(self):
-        if self.radii is None:
-            return
-        l = dict(zip(self.dirs, self.radii))
-        for y in range(-l[(0, -1)], l[(0, 1)] + 1):
-            iv = self.row_interval(y)
-            if iv is not None:
-                yield y, iv
+        if self.radii is not None:
+            for y in range(-self.radii[3], self.radii[1] + 1):
+                iv = self.row_interval(y)
+                if iv is not None:
+                    yield y, iv
+
+    def rows_past(self, inner: "Droplet"):
+        """(y, lo, hi) runs of this droplet outside ``inner``, a nonempty
+        droplet it contains, in row-major order.
+
+        Each row end is min(radius, diagonal - y), so the rows of ``inner``
+        where both droplets end alike form one interval, never visited.
+        """
+        a, b, c, d, e, f = _hexagon(self.radii)
+        ia, ib, ic, id_, ie, if_ = _hexagon(inner.radii)
+        s0, s1 = _ends_agree(a, ia, e, ie, -id_, ib)
+        s0, s1 = _ends_agree(c, ic, f, if_, -s1, -s0)  # left ends, in -y
+        skip = range(max(-s1, -d), min(-s0, b) + 1) or range(b + 1, b + 1)
+        for y in chain(range(-d, skip.start), range(skip.stop, b + 1)):
+            lo, hi = max(-c, -f - y), min(a, e - y)
+            if -id_ <= y <= ib:
+                ilo, ihi = max(-ic, -if_ - y), min(ia, ie - y)
+                if lo < ilo:
+                    yield y, lo, ilo - 1
+                if hi > ihi:
+                    yield y, ihi + 1, hi
+            else:
+                yield y, lo, hi
 
     def points(self) -> set:
         return {(x, y) for y, (lo, hi) in self.rows() for x in range(lo, hi + 1)}
 
     def point_count(self) -> int:
-        return sum(hi - lo + 1 for _, (lo, hi) in self.rows())
+        """The bounding rectangle less the two corners the diagonals cut,
+        each a triangle of k(k+1)/2 points when the radii are canonical."""
+        if self.radii is None:
+            return 0
+        a, b, c, d, e, f = _hexagon(self.radii)
+        k, m = a + b - e, c + d - f
+        return (a + c + 1) * (b + d + 1) - k * (k + 1) // 2 - m * (m + 1) // 2
 
     def contains(self, site: Site) -> bool:
         if self.radii is None:
@@ -86,8 +115,7 @@ class Droplet:
 
     @staticmethod
     def from_json(obj: dict) -> "Droplet":
-        radii = obj["radii"]
-        return canonical_radii(obj["model"], radii)
+        return canonical_radii(obj["model"], obj["radii"])
 
     @staticmethod
     def empty(model: str) -> "Droplet":
@@ -97,48 +125,59 @@ class Droplet:
 
     @staticmethod
     def singleton(model: str, site: Site) -> "Droplet":
-        dirs = _MODELS[model]
         x, y = site
-        return Droplet(model, tuple(u[0] * x + u[1] * y for u in dirs))
+        return Droplet(model, (x, y, -x, -y, x + y, -x - y)[:len(_MODELS[model])])
+
+
+def _ends_agree(r, ir, g, ig, lo, hi):
+    """The y in [lo, hi] with min(r, g - y) == min(ir, ig - y), for r >= ir
+    and g >= ig; empty (lo > hi) when the ends differ on every row."""
+    if r > ir:
+        return (max(lo, ig - ir), hi) if g == ig else (hi + 1, hi)
+    return (lo, min(hi, ig - ir)) if g > ig else (lo, hi)
 
 
 def canonical_radii(model: str, radii) -> Droplet:
     """Tighten radii to the coordinate-wise minimum defining the same points.
 
-    One pass suffices: each canonical radius is the max of <x, u> over the
-    (unchanged) point set, read off the row intervals.
+    Radii must be Python or numpy integers; anything else raises ValueError.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown droplet model {model!r}")
     if radii is None:
         return Droplet(model, None)
-    dirs = _MODELS[model]
-    radii = tuple(int(v) for v in radii)
-    if len(radii) != len(dirs):
-        raise ValueError(f"{model} droplets need {len(dirs)} radii, got {len(radii)}")
-    rough = Droplet(model, radii)
-    maxima = {u: None for u in dirs}
-    for y, (lo, hi) in rough.rows():
-        # extremes of every linear form over a row are attained at its ends
-        for u in dirs:
-            v = max(u[0] * lo + u[1] * y, u[0] * hi + u[1] * y)
-            if maxima[u] is None or v > maxima[u]:
-                maxima[u] = v
-    if any(v is None for v in maxima.values()):
+    radii = tuple(radii)
+    if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in radii):
+        raise ValueError(f"droplet radii must be integers, got {radii!r}")
+    if len(radii) != len(_MODELS[model]):
+        raise ValueError(f"{model} droplets need {len(_MODELS[model])} radii, got {len(radii)}")
+    return _canonical(model, tuple(map(int, radii)))
+
+
+def _canonical(model: str, radii: tuple) -> Droplet:
+    """canonical_radii for a tuple of ints of the right length.
+
+    Every constraint bounds a difference of two of the nodes 0, x and -y:
+    x - 0 <= a, 0 - (-y) <= b, 0 - x <= c, -y - 0 <= d, x - (-y) <= e and
+    -y - x <= f.  The canonical radii are the shortest-path closure of this
+    3-node difference-bound matrix (a closed integer matrix attains each of
+    its bounds at a lattice point), and a negative cycle means no point
+    satisfies them all.  On 3 nodes a shortest path has at most 2 edges.
+    """
+    a, b, c, d, e, f = _hexagon(radii)
+    if min(a + c, b + d, e + f, a + b + f, c + d + e) < 0:
         return Droplet(model, None)
-    return Droplet(model, tuple(maxima[u] for u in dirs))
+    tight = (min(a, e + d), min(b, e + c), min(c, f + b), min(d, f + a),
+             min(e, a + b), min(f, c + d))
+    return Droplet(model, tight[:len(radii)])
 
 
 def smallest_containing(d: Droplet, site: Site) -> Droplet:
     """Inclusion-minimal droplet containing d and the site."""
-    x, y = site
-    if d.is_empty:
-        return Droplet.singleton(d.model, site)
     if d.contains(site):
         return d
-    dirs = d.dirs
-    grown = tuple(max(l, u[0] * x + u[1] * y) for u, l in zip(dirs, d.radii))
-    return canonical_radii(d.model, grown)
+    one = Droplet.singleton(d.model, site)
+    return one if d.is_empty else _canonical(d.model, tuple(map(max, d.radii, one.radii)))
 
 
 def _bounding_domain(points: Iterable[Site], margin: int) -> Domain:
@@ -197,8 +236,15 @@ def droplet_algorithm(A: Iterable[Site], model: str, strategy: str = "scan",
     A = sorted(set(map(tuple, A)))
     if not A:
         return []
+    # Sites are keyed (x - x0) * m + (y - y0).  A site outside the bounding box
+    # of A sees fewer than r sites of it, so the closure stays in the box; one
+    # spare line on each side keeps every pushed neighbour's key distinct, and
+    # keys order like (x, y).
+    x0, y0 = A[0][0] - 1, min(y for _, y in A) - 1
+    m = max(y for _, y in A) - y0 + 2
+    deltas = [kx * m + ky for kx, ky in offsets]
     droplets: dict[int, Droplet] = {i: Droplet.singleton(model, s) for i, s in enumerate(A)}
-    owner: dict[Site, int] = {s: i for i, s in enumerate(A)}
+    owner: dict[int, int] = {(x - x0) * m + y - y0: i for i, (x, y) in enumerate(A)}
     parent: dict[int, int] = {}  # merged droplet id -> surviving id
     next_id = len(A)
 
@@ -207,95 +253,48 @@ def droplet_algorithm(A: Iterable[Site], model: str, strategy: str = "scan",
             parent[i] = parent.get(parent[i], parent[i])
             i = parent[i]
         return i
-    counts: dict[Site, int] = {}
-    heap: list = []  # (sort key, site) for "scan"; sites list for "random"
-    pending: list = []
+    counts: dict[int, int] = {}
+    heap: list = []  # ready sites in (x, y) order, for "scan"
+    pending: list = []  # ready sites in arrival order, for "random"
 
-    def push(site):
-        if strategy == "scan":
-            heapq.heappush(heap, site)
-        else:
-            pending.append(site)
+    def add_points(points, did):
+        for p in points:
+            owner[p] = did
+            for k in deltas:
+                q = p - k
+                if q not in owner:
+                    c = counts[q] = counts.get(q, 0) + 1
+                    if c == r:
+                        heapq.heappush(heap, q) if strategy == "scan" else pending.append(q)
 
-    def bump(site):
-        c = counts.get(site, 0) + 1
-        counts[site] = c
-        if c == r:
-            push(site)
-
-    def add_point(p, did):
-        owner[p] = did
-        for (kx, ky) in offsets:
-            q = (p[0] - kx, p[1] - ky)
-            if q not in owner:
-                bump(q)
-
-    for i, s in enumerate(A):
-        for (kx, ky) in offsets:
-            q = (s[0] - kx, s[1] - ky)
-            if q not in owner:
-                bump(q)
+    for p, i in list(owner.items()):
+        add_points((p,), i)
 
     def pop():
-        while True:
-            if strategy == "scan":
-                if not heap:
-                    return None
-                site = heapq.heappop(heap)
-            else:
-                if not pending:
-                    return None
-                site = pending.pop(rng.randrange(len(pending)))
+        while heap or pending:
+            site = heapq.heappop(heap) if heap else pending.pop(rng.randrange(len(pending)))
             if site not in owner:
                 return site
 
-    while True:
-        x = pop()
-        if x is None:
-            break
-        ids = set()
-        for (kx, ky) in offsets:
-            q = (x[0] + kx, x[1] + ky)
-            if q in owner:
-                ids.add(find(owner[q]))
+    while (x := pop()) is not None:
+        ids = {find(owner[x + k]) for k in deltas if x + k in owner}
         merged = [droplets.pop(i) for i in ids]
-        dirs = _MODELS[model]
-        radii = tuple(
-            max(max(d.radii[j] for d in merged), dirs[j][0] * x[0] + dirs[j][1] * x[1])
-            for j in range(len(dirs))
-        )
-        new = canonical_radii(model, radii)
-        did = next_id
-        next_id += 1
+        site = (x // m + x0, x % m + y0)
+        new = _canonical(model, tuple(map(max, Droplet.singleton(model, site).radii,
+                                          *(d.radii for d in merged))))
+        did, next_id = next_id, next_id + 1
         droplets[did] = new
-        for i in ids:
-            parent[i] = did
+        parent.update(dict.fromkeys(ids, did))
         # enumerate only the parts of the new droplet outside its biggest
         # constituent; everything else is already owned
-        big = max(merged, key=lambda d: d.point_count())
-        for y, (lo, hi) in new.rows():
-            biv = big.row_interval(y)
-            if biv is None:
-                segs = [(lo, hi)]
-            else:
-                segs = []
-                if lo < biv[0]:
-                    segs.append((lo, biv[0] - 1))
-                if hi > biv[1]:
-                    segs.append((biv[1] + 1, hi))
-            for slo, shi in segs:
-                for px in range(slo, shi + 1):
-                    p = (px, y)
-                    if p not in owner:
-                        counts.pop(p, None)
-                        add_point(p, did)
+        big = max(merged, key=Droplet.point_count)
+        add_points([p for y, lo, hi in new.rows_past(big)
+                    for p in range((lo - x0) * m + y - y0, (hi - x0) * m + y - y0 + 1, m)
+                    if p not in owner], did)
         # stale owner ids of absorbed constituents resolve through find()
 
     return list(droplets.values())
 
 
 def droplet_union(droplets: Iterable[Droplet]) -> set:
-    out = set()
-    for d in droplets:
-        out |= d.points()
-    return out
+    return set().union(*(d.points() for d in droplets))

@@ -197,6 +197,11 @@ class Neighbourhood:
         # (0,0) never helps an uninfected site
         return len(self.offsets) - (1 if (0, 0) in self.offsets else 0)
 
+    def __getstate__(self):
+        # the angular sweep build_neighbourhood may keep is derived from the
+        # offsets: leave it out
+        return {"offsets": self.offsets, "threshold": self.threshold, "name": self.name}
+
 
 def _lp_offsets(p, s: Fraction) -> frozenset:
     """The lattice points of the lp ball of scale s, row by row in integers.
@@ -261,14 +266,15 @@ def build_neighbourhood(spec: NeighbourhoodSpec) -> Neighbourhood:
             raise ValueError("lp_ball scale too small: empty offset set")
         name = f"lp{'inf' if spec.p is math.inf else spec.p}_s{spec.s}"
         if spec.threshold == "critical":
-            r = critical_threshold(offsets)
+            nbhd = _critical_neighbourhood(offsets, name)
+            r = nbhd.threshold
             lo, hi = spec.s * spec.s / 2, 2 * spec.s * spec.s
             if not lo <= r <= hi:
                 msg = f"critical threshold {r} outside [s^2/2, 2s^2] = [{lo}, {hi}]"
                 if spec.s >= 4:
                     raise AssertionError(msg)
                 warnings.warn(msg + f" (s={spec.s} below the documented cutoff)", ModelWarning)
-            return Neighbourhood(offsets, r, name)
+            return nbhd
         return _with_explicit_threshold(offsets, spec.threshold, name)
 
     if spec.kind == "explicit":
@@ -281,8 +287,7 @@ def build_neighbourhood(spec: NeighbourhoodSpec) -> Neighbourhood:
                     "critical threshold requires offsets symmetric under negation "
                     "and quarter turn; give an explicit threshold instead"
                 )
-            r = critical_threshold(offsets)
-            return Neighbourhood(offsets, r, "explicit")
+            return _critical_neighbourhood(offsets, "explicit")
         return _with_explicit_threshold(offsets, spec.threshold, "explicit")
 
     raise ValueError(f"unknown spec kind {spec.kind!r}")
@@ -373,10 +378,25 @@ def critical_threshold(offsets: Iterable[Site]) -> int:
     offsets = list(offsets)
     if not offsets:
         raise ValueError("empty offset set")
+    return _critical(offsets)[0]
+
+
+def _critical(offsets: list) -> tuple:
+    """(critical threshold, (breakpoints, their _sweep)) of a nonempty list."""
     bps = breakpoint_directions(offsets)
-    if not bps:
-        return 1  # only the origin: no direction sees a negative side
-    return 1 + min(c for c, _ in _sweep(offsets, bps))
+    sweep = _sweep(offsets, bps) if bps else []
+    # only the origin: no direction sees a negative side
+    return 1 + min((c for c, _ in sweep), default=0), (bps, sweep)
+
+
+def _critical_neighbourhood(offsets: frozenset, name: str) -> Neighbourhood:
+    """The neighbourhood at its critical threshold.  The sweep that found the
+    threshold is kept for stability_report outside the dataclass fields, so
+    ==, hash, repr and pickles ignore it."""
+    r, sweep = _critical(list(offsets))
+    nbhd = Neighbourhood(offsets, r, name)
+    object.__setattr__(nbhd, "_sweep", sweep)
+    return nbhd
 
 
 @dataclass(frozen=True)
@@ -466,14 +486,13 @@ class StabilityReport:
 
 
 def stability_report(nbhd: Neighbourhood) -> StabilityReport:
-    offsets = list(nbhd.offsets)
     r = nbhd.threshold
-    bps = breakpoint_directions(offsets)
+    bps, sweep = nbhd.__dict__.get("_sweep") or _critical(list(nbhd.offsets))[1]
     if not bps:
         d = Direction(1, 0)
         return StabilityReport(r, (SweepEntry("arc", d, d, 0, 0 < r),))
     entries = []
-    for i, (c, c_arc) in enumerate(_sweep(offsets, bps)):
+    for i, (c, c_arc) in enumerate(sweep):
         d, nxt = bps[i], bps[(i + 1) % len(bps)]
         entries.append(SweepEntry("point", d, d, c, c < r))
         entries.append(SweepEntry("arc", d, nxt, c_arc, c_arc < r))

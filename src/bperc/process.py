@@ -62,7 +62,7 @@ try:
     from numba import njit
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional `numba` extra
     _HAVE_NUMBA = False
 
     def njit(*args, **kwargs):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bperc.geometry import NeighbourhoodSpec, build_neighbourhood
@@ -17,6 +18,21 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def numba_engine(monkeypatch):
+    """Route engine="numba" to the numba kernels even when numba is absent.
+
+    Without numba the kernels run uncompiled, so a test comparing the two
+    engines still compares two implementations, not Python with Python.
+    Uncompiled, their uint64 multiplies wrap mod 2^64 as intended but warn.
+    """
+    import bperc.process
+
+    monkeypatch.setattr(bperc.process, "_HAVE_NUMBA", True)
+    with np.errstate(over="ignore"):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -134,7 +134,7 @@ def test_tau_audit_passes(capsys):
     assert rec["tau"] <= 64
 
 
-def test_tau_engines_agree(capsys):
+def test_tau_engines_agree(capsys, numba_engine):
     rows = {}
     for engine in ("numba", "python"):
         _, out, _ = run_cli(capsys, "tau", "--model", "triangular", "--n", "12",

@@ -1,6 +1,11 @@
+import hashlib
+import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bperc.droplets import (
     SQUARE_DIRS,
@@ -15,6 +20,51 @@ from bperc.droplets import (
     smallest_containing,
 )
 from bperc.dynamics import Domain, closure
+
+
+DIRS = {"square": SQUARE_DIRS, "triangular": TRIANGULAR_DIRS}
+
+
+# ---------------------------------------------------------------------------
+# Row-walk oracle: the intersection of half-planes read row by row
+# ---------------------------------------------------------------------------
+
+
+def oracle_row_interval(model, radii, y):
+    l = dict(zip(DIRS[model], radii))
+    if y > l[(0, 1)] or -y > l[(0, -1)]:
+        return None
+    lo, hi = -l[(-1, 0)], l[(1, 0)]
+    if model == "triangular":
+        hi = min(hi, l[(1, 1)] - y)
+        lo = max(lo, -l[(-1, -1)] - y)
+    return None if lo > hi else (lo, hi)
+
+
+def oracle_rows(model, radii):
+    l = dict(zip(DIRS[model], radii))
+    for y in range(-l[(0, -1)], l[(0, 1)] + 1):
+        iv = oracle_row_interval(model, radii, y)
+        if iv is not None:
+            yield y, iv
+
+
+def oracle_canonical(model, radii):
+    """Each canonical radius is the max of <x, u> over the point set, attained
+    at the end of some row; None when no row is nonempty."""
+    maxima = {u: None for u in DIRS[model]}
+    for y, (lo, hi) in oracle_rows(model, radii):
+        for u in DIRS[model]:
+            v = max(u[0] * lo + u[1] * y, u[0] * hi + u[1] * y)
+            if maxima[u] is None or v > maxima[u]:
+                maxima[u] = v
+    if any(v is None for v in maxima.values()):
+        return None
+    return tuple(maxima[u] for u in DIRS[model])
+
+
+def oracle_point_count(model, radii):
+    return sum(hi - lo + 1 for _, (lo, hi) in oracle_rows(model, radii))
 
 
 def random_droplet(rng, model, max_radius=40):
@@ -81,7 +131,77 @@ def test_canonical_matches_point_set_maxima():
 
 def test_empty_droplet():
     d = canonical_radii("square", (-3, 0, 0, 0))
-    assert d.is_empty and d.points() == set()
+    assert d.is_empty and d.points() == set() and d.point_count() == 0
+
+
+def model_and_radii(lo=-6, hi=6):
+    return st.sampled_from(["square", "triangular"]).flatmap(
+        lambda m: st.tuples(st.just(m), st.tuples(*[st.integers(lo, hi)] * len(DIRS[m]))))
+
+
+@settings(max_examples=3000, deadline=None)
+@given(model_and_radii())
+@example(("triangular", (5, 5, 5, 5, -1, 5)))
+@example(("triangular", (0, 0, 0, 0, -1, 0)))  # x + y <= -1 cuts the only point
+@example(("triangular", (1, 1, 0, 0, 0, 0)))
+def test_canonical_radii_equals_row_walk(case):
+    model, radii = case
+    assert canonical_radii(model, radii).radii == oracle_canonical(model, radii)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(model_and_radii())
+@example(("triangular", (6, 6, 6, 6, 0, 0)))  # both corners cut to a diagonal
+def test_point_count_equals_row_walk(case):
+    model, radii = case
+    d = canonical_radii(model, radii)
+    assert d.point_count() == len(d.points())
+    assert d.point_count() == (0 if d.is_empty else oracle_point_count(model, d.radii))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(model_and_radii(), st.integers(-8, 8))
+def test_row_interval_equals_row_walk(case, y):
+    # row intervals read any radii, canonical or not
+    model, radii = case
+    assert Droplet(model, radii).row_interval(y) == oracle_row_interval(model, radii, y)
+    assert list(Droplet(model, radii).rows()) == list(oracle_rows(model, radii))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(model_and_radii(-3, 4), st.lists(st.integers(0, 3), min_size=6, max_size=6))
+def test_rows_past_lists_the_points_outside_in_row_major_order(case, grow):
+    model, radii = case
+    inner = canonical_radii(model, radii)
+    if inner.is_empty:
+        return
+    outer = canonical_radii(model, [l + g for l, g in zip(inner.radii, grow)])
+    got = [(x, y) for y, lo, hi in outer.rows_past(inner) for x in range(lo, hi + 1)]
+    want = sorted(outer.points() - inner.points(), key=lambda p: (p[1], p[0]))
+    assert got == want
+
+
+@pytest.mark.parametrize("model, radii", [
+    ("square", (2.7, 1, 0, 0)),
+    ("square", (2.0, 1, 0, 0)),
+    ("square", (True, 1, 0, 0)),
+    ("square", "1234"),
+    ("triangular", (1, 1, 1, 1, 1, None)),
+])
+def test_canonical_radii_rejects_non_integers(model, radii):
+    with pytest.raises(ValueError, match="integers"):
+        canonical_radii(model, radii)
+
+
+def test_from_json_rejects_non_integers():
+    with pytest.raises(ValueError, match="integers"):
+        Droplet.from_json({"model": "square", "radii": [1.9, True, 0, 0]})
+
+
+def test_canonical_radii_accepts_numpy_integers():
+    d = canonical_radii("triangular", np.array([3, 2, 1, 1, 9, 9], dtype=np.int32))
+    assert d.radii == (3, 2, 1, 1, 5, 2)
+    assert all(type(v) is int for v in d.radii)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +332,38 @@ def test_droplet_algorithm_equals_closure(model):
                 assert internally_filled(d, sites, nb)
             unions.append(u)
         assert unions[0] == unions[1]  # strategy independence of the union
+
+
+def pinned_input(seed):
+    rng = random.Random(seed)
+    n = rng.choice([24, 40, 64])
+    density = rng.uniform(0.03, 0.2)
+    return [(x, y) for x in range(n) for y in range(n) if rng.random() < density]
+
+
+# (model, strategy, seed): (droplet count, sha256 prefix of the radii list)
+# as produced by the row-walk implementation of the droplet algebra
+PINNED = {
+    ("square", "scan", 1): (32, "d28977ea00e9c38a"),
+    ("square", "scan", 2): (20, "64101b810bf6aed2"),
+    ("square", "scan", 3): (33, "d7841b0706b13f3b"),
+    ("square", "random", 1): (24, "9fd0ed0420b06cb0"),
+    ("square", "random", 2): (20, "282ac3f3b5d4276d"),
+    ("square", "random", 3): (27, "f12d0e9d5ddd3e30"),
+    ("triangular", "scan", 1): (28, "27fb91a542b0aa9c"),
+    ("triangular", "scan", 2): (25, "6dfc938c6ff0afdd"),
+    ("triangular", "scan", 3): (44, "5f5165ee05e5e925"),
+    ("triangular", "random", 1): (20, "20c4aa9e9b88bef3"),
+    ("triangular", "random", 2): (25, "6dfc938c6ff0afdd"),
+    ("triangular", "random", 3): (41, "3db173c1341ef901"),
+}
+
+
+@pytest.mark.parametrize("model, strategy, seed", sorted(PINNED))
+def test_droplet_algorithm_output_pinned(model, strategy, seed):
+    out = droplet_algorithm(pinned_input(seed), model, strategy=strategy, seed=seed)
+    digest = hashlib.sha256(json.dumps([d.radii for d in out]).encode()).hexdigest()
+    assert (len(out), digest[:16]) == PINNED[model, strategy, seed]
 
 
 def test_droplet_algorithm_rejects_unknown_model():

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -312,6 +313,30 @@ def _check_sweep(offsets, r):
     assert critical_threshold(offsets) == 1 + min(
         (negative_count(offsets, d) for d in bps), default=0
     )
+
+
+
+@pytest.mark.parametrize("spec", [
+    NeighbourhoodSpec.lp_ball("2", "6"),
+    NeighbourhoodSpec.lp_ball("inf", "5/2"),
+    NeighbourhoodSpec.lp_ball("1", "1"),
+    NeighbourhoodSpec.explicit([(0, 0)], "critical"),
+    NeighbourhoodSpec.explicit([(1, 0), (0, 1), (-1, 0), (0, -1), (2, 1), (-1, 2),
+                                (-2, -1), (1, -2)], "critical"),
+])
+def test_stability_report_reuses_the_critical_sweep(spec):
+    cached = build_neighbourhood(spec)
+    assert "_sweep" in cached.__dict__
+    fresh = Neighbourhood(cached.offsets, cached.threshold, cached.name)
+    assert "_sweep" not in fresh.__dict__
+    assert stability_report(cached) == stability_report(fresh)
+    assert stability_report(cached).entries == reference_stability_report(fresh).entries
+    # the cache is not part of the value
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh)
+    again = pickle.loads(pickle.dumps(cached))
+    assert again == cached and "_sweep" not in again.__dict__
+    assert pickle.dumps(cached) == pickle.dumps(fresh)
 
 
 _coord = st.integers(-5, 5)

@@ -219,7 +219,7 @@ def test_run_engines_agree(square):
         assert tuple(int(v) for v in a) == tuple(b)
 
 
-def test_run_once_engine_flag_equivalence(square):
+def test_run_once_engine_flag_equivalence(square, numba_engine):
     for seed in (3, 99):
         a = run_once(square, 16, seed, engine="numba")
         b = run_once(square, 16, seed, engine="python")
