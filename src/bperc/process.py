@@ -24,14 +24,13 @@ PRNG contract (frozen under schema_version 1):
   run_index), run_index enumerating the model/n/seed grid row-major.
 
 The contract is this scalar definition; the test suite keeps it as a literal
-loop and checks every engine against it.  The numba kernel runs the loop
-itself.  The pure-Python engine produces the same stream faster: K lanes
-start 2^m steps apart (jump-ahead by powers of the GF(2) transition matrix,
-Blackman & Vigna, ACM TOMS 2021), are stepped together as uint64 vectors and
-concatenated into the first K * 2^m raw outputs; the draws are mapped as
-vectors, only raw >= 2^64 - n^2 are checked for rejection one by one, and a
-rejection shifts the later draws along the stream.  Only the Fisher-Yates
-swaps remain a scalar loop.
+loop and checks the engine against it.  The engine produces the same stream
+faster: K lanes start 2^m steps apart (jump-ahead by powers of the GF(2)
+transition matrix, Blackman & Vigna, ACM TOMS 2021), are stepped together as
+uint64 vectors and concatenated into the first K * 2^m raw outputs; the draws
+are mapped as vectors, only raw >= 2^64 - n^2 are checked for rejection one
+by one, and a rejection shifts the later draws along the stream.  Only the
+Fisher-Yates swaps remain a scalar loop.
 """
 from __future__ import annotations
 
@@ -45,7 +44,7 @@ import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -58,39 +57,19 @@ SCHEMA_VERSION = 1
 _MASK = (1 << 64) - 1
 
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is the optional `numba` extra
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-
-        return deco if not (args and callable(args[0])) else args[0]
-
-
-def _rejects(r, b):
+def _rejects(r: int, b: int) -> bool:
     """Whether raw draw ``r`` is rejected by the bounded draw below ``b``.
 
     The frozen rule accepts r < (2^64 // b) * b = 2^64 - rem, where
     rem = 2^64 mod b = (last + 1) mod b and last = (2^64 - 1) mod b; nothing
-    is rejected when b is a power of two.  No intermediate leaves [0, 2^64),
-    so Python ints and numba uint64s give the same answer.
+    is rejected when b is a power of two.
     """
     last = _MASK % b
-    return last != b - np.uint64(1) and r >= _MASK - last
-
-
-# the kernel's compiled copy; Python callers keep the plain function, because
-# numba would type their small Python ints as int64, not uint64
-_rejects_u64 = njit(cache=True, nogil=True)(_rejects)
+    return last != b - 1 and r >= _MASK - last
 
 
 # ---------------------------------------------------------------------------
-# Pure-Python PRNG (the scalar definition every engine must match)
+# Scalar PRNG (the definition the lane stream reproduces)
 # ---------------------------------------------------------------------------
 
 
@@ -270,97 +249,8 @@ def random_permutation(n_items: int, seed: int) -> np.ndarray:
     return perm
 
 
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-@njit(cache=True, nogil=True)
-def _sm64(state):
-    state = state + np.uint64(0x9E3779B97F4A7C15)
-    r = state
-    r = (r ^ (r >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    r = (r ^ (r >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return r ^ (r >> np.uint64(31)), state
-
-
-@njit(cache=True, nogil=True)
-def _perm_kernel(n_items, seed):
-    s = np.empty(4, dtype=np.uint64)
-    state = np.uint64(seed)
-    for i in range(4):
-        s[i], state = _sm64(state)
-    perm = np.arange(n_items, dtype=np.int64)
-    for i in range(n_items - 1, 0, -1):
-        bound = np.uint64(i + 1)
-        while True:
-            r = ((s[1] * np.uint64(5)) << np.uint64(7)) | (
-                (s[1] * np.uint64(5)) >> np.uint64(57)
-            )
-            result = r * np.uint64(9)
-            t = s[1] << np.uint64(17)
-            s[2] ^= s[0]
-            s[3] ^= s[1]
-            s[1] ^= s[2]
-            s[0] ^= s[3]
-            s[2] ^= t
-            s[3] = (s[3] << np.uint64(45)) | (s[3] >> np.uint64(19))
-            if not _rejects_u64(result, bound):
-                break
-        j = np.int64(result % bound)
-        tmp = perm[i]
-        perm[i] = perm[j]
-        perm[j] = tmp
-    return perm
-
-
-@njit(cache=True, nogil=True)
-def _run_kernel(n, r, offs, perm):
-    """Arrival loop with incremental cascade; returns (tau, closure_before)."""
-    n2 = n * n
-    counts = np.zeros(n2, dtype=np.int32)
-    infected = np.zeros(n2, dtype=np.uint8)
-    stack = np.empty(n2 + 1, dtype=np.int64)
-    n_off = offs.shape[0]
-    num = 0
-    for t in range(n2):
-        s = perm[t]
-        prev = num
-        if infected[s] == 0:
-            sp = 0
-            stack[sp] = s
-            sp += 1
-            while sp > 0:
-                sp -= 1
-                y = stack[sp]
-                if infected[y] == 1:
-                    continue
-                infected[y] = 1
-                num += 1
-                yx = y // n
-                yy = y - yx * n
-                for o in range(n_off):
-                    xx = yx - offs[o, 0]
-                    if xx < 0:
-                        xx += n
-                    elif xx >= n:
-                        xx -= n
-                    xy = yy - offs[o, 1]
-                    if xy < 0:
-                        xy += n
-                    elif xy >= n:
-                        xy -= n
-                    x = xx * n + xy
-                    counts[x] += 1
-                    if counts[x] == r and infected[x] == 0:
-                        stack[sp] = x
-                        sp += 1
-        if num == n2:
-            return t + 1, prev
-    return n2, num  # unreachable: the last arrival always completes
-
-
 def _run_python(n, r, offs, perm):
-    """Pure-Python twin of _run_kernel (bit-exact same semantics).
+    """Arrival loop with incremental cascade; returns (tau, closure_before).
 
     Arrivals and small cascades run as scalar loops.  Once one arrival's
     cascade has infected more than n sites, _expand finishes it a generation
@@ -480,52 +370,42 @@ class ProcessRecord:
         }
 
 
-def _resolve_engine(engine: str) -> str:
-    if engine not in ("numba", "python"):
-        raise ValueError(f"unknown engine {engine!r}")
-    return "numba" if engine == "numba" and _HAVE_NUMBA else "python"
-
-
-def arrival_permutation(n_items: int, seed: int, engine: str = "numba") -> np.ndarray:
-    """The arrival order ``run_once`` draws for ``seed`` on ``engine``."""
-    seed = int(seed) & _MASK
-    if _resolve_engine(engine) == "numba":
-        return _perm_kernel(n_items, np.uint64(seed))
-    return random_permutation(n_items, seed)
-
-
 def run_once(
     nbhd: Neighbourhood,
     n: int,
     seed: int,
     model: Optional[str] = None,
     permutation: Optional[Sequence[int]] = None,
-    engine: str = "numba",
+    engine: str = "python",
 ) -> ProcessRecord:
-    """One arrival-process run; injecting ``permutation`` bypasses the PRNG."""
+    """One arrival-process run; injecting ``permutation`` bypasses the PRNG.
+
+    ``engine`` must be "python", the only arrival engine.
+    """
+    if engine != "python":
+        raise ValueError(f"unknown engine {engine!r}; the only engine is 'python'")
     if n < 2 * nbhd.radius_ceil + 1:
         raise ValueError(
             f"torus side {n} too small for neighbourhood radius {nbhd.radius:.3f}"
         )
-    engine = _resolve_engine(engine)
     offs = offsets_array(nbhd)
     seed = int(seed) & _MASK
     n2 = n * n
     start = time.perf_counter()
     if permutation is not None:
-        perm = np.asarray(permutation, dtype=np.int64)
-        if perm.shape != (n2,) or perm.min() < 0 or perm.max() >= n2:
+        perm = np.asarray(permutation)
+        # integer kinds only: casting would truncate floats and parse strings
+        if (perm.dtype.kind not in "iu" or perm.shape != (n2,)
+                or perm.min() < 0 or perm.max() >= n2):
             raise ValueError("injected permutation is not a bijection on the torus")
+        perm = perm.astype(np.int64, copy=False)
         seen = np.zeros(n2, dtype=bool)
         seen[perm] = True
         if not seen.all():
             raise ValueError("injected permutation is not a bijection on the torus")
     else:
-        perm = arrival_permutation(n2, seed, engine)
-    if engine == "numba":
-        tau, closure_before = _run_kernel(n, nbhd.threshold, offs, perm)
-    else:
-        tau, closure_before = _run_python(n, nbhd.threshold, offs, perm)
+        perm = random_permutation(n2, seed)
+    tau, closure_before = _run_python(n, nbhd.threshold, offs, perm)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return ProcessRecord(model or nbhd.name, n, seed, int(tau), int(closure_before), wall_ms)
 
@@ -585,10 +465,17 @@ def summarise(records: Sequence[ProcessRecord],
 
 
 def default_parallelism() -> int:
+    """Sweep worker threads: ``BPERC_THREADS`` if set, else the CPU count."""
     env = os.environ.get("BPERC_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"BPERC_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
 def run_sweep(
@@ -597,7 +484,7 @@ def run_sweep(
     n_seeds: int,
     master_seed: int = 0,
     parallelism: Optional[int] = None,
-    engine: str = "numba",
+    engine: str = "python",
 ) -> tuple[list, SweepSummary]:
     """Cartesian product of models x ns x seed indices; deterministic in the
     master seed regardless of the parallelism degree."""

@@ -134,15 +134,6 @@ def test_tau_audit_passes(capsys):
     assert rec["tau"] <= 64
 
 
-def test_tau_engines_agree(capsys, numba_engine):
-    rows = {}
-    for engine in ("numba", "python"):
-        _, out, _ = run_cli(capsys, "tau", "--model", "triangular", "--n", "12",
-                            "--seed", "3", "--engine", engine)
-        rows[engine] = out.splitlines()[1].rsplit(",", 1)[0]
-    assert rows["numba"] == rows["python"]
-
-
 def test_sweep_summary_and_records(capsys, tmp_path):
     rec_path = tmp_path / "runs.csv"
     code, out, _ = run_cli(capsys, "sweep", "--models", "square", "--ns", "16",
@@ -154,6 +145,25 @@ def test_sweep_summary_and_records(capsys, tmp_path):
     group = obj["summary"]["groups"][0]
     assert group["model"] == "square" and group["n"] == 16
     assert len(rec_path.read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_sweep_bad_thread_env_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("BPERC_THREADS", value)
+    code, _, err = run_cli(capsys, "sweep", "--models", "square", "--ns", "16",
+                           "--seeds", "2")
+    assert code == 2
+    assert f"BPERC_THREADS must be a positive integer, got {value!r}" in err
+
+
+def test_bad_thread_env_leaves_other_subcommands_alone(capsys, monkeypatch):
+    monkeypatch.setenv("BPERC_THREADS", "abc")
+    code, out, _ = run_cli(capsys, "closure", "--model", "square", "--box", "2",
+                           "--infected", "(0,0)")
+    assert code == 0 and "# infected=1" in out
+    with pytest.raises(SystemExit) as e:
+        main(["--version"])
+    assert e.value.code == 0
 
 
 def test_sweep_deterministic_across_parallelism(capsys):

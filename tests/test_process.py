@@ -9,18 +9,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bperc import process
-from bperc.dynamics import Domain, closure
+from bperc.dynamics import Domain, closure, offsets_array
 from bperc.geometry import NeighbourhoodSpec, build_neighbourhood
 from bperc.process import (
     CSV_COLUMNS,
     Xoshiro256StarStar,
     _bounded_draws,
     _lane_stream,
-    _perm_kernel,
     _rejects,
-    _run_kernel,
     _run_python,
-    arrival_permutation,
     derive_run_seed,
     jump_event_rate,
     random_permutation,
@@ -44,7 +41,7 @@ def row_major_permutation(n):
 
 
 # ---------------------------------------------------------------------------
-# PRNG: every engine against the scalar definition, bit for bit
+# PRNG: the lane stream against the scalar definition, bit for bit
 # ---------------------------------------------------------------------------
 
 U64 = 1 << 64
@@ -144,8 +141,7 @@ def test_permutations_agree_under_threads_from_a_cold_cache():
 def test_rejection_rule_on_top_draws(r, b):
     expect = r >= (U64 // b) * b  # only b = 3 rejects, and only 2^64 - 1
     assert expect == (b == 3 and r == U64 - 1)
-    assert bool(_rejects(r, b)) == expect
-    assert bool(_rejects(np.uint64(r), np.uint64(b))) == expect  # the kernel's types
+    assert _rejects(r, b) == expect
 
 
 def _draws_against_reference(stream, top, n_draws):
@@ -190,40 +186,12 @@ def test_bounded_draws_match_scalar_rule(top, values):
     _draws_against_reference(values, top, top - 1)
 
 
-def test_kernel_permutation_matches_reference():
-    for n_items in (1, 2, 37, 32 * 32):
-        for seed in (0, 1, 42, (1 << 63) + 5, (1 << 64) - 1):
-            # Without numba the kernel runs on numpy uint64 scalars, whose
-            # multiplies wrap mod 2^64 as the generator intends but warn.
-            with np.errstate(over="ignore"):
-                ker = _perm_kernel(n_items, np.uint64(seed & ((1 << 64) - 1)))
-            assert ker.tolist() == reference_permutation(n_items, seed), (n_items, seed)
-
-
 def test_arrival_permutation_is_what_run_once_draws(square):
-    perm = arrival_permutation(16 * 16, 3, "python")
+    perm = random_permutation(16 * 16, 3)
     assert perm.tolist() == reference_permutation(16 * 16, 3)
-    a = run_once(square, 16, 3, engine="python")
+    a = run_once(square, 16, 3)
     b = run_once(square, 16, 3, permutation=perm)
     assert (a.tau, a.closure_before) == (b.tau, b.closure_before)
-
-
-def test_run_engines_agree(square):
-    offs = np.asarray(sorted(o for o in square.offsets if o != (0, 0)),
-                      dtype=np.int64)
-    for seed in range(5):
-        n = 24
-        perm = random_permutation(n * n, seed)
-        a = _run_kernel(n, square.threshold, offs, perm)
-        b = _run_python(n, square.threshold, offs, perm)
-        assert tuple(int(v) for v in a) == tuple(b)
-
-
-def test_run_once_engine_flag_equivalence(square, numba_engine):
-    for seed in (3, 99):
-        a = run_once(square, 16, seed, engine="numba")
-        b = run_once(square, 16, seed, engine="python")
-        assert (a.tau, a.closure_before) == (b.tau, b.closure_before)
 
 
 def test_derive_run_seed_spreads():
@@ -258,6 +226,34 @@ def test_row_major_audit_from_scratch(square):
     assert before.size == rec.closure_before
 
 
+def reference_run(n, r, offs, perm):
+    """Scalar arrival loop with a depth-first counter push and no hand-off
+    to the generation step; returns (tau, closure_before)."""
+    n2 = n * n
+    counts = [0] * n2
+    infected = [False] * n2
+    offsets = [(int(kx), int(ky)) for kx, ky in offs]
+    num = 0
+    for t, s in enumerate(perm):
+        prev = num
+        stack = [int(s)]
+        while stack:
+            y = stack.pop()
+            if infected[y]:
+                continue
+            infected[y] = True
+            num += 1
+            yx, yy = divmod(y, n)
+            for kx, ky in offsets:
+                x = (yx - kx) % n * n + (yy - ky) % n
+                counts[x] += 1
+                if counts[x] == r and not infected[x]:
+                    stack.append(x)
+        if num == n2:
+            return t + 1, prev
+    raise AssertionError("the last arrival always fills the torus")
+
+
 def _random_order(n, seed):
     perm = list(range(n * n))
     random.Random(seed).shuffle(perm)
@@ -282,6 +278,18 @@ ORACLE_CASES = [
 
 
 @pytest.mark.parametrize("spec, n, order, handoff", ORACLE_CASES)
+def test_run_python_matches_reference_run(spec, n, order, handoff):
+    nbhd = build_neighbourhood(spec)
+    offs = offsets_array(nbhd)
+    orders = [_random_order(n, seed) for seed in range(5)]
+    if order == "row-major":
+        orders.append(row_major_permutation(n))
+    for perm in orders:
+        assert _run_python(n, nbhd.threshold, offs, perm) == reference_run(
+            n, nbhd.threshold, offs, perm)
+
+
+@pytest.mark.parametrize("spec, n, order, handoff", ORACLE_CASES)
 def test_run_once_matches_batch_closures(monkeypatch, spec, n, order, handoff):
     # tau and closure_before from the library's incremental cascade, checked
     # against from-scratch closures as `bperc tau --audit` does
@@ -297,7 +305,7 @@ def test_run_once_matches_batch_closures(monkeypatch, spec, n, order, handoff):
     dom = Domain.torus(n)
     for seed in range(3):
         perm = row_major_permutation(n) if order == "row-major" else _random_order(n, seed)
-        rec = run_once(nbhd, n, 0, permutation=perm, engine="python")
+        rec = run_once(nbhd, n, 0, permutation=perm)
         sites = [divmod(p, n) for p in perm]
         before = closure(dom, nbhd, sites[: rec.tau - 1])
         after = closure(dom, nbhd, sites[: rec.tau])
@@ -318,10 +326,19 @@ def test_run_once_rejects_small_torus(square):
 
 
 def test_run_once_rejects_bad_permutation(square):
-    # repeated entries
-    for perm in ([0] * 25, list(range(23)) + [0, 24]):
+    # repeated entries, then entries that only a cast would turn into sites
+    for perm in ([0] * 25, list(range(23)) + [0, 24],
+                 [i + 0.7 for i in range(25)], [float(i) for i in range(25)],
+                 [str(i) for i in range(25)]):
         with pytest.raises(ValueError, match="not a bijection"):
             run_once(square, 5, 0, permutation=perm)
+
+
+def test_run_once_accepts_any_integer_dtype(square):
+    want = run_once(square, 5, 0, permutation=row_major_permutation(5))
+    for dtype in (np.uint8, np.int32, np.uint64):
+        rec = run_once(square, 5, 0, permutation=np.arange(25, dtype=dtype))
+        assert (rec.tau, rec.closure_before) == (want.tau, want.closure_before)
 
 
 def test_run_once_rejects_permutation_of_wrong_length(square):
@@ -337,8 +354,11 @@ def test_run_once_rejects_permutation_off_the_torus(square):
 
 
 def test_run_once_rejects_bad_engine(square):
-    with pytest.raises(ValueError):
-        run_once(square, 8, 0, engine="fortran")
+    for engine in ("fortran", "numba"):
+        with pytest.raises(ValueError, match="unknown engine"):
+            run_once(square, 8, 0, engine=engine)
+        with pytest.raises(ValueError, match="unknown engine"):
+            run_sweep([("square", square)], [8], 2, parallelism=2, engine=engine)
 
 
 def test_sweep_deterministic_across_parallelism(square):
