@@ -29,8 +29,9 @@ faster: K lanes start 2^m steps apart (jump-ahead by powers of the GF(2)
 transition matrix, Blackman & Vigna, ACM TOMS 2021), are stepped together as
 uint64 vectors and concatenated into the first K * 2^m raw outputs; the draws
 are mapped as vectors, only raw >= 2^64 - n^2 are checked for rejection one
-by one, and a rejection shifts the later draws along the stream.  Only the
-Fisher-Yates swaps remain a scalar loop.
+by one, and a rejection shifts the later draws along the stream.  The swaps
+are not replayed one by one either: a sort of the (draw, step) pairs and
+pointer jumping give every final position at once (``_fisher_yates``).
 """
 from __future__ import annotations
 
@@ -229,24 +230,90 @@ def _bounded_draws(raw: np.ndarray, top: int, more) -> np.ndarray:
     return draws.view(np.int64)
 
 
-def random_permutation(n_items: int, seed: int) -> np.ndarray:
-    """Seeded Fisher-Yates permutation of 0..n_items-1 (the v1 stream).
+def _swap_draws(n_items: int, seed: int) -> np.ndarray:
+    """The bounded draws of the v1 shuffle of 0..n_items-1, n_items >= 2.
 
-    Same result as the scalar loop the module docstring defines; the raw
-    stream comes from jump-ahead lanes and the draws are mapped as vectors.
+    Element j is the draw of step n_items - 1 - j, a bound of n_items - j.
     """
-    if n_items < 2:
-        return np.arange(n_items, dtype=np.int64)
     raw, state = _lane_stream(seed & _MASK, n_items - 1)
     tail = Xoshiro256StarStar.from_state(state)
     more = itertools.chain(raw[n_items - 1:].tolist(), iter(tail.next_raw, None))
-    draws = _bounded_draws(raw[: n_items - 1], n_items, more.__next__)
-    del raw  # at most two n_items-long arrays are alive at once
-    perm = np.arange(n_items, dtype=np.int64)
-    p = memoryview(perm)
-    for i, j in zip(range(n_items - 1, 0, -1), memoryview(draws)):
-        p[i], p[j] = p[j], p[i]
+    return _bounded_draws(raw[: n_items - 1], n_items, more.__next__)
+
+
+def _fisher_yates(draws: np.ndarray, n_items: int) -> np.ndarray:
+    """The permutation the backward Fisher-Yates swaps leave, solved in bulk.
+
+    ``draws`` is the int64 output of ``_swap_draws``: step i (n_items - 1
+    down to 1) swaps positions i and d_i <= i.  Its buffer is consumed, and
+    1 <= n_items < 2^31.
+
+    Position i is final after step i and keeps the value step i finds at d_i.
+    Among the steps that ran before (those above i), the last to write there
+    is nw(i), the smallest step above i with the same draw; with no such step
+    the value is d_i itself.  The value step k finds at its own position,
+    W(k), is W(succ(k)) for succ(k) the smallest step above k that drew k,
+    and k when there is none.  Position 0 acts as a step 0 that draws 0.  So
+    perm[i] = W(nw(i)) when nw(i) exists, else d_i.
+
+    One in-place sort of the (draw, step) pairs, packed in an int64, groups
+    the steps by draw in step order: nw(i) is the next entry of i's group,
+    and succ(k) the first entry of group k.  That entry is k itself when
+    step k drew itself, but W(k) is then never needed: nw(i) = k would need
+    d_i = k > i, and succ(j) = k would need d_k = j < k.  W follows by
+    pointer jumping; succ chains increase strictly, so the rounds grow with
+    the log of the longest chain.  The work arrays are int32 and the draws'
+    buffer goes once it is split, so less than 2.5 * n_items * 8 bytes are
+    alive at once.
+    """
+    m = n_items - 1
+    bits = m.bit_length()
+    key = draws
+    key <<= bits
+    key |= np.arange(m, 0, -1, dtype=np.int32)
+    key.sort()
+    step = np.empty(m, dtype=np.int32)
+    np.bitwise_and(key, (1 << bits) - 1, out=step, casting="unsafe")
+    key >>= bits
+    draw = key.astype(np.int32)
+    del draws, key
+    head = np.empty(m, dtype=bool)  # the entry opens its draw's group
+    head[:1] = True
+    np.not_equal(draw[1:], draw[:-1], out=head[1:])
+    succ = np.arange(n_items + 1, dtype=np.int32)  # entry n_items absorbs the rest
+    succ[np.where(head, draw, n_items)] = step
+    w = succ[:n_items]
+    del succ
+    while True:
+        jumped = w[w]
+        if np.array_equal(jumped, w):
+            break
+        w = jumped
+    del jumped
+    value = draw  # d_i for the last entry of a group, else W(nw(i))
+    first_value = w[step[0]] if m and draw[0] == 0 else 0  # nw(0) leads group 0
+    np.copyto(value[:-1], w[step[1:]], where=~head[1:])
+    del w, head
+    perm = np.empty(n_items, dtype=np.int64)
+    perm[0] = first_value
+    perm[step] = value
     return perm
+
+
+def random_permutation(n_items: int, seed: int) -> np.ndarray:
+    """Seeded Fisher-Yates permutation of 0..n_items-1 (the v1 stream).
+
+    Same result as the scalar loop the module docstring defines: the raw
+    stream comes from jump-ahead lanes, the draws are mapped as vectors and
+    the swaps are solved in bulk by ``_fisher_yates``.  n_items must be
+    below 2^31 (a torus side up to 46340).
+    """
+    if n_items >= 1 << 31:
+        raise ValueError(f"n_items must be below 2^31, got {n_items}")
+    if n_items < 2:
+        return np.arange(n_items, dtype=np.int64)
+    # no reference to the draws stays here, so the solver can free them
+    return _fisher_yates(_swap_draws(n_items, seed), n_items)
 
 
 def _run_python(n, r, offs, perm):
@@ -333,6 +400,8 @@ class ProcessRecord:
     tau: int
     closure_before: int
     wall_ms: float
+    perm_ms: float = 0.0  # drawing (or checking an injected) permutation
+    cascade_ms: float = 0.0  # the arrival loop
     schema_version: int = SCHEMA_VERSION
 
     @property
@@ -367,6 +436,8 @@ class ProcessRecord:
             "jump_ratio": self.jump_ratio,
             "tau_scaled": self.tau_scaled,
             "wall_ms": self.wall_ms,
+            "perm_ms": self.perm_ms,
+            "cascade_ms": self.cascade_ms,
         }
 
 
@@ -405,9 +476,12 @@ def run_once(
             raise ValueError("injected permutation is not a bijection on the torus")
     else:
         perm = random_permutation(n2, seed)
+    drawn = time.perf_counter()
     tau, closure_before = _run_python(n, nbhd.threshold, offs, perm)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return ProcessRecord(model or nbhd.name, n, seed, int(tau), int(closure_before), wall_ms)
+    end = time.perf_counter()
+    return ProcessRecord(model or nbhd.name, n, seed, int(tau), int(closure_before),
+                         wall_ms=(end - start) * 1000.0, perm_ms=(drawn - start) * 1000.0,
+                         cascade_ms=(end - drawn) * 1000.0)
 
 
 @dataclass(frozen=True)
@@ -490,6 +564,8 @@ def run_sweep(
     master seed regardless of the parallelism degree."""
     if n_seeds < 1:
         raise ValueError("cannot aggregate over zero runs")
+    if parallelism is not None and parallelism < 1:
+        raise ValueError(f"parallelism must be a positive integer, got {parallelism}")
     jobs = []
     idx = 0
     for name, nbhd in models:
@@ -497,7 +573,7 @@ def run_sweep(
             for _ in range(n_seeds):
                 jobs.append((idx, name, nbhd, n, derive_run_seed(master_seed, idx)))
                 idx += 1
-    workers = parallelism if parallelism else default_parallelism()
+    workers = default_parallelism() if parallelism is None else parallelism
 
     def work(job):
         i, name, nbhd, n, seed = job

@@ -2,6 +2,7 @@
 checkable assertions, plus the bundled corpus of reference configurations."""
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -29,6 +30,18 @@ def scenario_schema() -> dict:
     if _SCHEMA is None:
         _SCHEMA = _load_schema()
     return _SCHEMA
+
+
+@functools.lru_cache(maxsize=None)
+def _scenario_validator():
+    """The schema's validator, checked against its meta-schema once."""
+    # imported here: jsonschema adds about 3 MB to every process that
+    # imports bperc, and only scenario validation needs it
+    from jsonschema.validators import validator_for
+
+    cls = validator_for(scenario_schema())
+    cls.check_schema(scenario_schema())
+    return cls(scenario_schema())
 
 
 class ScenarioError(ValueError):
@@ -74,15 +87,13 @@ class Scenario:
 
 
 def scenario_from_json(obj: dict, source: str = "<inline>") -> Scenario:
-    # imported here: jsonschema adds about 3 MB to every process that
-    # imports bperc, and only scenario validation needs it
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
-    try:
-        jsonschema.validate(obj, scenario_schema())
-    except jsonschema.ValidationError as e:
+    # the error jsonschema.validate would raise, without re-checking the schema
+    e = best_match(_scenario_validator().iter_errors(obj))
+    if e is not None:
         path = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ScenarioError(f"{source}: schema violation at {path}: {e.message}") from None
+        raise ScenarioError(f"{source}: schema violation at {path}: {e.message}")
 
     dom_obj = obj["domain"]
     kind = dom_obj["kind"]

@@ -156,6 +156,16 @@ def test_sweep_bad_thread_env_exits_2(capsys, monkeypatch, value):
     assert f"BPERC_THREADS must be a positive integer, got {value!r}" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_sweep_bad_parallelism_exits_2(capsys, monkeypatch, value):
+    # an explicit --parallelism is checked before the environment is read
+    monkeypatch.setenv("BPERC_THREADS", "abc")
+    code, _, err = run_cli(capsys, "sweep", "--models", "square", "--ns", "16",
+                           "--seeds", "2", "--parallelism", value)
+    assert code == 2
+    assert f"error: parallelism must be a positive integer, got {value}" in err
+
+
 def test_bad_thread_env_leaves_other_subcommands_alone(capsys, monkeypatch):
     monkeypatch.setenv("BPERC_THREADS", "abc")
     code, out, _ = run_cli(capsys, "closure", "--model", "square", "--box", "2",

@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from bperc.process import (
     CSV_COLUMNS,
     Xoshiro256StarStar,
     _bounded_draws,
+    _fisher_yates,
     _lane_stream,
     _rejects,
     _run_python,
+    _swap_draws,
     derive_run_seed,
     jump_event_rate,
     random_permutation,
@@ -184,6 +188,90 @@ def test_bounded_draws_match_scalar_rule(top, values):
     except StopIteration:
         assume(False)  # too many rejections for the 40 values drawn
     _draws_against_reference(values, top, top - 1)
+
+
+# ---------------------------------------------------------------------------
+# The swap solver against the swap loop it replaces
+# ---------------------------------------------------------------------------
+
+
+def reference_swaps(draws, n_items):
+    """The v1 swaps one by one: step i = n_items-1 .. 1 swaps i and draws[n_items-1-i]."""
+    perm = np.arange(n_items, dtype=np.int64)
+    p = memoryview(perm)
+    for i, j in zip(range(n_items - 1, 0, -1), memoryview(np.asarray(draws, dtype=np.int64))):
+        p[i], p[j] = p[j], p[i]
+    return perm
+
+
+def _solve(draws, n_items):
+    return _fisher_yates(np.array(draws, dtype=np.int64), n_items).tolist()
+
+
+@st.composite
+def swap_draws(draw):
+    """(draws, n_items) with the draw of step i in [0, i]; small and negative
+    codes favour self-swaps (-1), swaps with the next position down (-2) and
+    zeros, which make long chains of moves."""
+    n_items = draw(st.integers(1, 400))
+    codes = draw(st.lists(st.integers(-3, U64 - 1), min_size=n_items - 1,
+                          max_size=n_items - 1))
+    draws = [max(i + 1 + c, 0) if c < 0 else c % (i + 1)
+             for i, c in zip(range(n_items - 1, 0, -1), codes)]
+    return draws, n_items
+
+
+@settings(max_examples=200, deadline=None)
+@given(swap_draws())
+def test_swap_solver_matches_swap_loop(case):
+    draws, n_items = case
+    assert _solve(draws, n_items) == reference_swaps(draws, n_items).tolist()
+
+
+@pytest.mark.parametrize("n_items", [1, 2, 3, 17, 400, 4097])
+def test_swap_solver_on_extreme_draws(n_items):
+    steps = range(n_items - 1, 0, -1)
+    # every step swaps with itself: nothing moves
+    assert _solve(list(steps), n_items) == list(range(n_items))
+    # every step swaps with position 0: 0 travels to the top, the rest shift down
+    assert _solve([0] * (n_items - 1), n_items) == list(range(1, n_items)) + [0]
+    # every step swaps with the position below: one chain through all steps
+    below = [i - 1 for i in steps]
+    assert _solve(below, n_items) == reference_swaps(below, n_items).tolist()
+
+
+@pytest.mark.parametrize("n_items", [1, 2, 3, 4, 5, 6])
+def test_swap_solver_is_a_bijection_from_draws(n_items):
+    # Fisher-Yates maps the n! draw vectors one to one onto the permutations
+    seen = set()
+    for draws in itertools.product(*(range(i + 1) for i in range(n_items - 1, 0, -1))):
+        perm = _solve(draws, n_items)
+        assert perm == reference_swaps(draws, n_items).tolist()
+        seen.add(tuple(perm))
+    assert len(seen) == math.factorial(n_items)
+
+
+@pytest.mark.parametrize("n_items, seed", [(2, 0), (1000, 5), (65537, U64 - 1), (384 * 384, 11)])
+def test_swap_loop_on_the_drawn_stream(n_items, seed):
+    assert (random_permutation(n_items, seed) == reference_swaps(_swap_draws(n_items, seed),
+                                                                n_items)).all()
+
+
+def test_permutation_memory_stays_within_three_arrays():
+    n_items = 384 * 384
+    random_permutation(n_items, 1)  # builds the jump-ahead matrices
+    tracemalloc.start()
+    try:
+        random_permutation(n_items, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n_items * 8
+
+
+def test_permutation_rejects_sizes_beyond_int32():
+    with pytest.raises(ValueError, match="below 2"):
+        random_permutation(1 << 31, 0)
 
 
 def test_arrival_permutation_is_what_run_once_draws(square):
@@ -379,6 +467,12 @@ def test_sweep_thread_env_override(square, monkeypatch):
     assert ("square", 16) in summary.groups
 
 
+@pytest.mark.parametrize("parallelism", [0, -1])
+def test_sweep_rejects_parallelism_below_one(square, parallelism):
+    with pytest.raises(ValueError, match=f"parallelism must be a positive integer, got {parallelism}"):
+        run_sweep([("square", square)], [16], 2, parallelism=parallelism)
+
+
 def test_sweep_rejects_zero_seeds(square):
     with pytest.raises(ValueError):
         run_sweep([("square", square)], [16], 0)
@@ -452,7 +546,18 @@ def test_jsonl_round_trip(square):
     obj = json.loads(line)
     assert obj["tau"] == rec.tau
     assert obj["schema_version"] == 1
-    assert set(obj) == set(CSV_COLUMNS)
+    assert set(obj) == set(CSV_COLUMNS) | {"perm_ms", "cascade_ms"}
+
+
+def test_phase_timings_split_the_wall_time(square):
+    for perm in (None, row_major_permutation(16)):
+        rec = run_once(square, 16, 5, permutation=perm)
+        assert rec.perm_ms > 0 and rec.cascade_ms > 0
+        assert rec.perm_ms + rec.cascade_ms == pytest.approx(rec.wall_ms, rel=1e-9)
+        obj = rec.to_json()
+        assert (obj["perm_ms"], obj["cascade_ms"]) == (rec.perm_ms, rec.cascade_ms)
+        # the frozen v1 CSV row carries none of them
+        assert len(rec.csv_row()) == len(CSV_COLUMNS)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from bperc.dynamics import Domain, closure, closure_synchronous
 from bperc.scenarios import (
     ScenarioError,
+    _scenario_validator,
     corpus_paths,
     evaluate_assertion,
     figure3_counts,
@@ -12,6 +13,7 @@ from bperc.scenarios import (
     load_scenario,
     run_scenario,
     scenario_from_json,
+    scenario_schema,
 )
 
 
@@ -101,6 +103,58 @@ def test_schema_violation_reports_path():
         scenario_from_json(bad, source="unit.json")
     assert "unit.json" in str(e.value)
     assert "assertions" in str(e.value)
+
+
+def test_corrupted_corpus_file_message_is_pinned(tmp_path):
+    src = next(p for p in corpus_paths() if p.name == "square_pair_fill.json")
+    obj = json.loads(src.read_text())
+    obj["assertions"][0]["size"] = "four"
+    path = tmp_path / src.name
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ScenarioError) as e:
+        load_scenario(path)
+    assert str(e.value) == (
+        f"{path}: schema violation at assertions/0/size: 'four' is not of type 'integer'")
+
+
+@pytest.mark.parametrize("change", [
+    {"assertions": [{"type": "no_such_assertion"}]},
+    {"domain": {"kind": "box", "d": -1}},
+    {"extra": 1, "infected": "none"},
+    {"schema_version": 2},
+    {"name": 5, "infected": [[0]]},
+    # two errors, the deeper one found first
+    {"infected": [[0, "a"]], "assertions": []},
+])
+def test_schema_errors_read_as_jsonschema_validate_reports_them(change):
+    import jsonschema
+
+    bad = minimal_scenario(**change)
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(bad, scenario_schema())
+    path = "/".join(str(p) for p in want.value.absolute_path) or "<root>"
+    with pytest.raises(ScenarioError) as got:
+        scenario_from_json(bad, source="unit.json")
+    assert str(got.value) == f"unit.json: schema violation at {path}: {want.value.message}"
+
+
+def test_schema_is_checked_against_its_meta_schema_once(monkeypatch):
+    cls = type(_scenario_validator())
+    checked = []
+    check = cls.check_schema
+
+    def counted(schema, *args, **kwargs):
+        checked.append(schema)
+        return check(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", counted)
+    _scenario_validator.cache_clear()
+    try:
+        for _ in range(3):
+            assert scenario_from_json(minimal_scenario()).name == "two-sites-fill-a-square"
+    finally:
+        _scenario_validator.cache_clear()
+    assert checked == [scenario_schema()]
 
 
 def test_missing_required_field_rejected():
