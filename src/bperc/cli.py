@@ -12,12 +12,13 @@ import sys
 from pathlib import Path
 
 from . import __version__, process
-from .dynamics import Domain, closure, infection_graph, to_grid_text
+from .dynamics import Domain, closure, parse_grid_text, to_grid_text
 from .droplets import droplet_algorithm, droplet_union
 from .geometry import (
     NeighbourhoodSpec,
     build_neighbourhood,
     quasi_stable_directions,
+    sort_by_angle,
     stability_report,
 )
 from .process import (
@@ -93,8 +94,6 @@ def _read_infected(args) -> list:
         text = path.read_text()
         if path.suffix == ".json":
             return [tuple(s) for s in json.loads(text)]
-        from .dynamics import parse_grid_text
-
         infected, _ = parse_grid_text(text)
         return infected
     raise UsageError("no initial set: use --infected or --infected-file")
@@ -106,13 +105,17 @@ def _echo_config(args) -> dict:
             if k not in skip and v is not None}
 
 
-def _emit(args, payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, "config": _echo_config(args), **payload}
-    text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
+def _write(args, text: str) -> None:
+    """Write text to --out when it is given, else to stdout."""
     if getattr(args, "out", None):
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload: dict) -> None:
+    payload = {"schema_version": SCHEMA_VERSION, "config": _echo_config(args), **payload}
+    _write(args, json.dumps(payload, indent=2, sort_keys=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +129,9 @@ def cmd_closure(args) -> int:
     domain = _domain(args, nbhd)
     cfg = closure(domain, nbhd, _read_infected(args))
     if args.format == "grid":
-        out = to_grid_text(cfg)
         stats = (f"# infected={cfg.size} generations={cfg.generation} "
                  f"domain={domain.size}\n")
-        text = out + stats
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, to_grid_text(cfg) + stats)
     else:
         payload = {
             "infected": sorted(map(list, cfg.infected)),
@@ -173,8 +171,6 @@ def cmd_threshold(args) -> int:
 
 def cmd_quasi(args) -> int:
     dirs = quasi_stable_directions(args.s)
-    from .geometry import sort_by_angle
-
     _emit(args, {"s": args.s, "count": len(dirs),
                  "directions": [[d.x, d.y] for d in sort_by_angle(dirs)]})
     return 0
@@ -192,11 +188,7 @@ def cmd_tau(args) -> int:
             perm = process.random_permutation(args.n * args.n, seed)
             _audit_tau(nbhd, args.n, perm, rec)
         records.append(rec)
-    text = records_to_jsonl(records) if args.format == "jsonl" else records_to_csv(records)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, records_to_jsonl(records) if args.format == "jsonl" else records_to_csv(records))
     return 0
 
 
@@ -287,11 +279,7 @@ def cmd_extend(args) -> int:
             "droplet": step.droplet.to_json(),
             "lattice_points": step.droplet.lattice_point_count(),
         }, sort_keys=True))
-    text = "\n".join(lines) + f'\n{json.dumps({"status": trace.status})}\n'
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, "\n".join(lines) + f'\n{json.dumps({"status": trace.status})}\n')
     return 0
 
 

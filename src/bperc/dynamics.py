@@ -15,7 +15,7 @@ neighbours, never "1 + max over chosen parents".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -72,14 +72,6 @@ class Domain:
         if bad:
             raise ValueError(f"frozen sites outside box: {sorted(bad)[:5]}")
         return dom
-
-    @property
-    def d(self) -> int:
-        """Half-width of a centred square box (raises for other shapes)."""
-        if self.kind == "torus" or (-self.x0, -self.y0) != (self.x1, self.y1) \
-                or self.x1 != self.y1:
-            raise ValueError("domain is not a centred square box")
-        return self.x1
 
     def contains(self, site: Site) -> bool:
         x, y = site

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -56,9 +56,6 @@ class Direction:
 
     def norm_sq(self) -> int:
         return self.x * self.x + self.y * self.y
-
-    def as_tuple(self) -> Site:
-        return (self.x, self.y)
 
     def __repr__(self):
         return f"Direction({self.x},{self.y})"
@@ -497,14 +494,6 @@ def stability_report(nbhd: Neighbourhood) -> StabilityReport:
         entries.append(SweepEntry("point", d, d, c, c < r))
         entries.append(SweepEntry("arc", d, nxt, c_arc, c_arc < r))
     return StabilityReport(r, tuple(entries))
-
-
-# Reference stable sets of the small models.
-STABLE_SQUARE = frozenset(
-    {Direction(1, 0), Direction(0, 1), Direction(-1, 0), Direction(0, -1)}
-)
-STABLE_TRIANGULAR = STABLE_SQUARE | {Direction(1, 1), Direction(-1, -1)}
-STABLE_BOXTIMES = STABLE_TRIANGULAR | {Direction(1, -1), Direction(-1, 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import grid_targets, offsets_array, push_generations
+from .dynamics import Domain, grid_targets, offsets_array, push_generations
 from .geometry import Neighbourhood
 
 SCHEMA_VERSION = 1
@@ -455,10 +455,7 @@ def run_once(
     """
     if engine != "python":
         raise ValueError(f"unknown engine {engine!r}; the only engine is 'python'")
-    if n < 2 * nbhd.radius_ceil + 1:
-        raise ValueError(
-            f"torus side {n} too small for neighbourhood radius {nbhd.radius:.3f}"
-        )
+    Domain.torus(n).validate_for(nbhd)
     offs = offsets_array(nbhd)
     seed = int(seed) & _MASK
     n2 = n * n

@@ -22,6 +22,12 @@ are O(1).  The lattice count is Σ floor(R(y)) - Σ ceil(L(y)) + rows over the
 rows of the polygon: every non-horizontal edge on a line a x + b y = m
 adds one floor sum Σ_y floor((m - b y) / |a|) over the rows it spans, so a
 count costs O(k log) for k constraints instead of O(rows * k).
+
+On a lattice line base + k step every constraint bounds k from one side,
+or holds for all k or none, so one routine, _line_span, gives the points of
+a row (row_interval) and of a level line <x, v> = t: u_extension scans
+levels for the first that holds a lattice point, and slab_points lists the
+levels an extension added.
 """
 from __future__ import annotations
 
@@ -39,15 +45,6 @@ from .geometry import (
     sort_by_angle,
     stability_report,
 )
-
-
-def _floordiv(p: int, q: int) -> int:
-    # floor(p/q) for q != 0
-    return p // q if q > 0 else (-p) // (-q)
-
-
-def _ceildiv(p: int, q: int) -> int:
-    return -((-p) // q) if q > 0 else -(p // (-q))
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -68,6 +65,33 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
             break
         n, b, m, a = top // m, top % m, a, m
     return total
+
+
+def _line_span(constraints, base, step) -> Optional[tuple]:
+    """The integers k with base + k step inside every constraint.
+
+    Returns (lo, hi), with None at an end no constraint closes, or None
+    when no k fits.  A constraint <x, u> <= m reads k e <= c on the line,
+    with e = <step, u> and c = m - <base, u>: an upper end floor(c / e)
+    for e > 0, a lower end ceil(c / e) for e < 0, and for e = 0 all k or
+    none.
+    """
+    (bx, by), (sx, sy) = base, step
+    lo = hi = None
+    for u, m in constraints:
+        e = u.x * sx + u.y * sy
+        c = m - u.x * bx - u.y * by
+        if e > 0:
+            k = c // e
+            hi = k if hi is None else min(hi, k)
+        elif e < 0:
+            k = -(-c // e)
+            lo = k if lo is None else max(lo, k)
+        elif c < 0:
+            return None
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
 
 
 class DegenerateDropletError(ValueError):
@@ -223,26 +247,13 @@ class QuasiDroplet:
         (ax, ay), (bx, by) = vs
         return (ax - bx) ** 2 + (ay - by) ** 2
 
-    def all_side_lengths_sq(self) -> dict:
-        return {u: self.side_length_sq(u) for u in self.directions}
-
     # -- lattice points ----------------------------------------------------
 
     def row_interval(self, y: int) -> Optional[tuple[int, int]]:
-        lo, hi = None, None
-        for u, m in self.constraints:
-            c = m - u.y * y
-            if u.x > 0:
-                v = _floordiv(c, u.x)
-                hi = v if hi is None else min(hi, v)
-            elif u.x < 0:
-                v = _ceildiv(c, u.x)
-                lo = v if lo is None else max(lo, v)
-            elif c < 0:
-                return None
-        if lo is None or hi is None:
+        span = _line_span(self.constraints, (0, y), (1, 0))
+        if span is not None and None in span:
             raise DegenerateDropletError("row unbounded: missing x constraints")
-        return (lo, hi) if lo <= hi else None
+        return span
 
     def y_range(self) -> Optional[tuple[int, int]]:
         poly = self._shape().vertices
@@ -363,46 +374,6 @@ class ExtensionParams:
 # ---------------------------------------------------------------------------
 
 
-def u_extension(qd: QuasiDroplet, v: Direction, search_limit: int = 4096) -> QuasiDroplet:
-    """Raise the v-level minimally so the added slab holds a lattice point.
-
-    Levels t = m_v+1, m_v+2, ... are scanned; for each, the lattice points on
-    the line <x, v> = t form a one-parameter integer family (via the extended
-    gcd of v), and each remaining constraint cuts a rational interval of the
-    parameter.  The first level whose interval contains an integer wins.
-    """
-    m_v = qd.level(v)
-    a, b = v.x, v.y
-    # base point of a x + b y = 1 (a, b coprime by primitivity)
-    g, x0, y0 = _ext_gcd(a, b)
-    assert g == 1
-    others = [(u, m) for u, m in qd.constraints if u != v]
-    for t in range(m_v + 1, m_v + 1 + search_limit):
-        bx, by = x0 * t, y0 * t  # on the line; family (bx - b k, by + a k)
-        klo, khi = None, None
-        feasible = True
-        for u, m in others:
-            e = a * u.y - b * u.x  # coefficient of k in <point(k), u>
-            rhs = m - (u.x * bx + u.y * by)
-            if e > 0:
-                k = _floordiv(rhs, e)
-                khi = k if khi is None else min(khi, k)
-            elif e < 0:
-                k = _ceildiv(rhs, e)
-                klo = k if klo is None else max(klo, k)
-            elif rhs < 0:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        if (klo is None or khi is None or klo <= khi):
-            return qd.with_level(v, t)
-    raise DegenerateDropletError(
-        f"no lattice point within {search_limit} levels above {m_v} in direction "
-        f"({v.x},{v.y}); droplet too thin for an extension"
-    )
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     if b == 0:
         return (abs(a), 1 if a > 0 else -1, 0)
@@ -410,19 +381,53 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return (g, y, x - (a // b) * y)
 
 
+def _lattice_line(v: Direction, t: int) -> tuple:
+    """(base, step) with the lattice points of <x, v> = t at base + k step.
+
+    base comes from the extended gcd of the primitive v, and step = rot90(v).
+    """
+    _, x0, y0 = _ext_gcd(v.x, v.y)
+    return (x0 * t, y0 * t), (-v.y, v.x)
+
+
+def u_extension(qd: QuasiDroplet, v: Direction, search_limit: int = 4096) -> QuasiDroplet:
+    """Raise the v-level minimally so the added slab holds a lattice point.
+
+    Levels t = m_v+1, m_v+2, ... are scanned; the first whose lattice line
+    <x, v> = t has a span under the other constraints wins (an end no
+    constraint closes counts as a span).
+    """
+    m_v = qd.level(v)
+    others = [(u, m) for u, m in qd.constraints if u != v]
+    for t in range(m_v + 1, m_v + 1 + search_limit):
+        if _line_span(others, *_lattice_line(v, t)) is not None:
+            return qd.with_level(v, t)
+    raise DegenerateDropletError(
+        f"no lattice point within {search_limit} levels above {m_v} in direction "
+        f"({v.x},{v.y}); droplet too thin for an extension"
+    )
+
+
 def slab_points(before: QuasiDroplet, after: QuasiDroplet, v: Direction) -> list:
     """Lattice points of after that lie strictly outside before's v-level.
 
-    The slab is materialised as its own (thin) droplet by tightening the
-    -v constraint to <x, v> >= m_old + 1, so the cost scales with the slab,
-    not with the whole droplet.
+    They lie on the lattice lines <x, v> = t for before's v-level < t <=
+    after's, so the cost scales with the slab, not with the whole droplet;
+    v must be a constraint direction of both.  The points come sorted by
+    (y, x), the order of lattice_points.
     """
-    m_old = before.level(v)
-    cons = dict(after.constraints)
-    neg = v.neg()
-    floor = -(m_old + 1)
-    cons[neg] = min(cons[neg], floor) if neg in cons else floor
-    return QuasiDroplet.of(cons.items()).lattice_points()
+    pts = []
+    for t in range(before.level(v) + 1, after.level(v) + 1):
+        (bx, by), (sx, sy) = base_step = _lattice_line(v, t)
+        span = _line_span(after.constraints, *base_step)
+        if span is None:
+            continue
+        lo, hi = span
+        if lo is None or hi is None:
+            raise DegenerateDropletError("slab unbounded along its lattice lines")
+        pts.extend((bx + k * sx, by + k * sy) for k in range(lo, hi + 1))
+    pts.sort(key=lambda p: (p[1], p[0]))
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -457,66 +462,57 @@ def extension_algorithm(
 ) -> ExtensionTrace:
     """Grow a non-degenerate quasi-droplet by u-extensions.
 
-    While some non-stable side is >= 2 C^(1/3), perform the unstable
-    extension for the angularly first such direction.  Otherwise, for each
-    stable direction whose side is >= 2 sqrt(C) (angular order), try the
-    extension and accept it if a_prime holds at some site of
-    (((D' \\ D) + K) \\ D): new lattice points must be attackable from the
-    slab.  Stops when nothing applies (stalled), the droplet leaves the
-    [-stop_bound, stop_bound]^2 box (exited), or max_steps is hit.
+    Each step is the first extension _next_step finds: unstable ones before
+    stable ones.  Stops when nothing applies (stalled), the droplet leaves
+    the [-stop_bound, stop_bound]^2 box (exited), or max_steps is hit.
     """
     if not params.non_degenerate(qd):
         raise DegenerateDropletError("seed droplet violates the side bars")
     member = a_prime if callable(a_prime) else frozenset(map(tuple, a_prime)).__contains__
-    C = params.big_C
     offsets = sorted(params.nbhd.offsets)
 
     steps = [ExtensionStep(qd, None, "seed")]
-    current = qd
-    status = "stalled"
+    status = "step_limit"
     for _ in range(max_steps):
-        poly = current.polygon()
-        if any(max(abs(x), abs(y)) > stop_bound for x, y in poly):
+        current = steps[-1].droplet
+        if any(max(abs(x), abs(y)) > stop_bound for x, y in current.polygon()):
             status = "exited"
             break
-        advanced = False
-        for u in current.directions:
-            if params.is_stable(u):
-                continue
-            if side_ge_cbrt(current.side_length_sq(u), C, mult=2):
-                try:
-                    current = u_extension(current, u)
-                except DegenerateDropletError:
-                    # the neighbouring faces cap this direction: no level
-                    # above it ever captures a lattice point, so the
-                    # extension does not exist; try the next direction
-                    continue
-                steps.append(ExtensionStep(current, u, "unstable"))
-                advanced = True
-                break
-        if advanced:
-            continue
-        for u in current.directions:
-            if not params.is_stable(u):
-                continue
-            if not side_ge_sqrt(current.side_length_sq(u), C, mult=2):
-                continue
-            try:
-                grown = u_extension(current, u)
-            except DegenerateDropletError:
-                continue
-            witness = _stable_witness(current, grown, u, offsets, member)
-            if witness is not None:
-                current = grown
-                steps.append(ExtensionStep(current, u, "stable", witness))
-                advanced = True
-                break
-        if not advanced:
+        step = _next_step(current, params, offsets, member)
+        if step is None:
             status = "stalled"
             break
-    else:
-        status = "step_limit"
+        steps.append(step)
     return ExtensionTrace(tuple(steps), status)
+
+
+def _next_step(current, params, offsets, member) -> Optional[ExtensionStep]:
+    """The first extension of current that applies, or None.
+
+    The non-stable directions come first, then the stable ones, each in
+    angular order.  A non-stable u applies when its side is >= 2 C^(1/3).
+    A stable u applies when its side is >= 2 sqrt(C) and a_prime holds at
+    some site of (((D' \\ D) + K) \\ D): new lattice points must be
+    attackable from the slab.  A direction whose neighbouring faces cap it,
+    so that no level above it ever captures a lattice point, has no
+    extension and is passed over.
+    """
+    C = params.big_C
+    for u in sorted(current.directions, key=params.is_stable):
+        stable = params.is_stable(u)
+        side = current.side_length_sq(u)
+        if not (side_ge_sqrt(side, C, mult=2) if stable else side_ge_cbrt(side, C, mult=2)):
+            continue
+        try:
+            grown = u_extension(current, u)
+        except DegenerateDropletError:
+            continue
+        if not stable:
+            return ExtensionStep(grown, u, "unstable")
+        witness = _stable_witness(current, grown, u, offsets, member)
+        if witness is not None:
+            return ExtensionStep(grown, u, "stable", witness)
+    return None
 
 
 def _stable_witness(before, after, v, offsets, member):

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -17,22 +17,13 @@ from .geometry import Neighbourhood, NeighbourhoodSpec, Site, build_neighbourhoo
 SCENARIO_SCHEMA_VERSION = 1
 
 
-def _load_schema() -> dict:
+@functools.cache
+def scenario_schema() -> dict:
     with resources.files("bperc.schema").joinpath("scenario.v1.json").open() as fh:
         return json.load(fh)
 
 
-_SCHEMA = None
-
-
-def scenario_schema() -> dict:
-    global _SCHEMA
-    if _SCHEMA is None:
-        _SCHEMA = _load_schema()
-    return _SCHEMA
-
-
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _scenario_validator():
     """The schema's validator, checked against its meta-schema once."""
     # imported here: jsonschema adds about 3 MB to every process that

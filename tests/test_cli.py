@@ -126,6 +126,12 @@ def test_tau_csv_header_and_determinism(capsys):
         assert a.rsplit(",", 1)[0] == b.rsplit(",", 1)[0]
 
 
+def test_tau_too_small_torus_exits_2(capsys):
+    code, out, err = run_cli(capsys, "tau", "--model", "square4", "--n", "8", "--seed", "1")
+    assert code == 2 and not out
+    assert "torus side 8 too small" in err and "need n >= 9" in err
+
+
 def test_tau_audit_passes(capsys):
     code, out, _ = run_cli(capsys, "tau", "--model", "square", "--n", "8",
                            "--seed", "7", "--audit", "--format", "jsonl")
@@ -212,6 +218,22 @@ def test_verify_failing_scenario_exits_1(capsys, tmp_path):
     p.write_text(json.dumps(bad))
     code, out, _ = run_cli(capsys, "verify", str(p))
     assert code == 1 and "FAIL" in out
+
+
+def test_verify_missing_assertion_field_is_a_load_error(capsys, tmp_path):
+    bad = {
+        "schema_version": 1,
+        "name": "size-without-size",
+        "domain": {"kind": "box", "d": 2},
+        "neighbourhood": {"kind": "named", "name": "square"},
+        "assertions": [{"type": "closure_size"}],
+    }
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    code, out, _ = run_cli(capsys, "verify", str(p))
+    assert code == 1
+    assert out == (f"LOAD-ERROR {p}: {p}: schema violation at assertions/0: "
+                   "'size' is a required property\n")
 
 
 def test_verify_unreadable_file_counts_as_failure(capsys, tmp_path):

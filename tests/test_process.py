@@ -409,8 +409,15 @@ def test_run_once_matches_batch_closures(monkeypatch, spec, n, order, handoff):
 
 
 def test_run_once_rejects_small_torus(square):
-    with pytest.raises(ValueError):
+    # the torus-size rule of Domain.validate_for: n >= 2 R + 1
+    with pytest.raises(ValueError, match="need n >= 3"):
         run_once(square, 2, 0)
+    square4 = build_neighbourhood(NeighbourhoodSpec.named("square4"))
+    with pytest.raises(ValueError, match="torus side 8 too small .* need n >= 9"):
+        run_once(square4, 8, 0)
+    with pytest.raises(ValueError, match="torus side must be positive"):
+        run_once(square, 0, 0)
+    assert run_once(square4, 9, 0).n == 9
 
 
 def test_run_once_rejects_bad_permutation(square):

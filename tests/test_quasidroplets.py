@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bperc.geometry import (
@@ -19,8 +19,7 @@ from bperc.quasidroplets import (
     DegenerateDropletError,
     ExtensionParams,
     QuasiDroplet,
-    _ceildiv,
-    _floordiv,
+    _line_span,
     extension_algorithm,
     side_ge_cbrt,
     side_ge_sqrt,
@@ -123,10 +122,10 @@ def reference_rows(qd, poly):
         for u, m in qd.constraints:
             c = m - u.y * y
             if u.x > 0:
-                v = _floordiv(c, u.x)
+                v = math.floor(Fraction(c, u.x))
                 hi = v if hi is None else min(hi, v)
             elif u.x < 0:
-                v = _ceildiv(c, u.x)
+                v = math.ceil(Fraction(c, u.x))
                 lo = v if lo is None else max(lo, v)
             elif c < 0:
                 break
@@ -453,6 +452,56 @@ def brute_extension_level(qd, v, limit=64):
     return None
 
 
+def _ext_gcd(a, b):
+    if b == 0:
+        return (abs(a), 1 if a > 0 else -1, 0)
+    g, x, y = _ext_gcd(b, a % b)
+    return (g, y, x - (a // b) * y)
+
+
+def reference_u_extension(qd, v, search_limit=4096):
+    """Oracle: the level scan u_extension ran before it shared _line_span.
+    Each level's lattice line is (x0 t - b k, y0 t + a k); every other
+    constraint bounds k from one side, or holds for all k or none."""
+    m_v = qd.level(v)
+    a, b = v.x, v.y
+    g, x0, y0 = _ext_gcd(a, b)
+    assert g == 1
+    others = [(u, m) for u, m in qd.constraints if u != v]
+    for t in range(m_v + 1, m_v + 1 + search_limit):
+        bx, by = x0 * t, y0 * t
+        klo, khi = None, None
+        feasible = True
+        for u, m in others:
+            e = a * u.y - b * u.x
+            rhs = m - (u.x * bx + u.y * by)
+            if e > 0:
+                k = math.floor(Fraction(rhs, e))
+                khi = k if khi is None else min(khi, k)
+            elif e < 0:
+                k = math.ceil(Fraction(rhs, e))
+                klo = k if klo is None else max(klo, k)
+            elif rhs < 0:
+                feasible = False
+                break
+        if feasible and (klo is None or khi is None or klo <= khi):
+            return qd.with_level(v, t)
+    raise DegenerateDropletError(
+        f"no lattice point within {search_limit} levels above {m_v} in direction "
+        f"({v.x},{v.y}); droplet too thin for an extension"
+    )
+
+
+def reference_slab_points(before, after, v):
+    """Oracle: the slab as its own thin droplet, after with <x, v> >= m_old + 1
+    added, walked row by row."""
+    cons = dict(after.constraints)
+    neg = v.neg()
+    floor = -(before.level(v) + 1)
+    cons[neg] = min(cons[neg], floor) if neg in cons else floor
+    return QuasiDroplet.of(cons.items()).lattice_points()
+
+
 def test_axis_extension_is_one_step():
     qd = QuasiDroplet.of({(1, 0): 5, (0, 1): 5, (-1, 0): 0, (0, -1): 0})
     e = u_extension(qd, Direction(1, 0))
@@ -515,6 +564,88 @@ def test_extension_search_limit_error():
 
 
 # ---------------------------------------------------------------------------
+# Lattice lines: _line_span, u_extension and slab_points against oracles
+# ---------------------------------------------------------------------------
+
+
+Q3 = sort_by_angle(quasi_stable_directions(3))
+SPAN_K = 80  # beyond every finite end: |c / e| <= |m| + |<base, u>| <= 20 + 15 + 15
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    cons=st.lists(st.tuples(st.sampled_from(Q3), st.integers(-20, 20)), max_size=6),
+    base=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    line=st.sampled_from([Direction(0, -1)] + Q3),
+)
+@example(cons=[], base=(0, 0), line=Direction(0, -1))
+@example(cons=[(Direction(1, 0), 3), (Direction(-1, 0), -4)], base=(0, 0), line=Direction(0, -1))
+@example(cons=[(Direction(0, 1), -1)], base=(0, 0), line=Direction(0, -1))
+@example(cons=[(Direction(1, 2), 5), (Direction(-1, 0), 7)], base=(1, -2), line=Direction(2, 3))
+def test_line_span_matches_brute_force(cons, base, line):
+    # rows are the lines of (0, -1), whose step is (1, 0)
+    step = (-line.y, line.x)
+    inside = [k for k in range(-SPAN_K, SPAN_K + 1)
+              if all(u.x * (base[0] + k * step[0]) + u.y * (base[1] + k * step[1]) <= m
+                     for u, m in cons)]
+    span = _line_span(cons, base, step)
+    if not inside:
+        assert span is None
+        return
+    assert inside == list(range(inside[0], inside[-1] + 1))
+    assert span == (None if inside[0] == -SPAN_K else inside[0],
+                    None if inside[-1] == SPAN_K else inside[-1])
+
+
+def _bounded(qd):
+    try:
+        qd.polygon()
+    except DegenerateDropletError:
+        return False
+    return True
+
+
+@st.composite
+def extension_cases(draw):
+    """A droplet of constraint_subsets, one of its directions and a search limit."""
+    qd = draw(constraint_subsets())
+    assume(qd.constraints)
+    return qd, draw(st.sampled_from(qd.directions)), draw(st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=extension_cases())
+# levels 1..4 above (1,2)'s are excluded by (-1,-2) <= -5: the limit error
+@example(case=(_qd({(1, 2): 0, (-1, -2): -5, **BOX}), Direction(1, 2), 3))
+@example(case=(_qd({(1, 2): 0, (-1, -2): -5, **BOX}), Direction(1, 2), 5))
+def test_u_extension_matches_reference(case):
+    qd, v, limit = case
+    try:
+        want = reference_u_extension(qd, v, limit)
+    except DegenerateDropletError as e:
+        with pytest.raises(DegenerateDropletError, match=re.escape(str(e))):
+            u_extension(qd, v, limit)
+        return
+    assert u_extension(qd, v, limit) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(qd=constraint_subsets(), data=st.data())
+def test_slab_points_match_reference(qd, data):
+    assume(qd.constraints and _bounded(qd))
+    v = data.draw(st.sampled_from(qd.directions))
+    after = qd.with_level(v, qd.level(v) + data.draw(st.integers(0, 6)))
+    assume(_bounded(after))
+    assert slab_points(qd, after, v) == reference_slab_points(qd, after, v)
+    try:
+        grown = u_extension(qd, v, search_limit=64)
+    except DegenerateDropletError:
+        return  # the other faces cap v
+    assume(_bounded(grown))  # an empty strip with a level raised can open up
+    assert slab_points(qd, grown, v) == reference_slab_points(qd, grown, v)
+
+
+# ---------------------------------------------------------------------------
 # Extension algorithm
 # ---------------------------------------------------------------------------
 
@@ -574,6 +705,22 @@ def test_stable_extension_needs_witness():
     assert "stable" in kinds
     stable_step = next(s for s in trace.steps[1:] if s.kind == "stable")
     assert stable_step.witness == witness
+
+
+def test_unstable_steps_come_before_stable():
+    params = square_params(27)
+    steps = {Direction(1, 0): 11, Direction(0, 1): 11,
+             Direction(1, 1): 6, Direction(-1, 1): 6}  # both doubled bars cleared
+    qd, _ = edge_walk_droplet(1, steps)
+    witness = (qd.level(Direction(1, 0)) + 2, 0)
+    trace = extension_algorithm(qd, [witness], params, stop_bound=100)
+    kinds = [s.kind for s in trace.steps[1:]]
+    assert kinds[0] == "unstable" and "stable" in kinds
+    for before, step in zip(trace.droplets, trace.steps[1:]):
+        if step.kind == "stable":
+            assert step.witness == witness
+            assert not any(side_ge_cbrt(before.side_length_sq(u), params.big_C, mult=2)
+                           for u in before.directions if not params.is_stable(u))
 
 
 def test_trace_point_counts_non_decreasing():

@@ -157,6 +157,43 @@ def test_schema_is_checked_against_its_meta_schema_once(monkeypatch):
     assert checked == [scenario_schema()]
 
 
+RECTANGLE = {"type": "contains_rectangle", "width": 2, "length": 2, "direction": [1, 0]}
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("field, change", [
+    ("size", {"assertions": [{"type": "closure_size"}]}),
+    ("sites", {"assertions": [{"type": "closure_contains"}]}),
+    ("sites", {"assertions": [{"type": "closure_excludes"}]}),
+    ("width", {"assertions": [_without(RECTANGLE, "width")]}),
+    ("length", {"assertions": [_without(RECTANGLE, "length")]}),
+    ("direction", {"assertions": [_without(RECTANGLE, "direction")]}),
+    ("name", {"neighbourhood": {"kind": "named"}}),
+    ("p", {"neighbourhood": {"kind": "lp_ball", "s": "2"}}),
+    ("s", {"neighbourhood": {"kind": "lp_ball", "p": "2"}}),
+    ("offsets", {"neighbourhood": {"kind": "explicit", "threshold": 2}}),
+    ("threshold", {"neighbourhood": {"kind": "explicit", "offsets": [[0, 1], [1, 0]]}}),
+])
+def test_kind_specific_field_is_required(field, change):
+    # without the field, run_scenario or NeighbourhoodSpec.from_json would
+    # raise KeyError; the schema names it instead
+    path = "assertions/0" if "assertions" in change else "neighbourhood"
+    with pytest.raises(ScenarioError) as got:
+        scenario_from_json(minimal_scenario(**change), source="unit.json")
+    assert str(got.value) == (
+        f"unit.json: schema violation at {path}: '{field}' is a required property")
+    # with it, the same scenario loads
+    fixed = json.loads(json.dumps(minimal_scenario(**change)))  # a copy: change is shared
+    part = fixed["assertions"][0] if "assertions" in change else fixed["neighbourhood"]
+    part[field] = {"size": 4, "sites": [[0, 0]], "width": 2, "length": 2, "direction": [1, 0],
+                   "name": "square", "p": "2", "s": "2", "offsets": [[0, 1], [1, 0]],
+                   "threshold": 2}[field]
+    scenario_from_json(fixed)
+
+
 def test_missing_required_field_rejected():
     bad = minimal_scenario()
     del bad["neighbourhood"]
