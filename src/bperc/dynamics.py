@@ -4,7 +4,9 @@ Two engines compute the same thing:
 
 * ``closure``, the primary implementation: a counter push on flat index
   arrays, one synchronous generation at a time by ``push_generations``,
-  the cascade step the arrival process in ``bperc.process`` shares, and
+  the cascade step the arrival process in ``bperc.process`` shares (its
+  scalar loop hands large cascades to it, its batched path sends every
+  batch of arrivals through it), and
 * ``closure_synchronous``, iterated whole-grid neighbour counts (numpy
   shifts): the independent oracle the tests check ``closure`` against.
 
@@ -168,17 +170,34 @@ def offsets_array(nbhd: Neighbourhood) -> np.ndarray:
     return np.asarray(offs, dtype=np.int64).reshape(-1, 2)
 
 
+_LARGE_PUSH = 4096  # targets per round from which the wrap-free split pays
+
+
 def grid_targets(width: int, height: int, offs: np.ndarray) -> Callable:
     """``targets`` for push_generations on a width x height torus with site
-    (x, y) at index x*height + y: y - k for each front site y and offset k."""
+    (x, y) at index x*height + y: y - k for each front site y and offset k.
+
+    The targets come as int32 while the indices fit.  In a large push, front
+    sites at least the offsets' reach from every edge take the flat index
+    y - (kx*height + ky) in one subtraction; only the others wrap.
+    """
     reach = int(np.abs(offs).max(initial=0))
-    rows = np.arange(-reach, width + reach) % width * height
-    cols = np.arange(-reach, height + reach) % height
+    itype = np.int32 if width * height < 1 << 31 else np.int64
+    rows = (np.arange(-reach, width + reach) % width * height).astype(itype)
+    cols = (np.arange(-reach, height + reach) % height).astype(itype)
     kx, ky = reach - offs[:, :1], reach - offs[:, 1:]
+    shift = (offs[:, :1] * height + offs[:, 1:]).astype(itype)
 
     def targets(front):
         fx, fy = np.divmod(front, height)
-        return (rows[fx + kx] + cols[fy + ky]).ravel()
+        if front.size * len(offs) < _LARGE_PUSH:
+            return (rows[fx + kx] + cols[fy + ky]).ravel()
+        near = (fx < reach) | (fx >= width - reach) | (fy < reach) | (fy >= height - reach)
+        inner = front[~near]
+        out = np.empty((len(offs), front.size), dtype=itype)
+        np.subtract(inner, shift, out=out[:, :inner.size], casting="unsafe")
+        out[:, inner.size:] = rows[fx[near] + kx] + cols[fy[near] + ky]
+        return out.ravel()
 
     return targets
 
@@ -190,15 +209,29 @@ def push_generations(counts, done, front, r, targets):
     ``targets(front)`` gives the site each offset pushes from each front site.
     Yields ``front``, then each round's sites whose count crosses r and that
     are not done.
+
+    The step relies on one invariant: no site that is not done holds r or
+    more counts at the start of a round.  The caller makes it hold on entry
+    by putting every such site in ``front``; each round keeps it, because
+    every site its pushes lift to r joins the next front.  So a site crosses
+    r exactly when its count reaches r.  Pushes onto done sites are dropped
+    before counting, which leaves the counts of done sites stale: nothing
+    reads them again.
     """
     while front.size:
         done[front] = 1
         yield front
-        sites, hits = np.unique(targets(front), return_counts=True)
-        before = counts[sites]
-        after = before + hits
+        hit = targets(front)
+        hit = hit.compress(done.take(hit) == 0)
+        hit.sort()
+        edge = np.empty(hit.size + 1, dtype=bool)  # a run of one site starts here
+        edge[0] = edge[-1] = True
+        np.not_equal(hit[1:], hit[:-1], out=edge[1:-1])
+        bounds = edge.nonzero()[0]  # the run starts, then hit.size
+        sites = hit[bounds[:-1]]
+        after = counts[sites] + (bounds[1:] - bounds[:-1])
         counts[sites] = after
-        front = sites[(before < r) & (after >= r) & (done[sites] == 0)]
+        front = sites[after >= r]
 
 
 def closure(

@@ -395,8 +395,15 @@ def u_extension(qd: QuasiDroplet, v: Direction, search_limit: int = 4096) -> Qua
 
     Levels t = m_v+1, m_v+2, ... are scanned; the first whose lattice line
     <x, v> = t has a span under the other constraints wins (an end no
-    constraint closes counts as a span).
+    constraint closes counts as a span).  A droplet whose continuum is
+    empty has no extension: raising one level would not make it a droplet.
     """
+    try:
+        empty = qd.is_empty_continuum()
+    except DegenerateDropletError:  # unbounded: scanned like any other
+        empty = False
+    if empty:
+        raise DegenerateDropletError("empty droplet has no extension")
     m_v = qd.level(v)
     others = [(u, m) for u, m in qd.constraints if u != v]
     for t in range(m_v + 1, m_v + 1 + search_limit):

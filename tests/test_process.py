@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import sys
@@ -20,6 +21,7 @@ from bperc.process import (
     _fisher_yates,
     _lane_stream,
     _rejects,
+    _run_batched,
     _run_python,
     _swap_draws,
     derive_run_seed,
@@ -269,6 +271,21 @@ def test_permutation_memory_stays_within_three_arrays():
     assert peak <= 3 * n_items * 8
 
 
+def test_lane_stream_scrambles_without_a_second_stream():
+    # the raw stream itself is N * 8 bytes; the scrambler's rotate used to
+    # hold a second array as long, for a peak of 2 N * 8
+    n_raw = 384 * 384
+    _lane_stream(1, n_raw)  # builds the jump-ahead matrix
+    tracemalloc.start()
+    try:
+        raw, _ = _lane_stream(2, n_raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert raw.size == n_raw
+    assert peak <= 1.25 * n_raw * 8
+
+
 def test_permutation_rejects_sizes_beyond_int32():
     with pytest.raises(ValueError, match="below 2"):
         random_permutation(1 << 31, 0)
@@ -349,39 +366,38 @@ def _random_order(n, seed):
 
 
 # (spec, n, arrival order, whether some cascade outgrows the scalar loop and
-# is finished by the generation-by-generation expansion)
+# is finished by the generation-by-generation expansion, the arrival path
+# run_once takes)
 ORACLE_CASES = [
-    pytest.param(NeighbourhoodSpec.named("square"), 16, "random", True, id="square"),
-    pytest.param(NeighbourhoodSpec.named("square"), 12, "row-major", True, id="square-row-major"),
-    pytest.param(NeighbourhoodSpec.named("square4"), 12, "random", True, id="square4"),
-    pytest.param(NeighbourhoodSpec.named("diamond"), 15, "random", True, id="diamond-odd"),
-    pytest.param(NeighbourhoodSpec.named("diamond"), 16, "random", True, id="diamond-even"),
-    pytest.param(NeighbourhoodSpec.lp_ball("2", "2"), 10, "random", True, id="lp2"),
+    pytest.param(NeighbourhoodSpec.named("square"), 16, "random", True, "scalar", id="square"),
+    pytest.param(NeighbourhoodSpec.named("square"), 12, "row-major", True, "scalar",
+                 id="square-row-major"),
+    pytest.param(NeighbourhoodSpec.named("square4"), 12, "random", True, "batched", id="square4"),
+    pytest.param(NeighbourhoodSpec.named("diamond"), 15, "random", True, "scalar", id="diamond-odd"),
+    pytest.param(NeighbourhoodSpec.named("diamond"), 16, "random", True, "scalar",
+                 id="diamond-even"),
+    pytest.param(NeighbourhoodSpec.lp_ball("2", "2"), 10, "random", True, "scalar", id="lp2"),
+    pytest.param(NeighbourhoodSpec.lp_ball("2", "3"), 10, "random", True, "batched",
+                 id="lp2-s3"),
     pytest.param(NeighbourhoodSpec.explicit([(0, 1), (1, 0), (2, 1), (-1, 2)], 2), 12,
-                 "random", True, id="asymmetric"),
+                 "random", True, "scalar", id="asymmetric"),
     # a threshold of 3 out of 4 neighbours keeps every cascade small
     pytest.param(NeighbourhoodSpec.explicit([(0, 1), (1, 0), (-1, 0), (0, -1)], 3), 24,
-                 "random", False, id="scalar-only"),
+                 "random", False, "scalar", id="scalar-only"),
 ]
 
 
-@pytest.mark.parametrize("spec, n, order, handoff", ORACLE_CASES)
-def test_run_python_matches_reference_run(spec, n, order, handoff):
-    nbhd = build_neighbourhood(spec)
-    offs = offsets_array(nbhd)
+def _oracle_orders(n, order):
     orders = [_random_order(n, seed) for seed in range(5)]
     if order == "row-major":
         orders.append(row_major_permutation(n))
-    for perm in orders:
-        assert _run_python(n, nbhd.threshold, offs, perm) == reference_run(
-            n, nbhd.threshold, offs, perm)
+    return orders
 
 
-@pytest.mark.parametrize("spec, n, order, handoff", ORACLE_CASES)
-def test_run_once_matches_batch_closures(monkeypatch, spec, n, order, handoff):
-    # tau and closure_before from the library's incremental cascade, checked
-    # against from-scratch closures as `bperc tau --audit` does
+@pytest.mark.parametrize("spec, n, order, handoff, path", ORACLE_CASES)
+def test_run_python_matches_reference_run(monkeypatch, spec, n, order, handoff, path):
     nbhd = build_neighbourhood(spec)
+    offs = offsets_array(nbhd)
     expansions = []
     expand = process._expand
 
@@ -390,17 +406,136 @@ def test_run_once_matches_batch_closures(monkeypatch, spec, n, order, handoff):
         return expand(*args)
 
     monkeypatch.setattr(process, "_expand", counted)
+    for perm in _oracle_orders(n, order):
+        assert _run_python(n, nbhd.threshold, offs, perm) == reference_run(
+            n, nbhd.threshold, offs, perm)
+    assert bool(expansions) == handoff
+
+
+@pytest.mark.parametrize("spec, n, order, handoff, path", ORACLE_CASES)
+def test_run_batched_matches_reference_run(spec, n, order, handoff, path):
+    nbhd = build_neighbourhood(spec)
+    offs = offsets_array(nbhd)
+    for perm in _oracle_orders(n, order):
+        assert _run_batched(n, nbhd.threshold, offs, perm) == reference_run(
+            n, nbhd.threshold, offs, perm)
+
+
+@pytest.mark.parametrize("p", ["1", "2", "inf"])
+@pytest.mark.parametrize("s", ["2", "3", "4"])
+def test_run_batched_matches_reference_run_on_lp_balls(p, s):
+    nbhd = build_neighbourhood(NeighbourhoodSpec.lp_ball(p, s))
+    offs = offsets_array(nbhd)
+    n = 2 * nbhd.radius_ceil + 3
+    for seed in range(3):
+        perm = _random_order(n, seed)
+        assert _run_batched(n, nbhd.threshold, offs, perm) == reference_run(
+            n, nbhd.threshold, offs, perm)
+
+
+@pytest.mark.parametrize("spec, n, order, handoff, path", ORACLE_CASES)
+def test_run_once_matches_batch_closures(spec, n, order, handoff, path):
+    # tau and closure_before from the library's incremental cascade, checked
+    # against from-scratch closures as `bperc tau --audit` does
+    nbhd = build_neighbourhood(spec)
     dom = Domain.torus(n)
     for seed in range(3):
         perm = row_major_permutation(n) if order == "row-major" else _random_order(n, seed)
         rec = run_once(nbhd, n, 0, permutation=perm)
+        assert rec.arrival_path == path
         sites = [divmod(p, n) for p in perm]
         before = closure(dom, nbhd, sites[: rec.tau - 1])
         after = closure(dom, nbhd, sites[: rec.tau])
         assert not before.is_full()
         assert after.is_full()
         assert before.size == rec.closure_before
-    assert bool(expansions) == handoff
+
+
+# Hand-built orders for the batched path's edge cases.  The spy records each
+# bisection as (batch start, batch end, first arrival past the limit); the
+# batches hold n arrivals and restart after the arrival a bisection found.
+
+SQUARE = NeighbourhoodSpec.named("square")
+FOUR_OF_3 = NeighbourhoodSpec.explicit([(0, 1), (1, 0), (-1, 0), (0, -1)], 3)
+
+
+@pytest.fixture
+def bisections(monkeypatch):
+    calls = []
+    bisect = process._bisect
+
+    def spy(state, perm, lo, hi, cap):
+        t, added = bisect(state, perm, lo, hi, cap)
+        calls.append((lo, hi, t))
+        return t, added
+
+    monkeypatch.setattr(process, "_bisect", spy)
+    return calls
+
+
+def _batched_against_reference(spec, n, perm):
+    nbhd = build_neighbourhood(spec)
+    offs = offsets_array(nbhd)
+    tau, before = _run_batched(n, nbhd.threshold, offs, np.array(perm))
+    assert (tau, before) == reference_run(n, nbhd.threshold, offs, perm)
+    return tau, before
+
+
+def test_batched_tau_at_the_first_arrival_of_a_batch(bisections):
+    # row-major square: each row's first arrival infects the rest of the row,
+    # so later arrivals are already infected, and row n - 2 starts batch n - 2
+    n = 8
+    tau, before = _batched_against_reference(SQUARE, n, row_major_permutation(n))
+    assert (tau, before) == ((n - 1) ** 2, n * (n - 2))
+    assert bisections == [(n * (n - 2), n * (n - 1), tau - 1)]
+
+
+def test_batched_tau_at_the_last_arrival_of_a_batch(bisections):
+    # row n - 3 arrives without its first site, which the row's cascade
+    # infects anyway; the next arrival, in row n - 2, ends the batch and fills
+    n = 8
+    k = (n - 3) * n
+    filler = (n - 2) * n
+    order = list(range(k)) + list(range(k + 1, k + n)) + [filler, k]
+    order += [s for s in range(k + n, n * n) if s != filler]
+    tau, _ = _batched_against_reference(SQUARE, n, order)
+    assert tau == k + n
+    assert bisections == [(k, k + n, tau - 1)]
+
+
+def test_batched_runs_on_after_a_large_cascade(bisections):
+    # a diagonal of n/2 + 1 sites spans a square droplet that does not fill
+    # the torus; the batches go on from the arrival after the one that spans it
+    n = 12
+    diagonal = [i * n + i for i in range(n // 2 + 1)]
+    order = diagonal + [s for s in range(n * n) if s not in diagonal]
+    tau, _ = _batched_against_reference(SQUARE, n, order)
+    carried = [t for _, _, t in bisections[:-1]]
+    assert carried and all(t + 1 < tau for t in carried)
+    assert carried[0] < len(diagonal)
+    assert any((t + 1) % n for t in carried)  # the batches no longer start at multiples of n
+    assert bisections[-1][2] == tau - 1
+
+
+def test_batched_tau_in_a_short_last_batch(bisections):
+    # odd sites first: their cascades infect most even ones, and each large
+    # one moves the batch starts; a 2x2 block arriving last holds tau, so
+    # the last batch is cut short by the end of the order
+    n = 8
+    block = {(n - 2) * n + n - 2, (n - 2) * n + n - 1, (n - 1) * n + n - 2, n * n - 1}
+    short = []
+    for seed in range(4):
+        rng = random.Random(seed)
+        odd = [s for s in range(n * n) if sum(divmod(s, n)) % 2 and s not in block]
+        even = [s for s in range(n * n) if not sum(divmod(s, n)) % 2 and s not in block]
+        rng.shuffle(odd)
+        rng.shuffle(even)
+        bisections.clear()
+        tau, _ = _batched_against_reference(FOUR_OF_3, n, odd + even + sorted(block))
+        assert tau == n * n - 3
+        lo, hi, t = bisections[-1]
+        short.append(hi == n * n and hi - lo < n)
+    assert any(short)
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +681,25 @@ def test_csv_rows_reproducible_except_wall_ms(square):
 
 
 def test_jsonl_round_trip(square):
-    import json
-
     rec = run_once(square, 8, 5)
     line = records_to_jsonl([rec]).splitlines()[0]
     obj = json.loads(line)
     assert obj["tau"] == rec.tau
     assert obj["schema_version"] == 1
-    assert set(obj) == set(CSV_COLUMNS) | {"perm_ms", "cascade_ms"}
+    assert set(obj) == set(CSV_COLUMNS) | {"perm_ms", "cascade_ms", "arrival_path"}
+    assert obj["arrival_path"] == "scalar"
+
+
+def test_records_name_the_arrival_path(square):
+    square4 = build_neighbourhood(NeighbourhoodSpec.named("square4"))
+    for nbhd, path in ((square, "scalar"), (square4, "batched")):
+        rec = run_once(nbhd, 16, 5)
+        assert rec.arrival_path == path
+        assert json.loads(records_to_jsonl([rec]))["arrival_path"] == path
+        # the frozen v1 CSV row does not carry it
+        header, row = records_to_csv([rec]).splitlines()
+        assert header.split(",") == list(CSV_COLUMNS)
+        assert len(row.split(",")) == len(CSV_COLUMNS)
 
 
 def test_phase_timings_split_the_wall_time(square):

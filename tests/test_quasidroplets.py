@@ -555,12 +555,12 @@ def test_repeated_axis_extensions_nest():
 
 
 def test_extension_search_limit_error():
-    qd = QuasiDroplet.of({(1, 2): 0, (-1, -2): -5, (1, 0): 100, (-1, 0): 100,
-                          (0, 1): 100, (0, -1): 100})
-    # levels 1..4 above (1,2)'s offset are excluded by (-1,-2) <= -5
-    with pytest.raises(DegenerateDropletError):
-        u_extension(qd, Direction(1, 2), search_limit=3)
-    assert u_extension(qd, Direction(1, 2), search_limit=8).level(Direction(1, 2)) == 5
+    qd = QuasiDroplet.of({(1, 5): 0, (1, 0): 0, (-1, 0): 0, (0, 1): 100, (0, -1): 100})
+    # x = 0 holds only lattice points with x + 5y a multiple of 5, so levels
+    # 1..4 above (1,5)'s hold none
+    with pytest.raises(DegenerateDropletError, match="no lattice point within 3 levels"):
+        u_extension(qd, Direction(1, 5), search_limit=3)
+    assert u_extension(qd, Direction(1, 5), search_limit=8).level(Direction(1, 5)) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -615,11 +615,20 @@ def extension_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=extension_cases())
-# levels 1..4 above (1,2)'s are excluded by (-1,-2) <= -5: the limit error
-@example(case=(_qd({(1, 2): 0, (-1, -2): -5, **BOX}), Direction(1, 2), 3))
+# x = 0 leaves no lattice point on levels 1..4 above (1,5)'s: the limit error
+@example(case=(_qd({(1, 5): 0, (1, 0): 0, (-1, 0): 0, (0, 1): 100, (0, -1): 100}),
+               Direction(1, 5), 3))
+@example(case=(_qd({(1, 5): 0, (1, 0): 0, (-1, 0): 0, (0, 1): 100, (0, -1): 100}),
+               Direction(1, 5), 5))
+# an empty strip has no extension at any limit
 @example(case=(_qd({(1, 2): 0, (-1, -2): -5, **BOX}), Direction(1, 2), 5))
 def test_u_extension_matches_reference(case):
     qd, v, limit = case
+    if _bounded(qd) and qd.is_empty_continuum():
+        # the level scan would raise v past the empty set
+        with pytest.raises(DegenerateDropletError, match="empty droplet"):
+            u_extension(qd, v, limit)
+        return
     try:
         want = reference_u_extension(qd, v, limit)
     except DegenerateDropletError as e:
@@ -627,6 +636,15 @@ def test_u_extension_matches_reference(case):
             u_extension(qd, v, limit)
         return
     assert u_extension(qd, v, limit) == want
+
+
+def test_u_extension_rejects_an_empty_droplet():
+    # x+y <= 0 and x+y >= 1 leave nothing; the level scan used to raise
+    # (1,1) to 1 and return a droplet that does not bound the plane
+    qd = _qd({(1, 1): 0, (-1, 0): 0, (-2, -1): 0, (-1, -1): -1})
+    assert qd.polygon() == [] and qd.lattice_point_count() == 0
+    with pytest.raises(DegenerateDropletError, match="empty droplet"):
+        u_extension(qd, Direction(1, 1))
 
 
 @settings(max_examples=200, deadline=None)
