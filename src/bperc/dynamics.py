@@ -170,34 +170,19 @@ def offsets_array(nbhd: Neighbourhood) -> np.ndarray:
     return np.asarray(offs, dtype=np.int64).reshape(-1, 2)
 
 
-_LARGE_PUSH = 4096  # targets per round from which the wrap-free split pays
-
-
 def grid_targets(width: int, height: int, offs: np.ndarray) -> Callable:
     """``targets`` for push_generations on a width x height torus with site
-    (x, y) at index x*height + y: y - k for each front site y and offset k.
-
-    The targets come as int32 while the indices fit.  In a large push, front
-    sites at least the offsets' reach from every edge take the flat index
-    y - (kx*height + ky) in one subtraction; only the others wrap.
-    """
+    (x, y) at index x*height + y: y - k for each front site y and offset k,
+    as int32 while the indices fit."""
     reach = int(np.abs(offs).max(initial=0))
     itype = np.int32 if width * height < 1 << 31 else np.int64
     rows = (np.arange(-reach, width + reach) % width * height).astype(itype)
     cols = (np.arange(-reach, height + reach) % height).astype(itype)
     kx, ky = reach - offs[:, :1], reach - offs[:, 1:]
-    shift = (offs[:, :1] * height + offs[:, 1:]).astype(itype)
 
     def targets(front):
         fx, fy = np.divmod(front, height)
-        if front.size * len(offs) < _LARGE_PUSH:
-            return (rows[fx + kx] + cols[fy + ky]).ravel()
-        near = (fx < reach) | (fx >= width - reach) | (fy < reach) | (fy >= height - reach)
-        inner = front[~near]
-        out = np.empty((len(offs), front.size), dtype=itype)
-        np.subtract(inner, shift, out=out[:, :inner.size], casting="unsafe")
-        out[:, inner.size:] = rows[fx[near] + kx] + cols[fy[near] + ky]
-        return out.ravel()
+        return (rows[fx + kx] + cols[fy + ky]).ravel()
 
     return targets
 

@@ -338,9 +338,10 @@ def random_permutation(n_items: int, seed: int) -> np.ndarray:
 
 # |K*| from which the batched path is the faster one.  Timed against the
 # scalar loop at n = 128 and 256 (3 seeds, best of 5): |K*| = 12 (lp balls,
-# p = 1 and 2, s = 2) takes 0.9-1.1 times as long batched, |K*| = 24 to 40
-# takes 0.4-0.75 times as long; square, diamond and triangular take 1.2-1.6
-# times as long, boxtimes 1.3 at n = 128 and 0.8 at n = 256.
+# p = 1 and 2, s = 2) takes 1.0-1.2 times as long batched, |K*| = 24 to 40
+# takes 0.4-0.85 times as long; square, diamond and triangular take 1.1-1.8
+# times as long, boxtimes 1.45 at n = 128 and 1.0 at n = 256.  At n = 512
+# and 1024, square4 and lp p = 2, s = 4 take 0.4-0.55 times as long.
 _BATCHED_MIN_OFFSETS = 16
 
 

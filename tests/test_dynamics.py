@@ -118,15 +118,13 @@ def test_event_driven_equals_synchronous_oracle():
         assert a.times == b.times
 
 
-def test_large_pushes_match_the_oracle_on_an_asymmetric_neighbourhood():
-    # a round of 4096 targets or more takes grid_targets' wrap-free split;
+def test_closure_matches_the_oracle_on_an_asymmetric_neighbourhood():
     # offsets not closed under k -> -k show which way the pushes go
     nbhd = build_neighbourhood(
         NeighbourhoodSpec.explicit([(0, 1), (1, 0), (2, 1), (-1, 2)], 2))
     rng = random.Random(5)
     n = 64
     sites = [(x, y) for x in range(n) for y in range(n) if rng.random() < 0.3]
-    assert len(sites) * 4 >= 4096
     for dom in (Domain.torus(n), Domain.rect(0, 0, n - 1, n - 1)):
         a = closure(dom, nbhd, sites)
         b = closure_synchronous(dom, nbhd, sites)
