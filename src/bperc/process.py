@@ -91,6 +91,12 @@ def splitmix64(state: int):
 
 
 def derive_run_seed(master_seed: int, run_index: int) -> int:
+    """The v1 seed of run ``run_index``: SplitMix64(master_seed XOR index).
+
+    The XOR lets streams of different master seeds collide: sweeps with
+    master seeds m and m' repeat a run whenever m ^ i == m' ^ j, so
+    ``derive_run_seed(0, 1) == derive_run_seed(1, 0)``.  The v1 stream stays
+    frozen; collision-free streams need a new schema version."""
     out, _ = splitmix64((master_seed ^ run_index) & _MASK)
     return out
 

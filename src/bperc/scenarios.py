@@ -23,14 +23,49 @@ def scenario_schema() -> dict:
         return json.load(fh)
 
 
+_SITE_REF = {"$ref": "#/definitions/site"}
+
+
+def _plain_sites(instance) -> bool:
+    """True for a list of ``[int, int]`` lists: a site array that the
+    schema accepts. Bools, floats (even integral ones) and tuples are not
+    plain, so they are left to jsonschema."""
+    if type(instance) is not list:
+        return False
+    for s in instance:
+        if type(s) is not list or len(s) != 2:
+            return False
+        x, y = s
+        if type(x) is not int or type(y) is not int:
+            return False
+    return True
+
+
+@functools.cache
+def _validator_class():
+    """The schema's validator class, with an ``items`` keyword that accepts
+    a plain site array in one pass instead of resolving
+    ``#/definitions/site`` for every pair. Every other array, valid or not,
+    goes to the stock keyword, so errors and their paths are jsonschema's
+    own."""
+    # imported here: jsonschema adds about 3 MB to every process that
+    # imports bperc, and only scenario validation needs it
+    from jsonschema.validators import extend, validator_for
+
+    base = validator_for(scenario_schema())
+
+    def items(validator, items, instance, schema):
+        if items == _SITE_REF and _plain_sites(instance):
+            return
+        yield from base.VALIDATORS["items"](validator, items, instance, schema)
+
+    return extend(base, {"items": items})
+
+
 @functools.cache
 def _scenario_validator():
     """The schema's validator, checked against its meta-schema once."""
-    # imported here: jsonschema adds about 3 MB to every process that
-    # imports bperc, and only scenario validation needs it
-    from jsonschema.validators import validator_for
-
-    cls = validator_for(scenario_schema())
+    cls = _validator_class()
     cls.check_schema(scenario_schema())
     return cls(scenario_schema())
 
@@ -146,13 +181,19 @@ def scenario_from_json(obj: dict, source: str = "<inline>") -> Scenario:
                     obj.get("notes", ""))
 
 
-def load_scenario(path) -> Scenario:
-    path = Path(path)
+def _read_scenario(path, source: str) -> Scenario:
+    """Parse the scenario file at ``path``; every error names ``source``."""
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"{source}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     except json.JSONDecodeError as e:
-        raise ScenarioError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
-    return scenario_from_json(obj, source=str(path))
+        raise ScenarioError(f"{source}: invalid JSON at line {e.lineno}: {e.msg}") from None
+    return scenario_from_json(obj, source=source)
+
+
+def load_scenario(path) -> Scenario:
+    return _read_scenario(Path(path), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +291,7 @@ def corpus_paths() -> list:
 
 
 def load_corpus_scenario(name: str) -> Scenario:
-    path = corpus_dir().joinpath(name)
-    with path.open() as fh:
-        obj = json.load(fh)
-    return scenario_from_json(obj, source=name)
+    return _read_scenario(corpus_dir().joinpath(name), name)
 
 
 def figure3_counts() -> tuple[int, int, int]:

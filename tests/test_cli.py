@@ -241,6 +241,16 @@ def test_verify_unreadable_file_counts_as_failure(capsys, tmp_path):
     p.write_text("{")
     code, out, _ = run_cli(capsys, "verify", str(p))
     assert code == 1 and "LOAD-ERROR" in out
+    # a file that is not UTF-8 is a load error naming the file, and the
+    # files after it still run
+    undecodable = tmp_path / "bad.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    good = corpus_dir().joinpath("square_pair_fill.json")
+    code, out, err = run_cli(capsys, "verify", str(undecodable), str(good))
+    lines = out.splitlines()
+    assert code == 1 and err == ""
+    assert lines[0].startswith(f"LOAD-ERROR {undecodable}: {undecodable}: not UTF-8 text")
+    assert lines[1:] and all(line.startswith("PASS ") for line in lines[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,12 @@ def test_derive_run_seed_spreads():
     assert len(seeds) == 100
 
 
+def test_derive_run_seed_repeats_across_master_seeds():
+    # the documented v1 collision: m ^ i == m' ^ j gives the same run seed
+    assert derive_run_seed(0, 1) == derive_run_seed(1, 0)
+    assert derive_run_seed(6, 3) == derive_run_seed(4, 1)
+
+
 # ---------------------------------------------------------------------------
 # Row-major arrival order: closed-form hitting time
 # ---------------------------------------------------------------------------
@@ -365,6 +371,13 @@ def _random_order(n, seed):
     return perm
 
 
+# Asymmetric neighbourhoods on which every oracle order below gives another
+# (tau, closure_before) once the offsets are reversed, so that pushes made
+# the wrong way round fail the oracle tests on both arrival paths.
+SKEW = NeighbourhoodSpec.explicit([(0, 1), (1, 0), (2, 1), (-1, 2)], 3)
+QUADRANT = NeighbourhoodSpec.explicit(
+    [(a, b) for a in range(5) for b in range(4) if (a, b) != (0, 0)], 8)
+
 # (spec, n, arrival order, whether some cascade outgrows the scalar loop and
 # is finished by the generation-by-generation expansion, the arrival path
 # run_once takes)
@@ -381,6 +394,8 @@ ORACLE_CASES = [
                  id="lp2-s3"),
     pytest.param(NeighbourhoodSpec.explicit([(0, 1), (1, 0), (2, 1), (-1, 2)], 2), 12,
                  "random", True, "scalar", id="asymmetric"),
+    pytest.param(SKEW, 12, "random", True, "scalar", id="skew"),
+    pytest.param(QUADRANT, 12, "random", True, "batched", id="quadrant"),
     # a threshold of 3 out of 4 neighbours keeps every cascade small
     pytest.param(NeighbourhoodSpec.explicit([(0, 1), (1, 0), (-1, 0), (0, -1)], 3), 24,
                  "random", False, "scalar", id="scalar-only"),
@@ -392,6 +407,15 @@ def _oracle_orders(n, order):
     if order == "row-major":
         orders.append(row_major_permutation(n))
     return orders
+
+
+@pytest.mark.parametrize("spec, n", [(SKEW, 12), (QUADRANT, 12)])
+def test_directed_cases_depend_on_the_push_direction(spec, n):
+    nbhd = build_neighbourhood(spec)
+    offs = offsets_array(nbhd)
+    for perm in _oracle_orders(n, "random"):
+        assert reference_run(n, nbhd.threshold, offs, perm) != reference_run(
+            n, nbhd.threshold, -offs, perm)
 
 
 @pytest.mark.parametrize("spec, n, order, handoff, path", ORACLE_CASES)
@@ -449,6 +473,54 @@ def test_run_once_matches_batch_closures(spec, n, order, handoff, path):
         assert not before.is_full()
         assert after.is_full()
         assert before.size == rec.closure_before
+
+
+def healthy_core(n, r, offs, arrived):
+    """The sites that ``arrived`` never infects, by peeling (Batagelj &
+    Zaversnik 2003): site x stays healthy iff at least |K*| - r + 1 of its
+    neighbours x + k stay healthy, so the healthy sites are that core of the
+    complement of ``arrived``.  Returns their number."""
+    need = len(offs) - r + 1
+    healthy = [True] * (n * n)
+    for s in arrived:
+        healthy[s] = False
+
+    def neighbours(s, sign):
+        x, y = divmod(s, n)
+        return [(x + sign * kx) % n * n + (y + sign * ky) % n for kx, ky in offs]
+
+    degree = [sum(healthy[t] for t in neighbours(s, 1)) for s in range(n * n)]
+    peel = [s for s in range(n * n) if healthy[s] and degree[s] < need]
+    while peel:
+        s = peel.pop()
+        if not healthy[s]:
+            continue
+        healthy[s] = False
+        for t in neighbours(s, -1):  # the sites that count s as a neighbour
+            degree[t] -= 1
+            if healthy[t] and degree[t] < need:
+                peel.append(t)
+    return sum(healthy)
+
+
+@pytest.mark.parametrize("spec, n", [
+    pytest.param(NeighbourhoodSpec.named("square"), 16, id="square"),
+    pytest.param(NeighbourhoodSpec.named("triangular"), 14, id="triangular"),
+    pytest.param(NeighbourhoodSpec.named("boxtimes"), 14, id="boxtimes"),
+    pytest.param(NeighbourhoodSpec.named("square4"), 12, id="square4"),
+    pytest.param(SKEW, 12, id="skew"),
+])
+def test_run_once_matches_the_k_core_dual(spec, n):
+    # the torus fills at tau: the core of the sites not yet arrived is empty
+    # then, and one arrival earlier it holds every site outside the closure
+    nbhd = build_neighbourhood(spec)
+    offs = [tuple(map(int, k)) for k in offsets_array(nbhd)]
+    for seed in range(5):
+        perm = _random_order(n, seed)
+        rec = run_once(nbhd, n, 0, permutation=perm)
+        assert healthy_core(n, nbhd.threshold, offs, perm[: rec.tau]) == 0
+        assert healthy_core(n, nbhd.threshold, offs, perm[: rec.tau - 1]) == (
+            n * n - rec.closure_before)
 
 
 # Hand-built orders for the batched path's edge cases.  The spy records each

@@ -117,6 +117,25 @@ def test_corrupted_corpus_file_message_is_pinned(tmp_path):
         f"{path}: schema violation at assertions/0/size: 'four' is not of type 'integer'")
 
 
+def _with_site(field, site):
+    """A change that puts ``site`` second in a site array of ``field``."""
+    if field == "infected":
+        return {"infected": [[0, 0], site]}
+    if field == "frozen":
+        return {"domain": {"kind": "framed_box", "d": 4}, "frozen": [[4, 4], site]}
+    if field == "offsets":
+        return {"neighbourhood": {"kind": "explicit", "threshold": 2,
+                                  "offsets": [[0, 1], site]}}
+    return {"assertions": [{"type": "closure_contains", "sites": [[0, 0], site]}]}
+
+
+SITE_FIELDS = ("infected", "frozen", "offsets", "assertion-sites")
+# (id, site): each fails the site schema; a tuple is not a JSON array
+BAD_SITES = (("true", True), ("float", 1.5), ("one", [0]), ("three", [0, 1, 2]),
+             ("nested", [[0, 1]]), ("tuple", (0, 1)), ("empty", []),
+             ("bool-coord", [0, True]), ("float-coord", [0.5, 1]))
+
+
 @pytest.mark.parametrize("change", [
     {"assertions": [{"type": "no_such_assertion"}]},
     {"domain": {"kind": "box", "d": -1}},
@@ -125,6 +144,11 @@ def test_corrupted_corpus_file_message_is_pinned(tmp_path):
     {"name": 5, "infected": [[0]]},
     # two errors, the deeper one found first
     {"infected": [[0, "a"]], "assertions": []},
+    *(pytest.param(_with_site(field, site), id=f"{field}-{name}")
+      for field in SITE_FIELDS for name, site in BAD_SITES),
+    # site arrays that are not JSON arrays
+    pytest.param({"infected": ([0, 0], [1, 1])}, id="infected-tuple-array"),
+    pytest.param({"infected": {"0": [0, 0]}}, id="infected-object"),
 ])
 def test_schema_errors_read_as_jsonschema_validate_reports_them(change):
     import jsonschema
@@ -155,6 +179,39 @@ def test_schema_is_checked_against_its_meta_schema_once(monkeypatch):
     finally:
         _scenario_validator.cache_clear()
     assert checked == [scenario_schema()]
+
+
+def test_integral_float_sites_still_load():
+    import jsonschema
+
+    # JSON Schema counts 1.0 as an integer, so these sites are valid
+    obj = minimal_scenario(infected=[[0, 0], [1.0, 1]])
+    obj["assertions"] = [{"type": "closure_contains", "sites": [[0, 1.0], [1, 0]]}]
+    jsonschema.validate(obj, scenario_schema())
+    sc = scenario_from_json(obj)
+    assert sc.infected == ((0, 0), (1, 1))
+    assert all(r.passed for r in run_scenario(sc))
+
+
+def test_corpus_site_arrays_skip_the_stock_items_keyword(monkeypatch):
+    from jsonschema.validators import validator_for
+
+    base = validator_for(scenario_schema())
+    stock = base.VALIDATORS["items"]
+    seen = []
+
+    def spy(validator, items, instance, schema):
+        seen.append(items)
+        return stock(validator, items, instance, schema)
+
+    monkeypatch.setitem(base.VALIDATORS, "items", spy)
+    site_ref = {"$ref": "#/definitions/site"}
+    for path in corpus_paths():
+        load_corpus_scenario(path.name)
+    assert site_ref not in seen
+    # the spy is live: a site array with a float goes to the stock keyword
+    scenario_from_json(minimal_scenario(infected=[[0, 0], [1.0, 1]]))
+    assert site_ref in seen
 
 
 RECTANGLE = {"type": "contains_rectangle", "width": 2, "length": 2, "direction": [1, 0]}
@@ -241,6 +298,15 @@ def test_invalid_json_file_reports_line(tmp_path):
     with pytest.raises(ScenarioError) as e:
         load_scenario(p)
     assert "broken.json" in str(e.value)
+
+
+def test_undecodable_file_is_a_scenario_error(tmp_path):
+    p = tmp_path / "latin1.json"
+    text = json.dumps(minimal_scenario(name="caf\u00e9"), ensure_ascii=False)
+    p.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ScenarioError) as e:
+        load_scenario(p)
+    assert str(e.value).startswith(f"{p}: not UTF-8 text: ")
 
 
 def test_load_scenario_round_trip_via_file(tmp_path):
