@@ -236,8 +236,8 @@ def cmd_verify(args) -> int:
     for path in paths:
         try:
             sc = load_scenario(path)
-        except ScenarioError as e:
-            print(f"LOAD-ERROR {path}: {e}")
+        except ScenarioError as e:  # the message starts with the path
+            print(f"LOAD-ERROR {e}")
             failures += 1
             continue
         for res in run_scenario(sc):

@@ -34,11 +34,16 @@ The contract is this scalar definition; the test suite keeps it as a literal
 loop and checks the engine against it.  The engine produces the same stream
 faster: K lanes start 2^m steps apart (jump-ahead by powers of the GF(2)
 transition matrix, Blackman & Vigna, ACM TOMS 2021), are stepped together as
-uint64 vectors and concatenated into the first K * 2^m raw outputs; the draws
-are mapped as vectors, only raw >= 2^64 - n^2 are checked for rejection one
-by one, and a rejection shifts the later draws along the stream.  The swaps
-are not replayed one by one either: a sort of the (draw, step) pairs and
-pointer jumping give every final position at once (``_fisher_yates``).
+uint64 vectors and concatenated into the first K * 2^m raw outputs.  Each
+power T^(2^j) is a cached table of 64 x 16 nibble images (32 KiB), built
+from the one before on first use; a jump is 64 table lookups XORed
+together, done for a whole array of states at once, and the lane starts
+come by doubling: lanes [h, 2h) are lanes [0, h) moved on by T^(h 2^m).
+The draws are mapped as vectors, only raw >= 2^64 - n^2 are checked for
+rejection one by one, and a rejection shifts the later draws along the
+stream.  The swaps are not replayed one by one either: a sort of the
+(draw, step) pairs and pointer jumping give every final position at once
+(``_fisher_yates``).
 """
 from __future__ import annotations
 
@@ -139,46 +144,93 @@ class Xoshiro256StarStar:
 # The v1 stream in lanes: GF(2) jump-ahead
 # ---------------------------------------------------------------------------
 #
-# The xoshiro256** transition is linear over GF(2) on the 256-bit state
-# s[0] | s[1] << 64 | s[2] << 128 | s[3] << 192.  A matrix is stored as its
-# 256 columns, each a 256-bit int; column j is the image of bit j.  Lane k
-# starts 2^m steps after lane k - 1, so stepping K lanes together for 2^m
-# steps yields the first K * 2^m outputs of the scalar stream.
+# The xoshiro256** transition T is linear over GF(2) on the 256-bit state
+# whose bit 64 w + b is bit b of s[w].  A power of T is kept as a nibble
+# table: the 256 bits fall into 64 chunks of four, and row [c, v] is the
+# image of the nibble v placed in chunk c, so a product is 64 row lookups
+# XORed together, done for many states at once.  Lane k starts 2^m steps
+# after lane k - 1, so stepping K lanes together for 2^m steps yields the
+# first K * 2^m outputs of the scalar stream.
 
 
+def _step(s0, s1, s2, s3, t) -> None:
+    """One xoshiro256** transition of every lane, in place; ``t`` is scratch."""
+    np.left_shift(s1, 17, out=t)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    np.left_shift(s3, 45, out=t)
+    s3 >>= 19
+    s3 |= t
 
-def _pack(s: Sequence[int]) -> int:
-    return int(s[0]) | int(s[1]) << 64 | int(s[2]) << 128 | int(s[3]) << 192
+
+_NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64).reshape(1, 16, 1)
+_CHUNK_ROWS = np.arange(0, 64 * 16, 16, dtype=np.intp).reshape(64, 1)
 
 
-def _unpack(v: int) -> list:
-    return [(v >> (64 * w)) & _MASK for w in range(4)]
+def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The tabled matrix times each column of the (4, k) uint64 ``states``.
+
+    Returns a (4, k) array.  Chunk c = 16 w + q holds bits 4q..4q+3 of word
+    w, so a product is the XOR of the 64 rows [c, nibble c] of the table.
+    """
+    idx = ((states[:, None, :] >> _NIBBLE_SHIFTS) & np.uint64(15)).reshape(64, -1)
+    idx = idx.astype(np.intp)
+    idx += _CHUNK_ROWS
+    return np.bitwise_xor.reduce(table.reshape(1024, 4)[idx], axis=0).T
 
 
-def _apply(cols: list, v: int) -> int:
-    """Matrix-vector product over GF(2)."""
-    out = 0
-    for bit, col in zip(reversed(bin(v)[2:]), cols):
-        if bit == "1":
-            out ^= col
-    return out
+def _nibble_table(cols: np.ndarray) -> np.ndarray:
+    """(64, 16, 4) table of a matrix given as its (256, 4) columns: entry
+    [c, v] is the XOR of the columns 4c + b for the bits b set in v."""
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    quads = cols.reshape(64, 4, 4)
+    for b in range(4):
+        np.bitwise_xor(table[:, : 1 << b], quads[:, b, None], out=table[:, 1 << b: 2 << b])
+    table.flags.writeable = False  # cached and shared by the sweep's threads
+    return table
 
 
 @functools.lru_cache(maxsize=None)
-def _jump_matrix(m: int) -> tuple:
-    """Columns of T^(2^m), T the one-step transition, by repeated squaring."""
-    if m > 0:
-        cols = _jump_matrix(m - 1)
-        return tuple(_apply(cols, c) for c in cols)
-    cols = []
-    for j in range(256):
-        rng = Xoshiro256StarStar.from_state(_unpack(1 << j))
-        rng.next_raw()
-        cols.append(_pack(rng.s))
-    return tuple(cols)
+def _jump_table(m: int) -> np.ndarray:
+    """The nibble table of T^(2^m), T the one-step transition (32 KiB).
+
+    T's columns are one step of the 256 unit states; T^(2^m) is T^(2^(m-1))
+    applied to its own columns, which are the table rows of single bits.
+    """
+    if m == 0:
+        bit = np.arange(256)
+        unit = np.zeros((4, 256), dtype=np.uint64)
+        unit[bit // 64, bit] = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
+        _step(*unit, np.empty(256, dtype=np.uint64))
+        return _nibble_table(unit.T)
+    half = _jump_table(m - 1)
+    return _nibble_table(_jump(half, half[:, [1, 2, 4, 8]].reshape(256, 4).T).T)
 
 
 _SCRAMBLE_BLOCK = 1 << 14  # raw outputs scrambled at a time: 128 KiB
+_JUMP_BLOCK = 256  # lane starts jumped at a time: 512 KiB of table rows
+
+
+def _lane_starts(state: Sequence[int], m: int, lanes: int) -> np.ndarray:
+    """The states k * 2^m steps after ``state``, k < lanes, as (4, lanes).
+
+    Lanes [h, 2h), h = 2^j, are lanes [0, h) moved on by T^(2^(m + j)), so
+    every start comes from log2(lanes) table products over many lanes.
+    """
+    starts = np.empty((4, lanes), dtype=np.uint64)
+    starts[:, 0] = state
+    h, j = 1, 0
+    while h < lanes:
+        table = _jump_table(m + j)
+        top = min(2 * h, lanes)
+        for b in range(h, top, _JUMP_BLOCK):
+            e = min(b + _JUMP_BLOCK, top)
+            starts[:, b:e] = _jump(table, starts[:, b - h:e - h])
+        h, j = top, j + 1
+    return starts
 
 
 def _lane_stream(seed: int, n_raw: int) -> tuple:
@@ -187,31 +239,18 @@ def _lane_stream(seed: int, n_raw: int) -> tuple:
     Returns (raw, state): raw holds the outputs as a uint64 array in stream
     order, and state is the generator state after the last of them.
     """
-    # A lane start costs one Python matrix-vector product and a lane step ten
-    # numpy calls; lanes of about 2 sqrt(n_raw) steps balance the two.
-    m = max(0, (2 * math.isqrt(n_raw)).bit_length() - 1)
+    # A lane step is ten numpy calls and a lane start a share of one table
+    # product; lanes of about sqrt(n_raw) / 2 steps were the fastest at
+    # n_raw = 192^2 to 2048^2.
+    m = max(0, (math.isqrt(n_raw) // 2).bit_length() - 1)
     steps = 1 << m
     lanes = max(1, -(-n_raw // steps))
-    jump = _jump_matrix(m)
-    starts = np.empty((4, lanes), dtype=np.uint64)
-    v = _pack(Xoshiro256StarStar(seed).s)
-    for k in range(lanes):
-        starts[:, k] = _unpack(v)
-        v = _apply(jump, v)
-    s0, s1, s2, s3 = starts
+    s0, s1, s2, s3 = _lane_starts(Xoshiro256StarStar(seed).s, m, lanes)
     t = np.empty(lanes, dtype=np.uint64)
     raw = np.empty((lanes, steps), dtype=np.uint64)
     for j in range(steps):
         raw[:, j] = s1
-        np.left_shift(s1, 17, out=t)
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        np.left_shift(s3, 45, out=t)
-        s3 >>= 19
-        s3 |= t
+        _step(s0, s1, s2, s3, t)
     raw = raw.reshape(-1)
     # the ** scrambler, rotl(s1 * 5, 7) * 9, a block at a time: the rotate's
     # carried-out bits then need one block-sized array, not a second stream
@@ -224,7 +263,8 @@ def _lane_stream(seed: int, n_raw: int) -> tuple:
         block <<= 7
         block |= hi
         block *= 9
-    return raw, _unpack(v)
+    # the last lane ends where the stream after the last output starts
+    return raw, [int(s0[-1]), int(s1[-1]), int(s2[-1]), int(s3[-1])]
 
 
 def _bounded_draws(raw: np.ndarray, top: int, more) -> np.ndarray:
@@ -368,31 +408,42 @@ def _run_python(n, r, offs, perm):
     offsets = [(int(a), int(b)) for a, b in offs]
     deltas = [kx * n + ky for kx, ky in offsets]
     reach = int(np.abs(offs).max(initial=0))
-    lo, hi = reach, n - reach  # rows/columns whose neighbours never wrap
+    inner = np.zeros((n, n), dtype=np.uint8)  # sites whose neighbours never wrap
+    inner[reach:n - reach, reach:n - reach] = 1
+    interior = bytearray(inner)
+    stack = []
+    push, pop = stack.append, stack.pop
     for t, s in enumerate(memoryview(np.ascontiguousarray(perm, dtype=np.int64))):
+        if infected[s]:
+            continue
         prev = num
-        if not infected[s]:
-            stack = [s]
-            while stack:
-                y = stack.pop()
-                if infected[y]:
-                    continue
-                if num - prev > n:
-                    stack.append(y)
-                    num += _expand(n, r, offs, counts_arr, infected, stack)
-                    break
-                infected[y] = 1
-                num += 1
-                yx, yy = divmod(y, n)
-                if lo <= yx < hi and lo <= yy < hi:
-                    targets = [y - d for d in deltas]
-                else:
-                    targets = [(yx - kx) % n * n + (yy - ky) % n for kx, ky in offsets]
-                for x in targets:
+        push(s)
+        while stack:
+            y = pop()
+            if infected[y]:
+                continue
+            if num - prev > n:
+                push(y)
+                num += _expand(n, r, offs, counts_arr, infected, stack)
+                stack.clear()
+                break
+            infected[y] = 1
+            num += 1
+            if interior[y]:
+                for d in deltas:
+                    x = y - d
                     c = counts[x] + 1
                     counts[x] = c
                     if c == r and not infected[x]:
-                        stack.append(x)
+                        push(x)
+            else:
+                yx, yy = divmod(y, n)
+                for kx, ky in offsets:
+                    x = (yx - kx) % n * n + (yy - ky) % n
+                    c = counts[x] + 1
+                    counts[x] = c
+                    if c == r and not infected[x]:
+                        push(x)
         if num == n2:
             return t + 1, prev
     return n2, num
@@ -651,6 +702,9 @@ def summarise(records: Sequence[ProcessRecord],
     for key, recs in by_key.items():
         ts = sorted(r.tau_scaled for r in recs)
         js = sorted(r.jump_ratio for r in recs)
+        # the infected fraction just before tau: 1 minus the fraction of the
+        # torus in the healthy core when it first appears (arrivals reversed)
+        fs = sorted(r.closure_before / (r.n * r.n) for r in recs)
         stats = {
             "count": len(recs),
             "tau_scaled_median": _quantile(ts, 0.5),
@@ -662,6 +716,7 @@ def summarise(records: Sequence[ProcessRecord],
             "jump_ratio_q1": _quantile(js, 0.25),
             "jump_ratio_q3": _quantile(js, 0.75),
             "jump_ratio_mean": statistics.fmean(js),
+            "closure_before_frac_median": _quantile(fs, 0.5),
         }
         for thr in jump_thresholds:
             frac = sum(1 for r in recs if r.closure_before >= thr * r.tau) / len(recs)

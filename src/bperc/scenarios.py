@@ -182,11 +182,14 @@ def scenario_from_json(obj: dict, source: str = "<inline>") -> Scenario:
 
 
 def _read_scenario(path, source: str) -> Scenario:
-    """Parse the scenario file at ``path``; every error names ``source``."""
+    """Parse the scenario file at ``path``; every error is a ScenarioError
+    whose message starts with ``source``."""
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as e:
         raise ScenarioError(f"{source}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+    except OSError as e:
+        raise ScenarioError(f"{source}: cannot read: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{source}: invalid JSON at line {e.lineno}: {e.msg}") from None
     return scenario_from_json(obj, source=source)

@@ -232,7 +232,7 @@ def test_verify_missing_assertion_field_is_a_load_error(capsys, tmp_path):
     p.write_text(json.dumps(bad))
     code, out, _ = run_cli(capsys, "verify", str(p))
     assert code == 1
-    assert out == (f"LOAD-ERROR {p}: {p}: schema violation at assertions/0: "
+    assert out == (f"LOAD-ERROR {p}: schema violation at assertions/0: "
                    "'size' is a required property\n")
 
 
@@ -249,7 +249,17 @@ def test_verify_unreadable_file_counts_as_failure(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", str(undecodable), str(good))
     lines = out.splitlines()
     assert code == 1 and err == ""
-    assert lines[0].startswith(f"LOAD-ERROR {undecodable}: {undecodable}: not UTF-8 text")
+    assert lines[0].startswith(f"LOAD-ERROR {undecodable}: not UTF-8 text")
+    assert lines[1:] and all(line.startswith("PASS ") for line in lines[1:])
+
+
+def test_verify_missing_file_is_a_load_error_and_the_rest_run(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    good = corpus_dir().joinpath("square_pair_fill.json")
+    code, out, err = run_cli(capsys, "verify", str(missing), str(good))
+    lines = out.splitlines()
+    assert code == 1 and err == ""
+    assert lines[0] == f"LOAD-ERROR {missing}: cannot read: No such file or directory"
     assert lines[1:] and all(line.startswith("PASS ") for line in lines[1:])
 
 

@@ -117,9 +117,85 @@ def test_lane_stream_matches_next_raw(n_raw):
         assert [int(w) for w in state] == rng.s
 
 
+# The jump-ahead as a 256 x 256 GF(2) matrix on Python ints: column j is
+# the image of state bit j, bit 64 w + b being bit b of s[w].
+
+
+def _pack(s):
+    return int(s[0]) | int(s[1]) << 64 | int(s[2]) << 128 | int(s[3]) << 192
+
+
+def _unpack(v):
+    return [(v >> (64 * w)) & (U64 - 1) for w in range(4)]
+
+
+def _apply(cols, v):
+    """Matrix-vector product over GF(2)."""
+    out = 0
+    for bit, col in zip(reversed(bin(v)[2:]), cols):
+        if bit == "1":
+            out ^= col
+    return out
+
+
+def reference_jump_columns(max_m):
+    """Columns of T^(2^m) for m = 0..max_m, T by stepping the unit states
+    with next_raw and each power by squaring the one before."""
+    cols = []
+    for j in range(256):
+        rng = Xoshiro256StarStar.from_state(_unpack(1 << j))
+        rng.next_raw()
+        cols.append(_pack(rng.s))
+    powers = [cols]
+    for _ in range(max_m):
+        powers.append([_apply(powers[-1], c) for c in powers[-1]])
+    return powers
+
+
+def test_jump_tables_match_squaring():
+    for m, want in enumerate(reference_jump_columns(12)):
+        table = process._jump_table(m)
+        # the rows of the single bits of each nibble are the columns
+        got = table[:, [1, 2, 4, 8]].reshape(256, 4).tolist()
+        assert [_pack(c) for c in got] == want, m
+        # and every row is the XOR of the columns its nibble selects
+        for c in (0, 17, 63):
+            for v in range(16):
+                row = 0
+                for b in range(4):
+                    if v >> b & 1:
+                        row ^= want[4 * c + b]
+                assert _pack(table[c, v].tolist()) == row
+
+
+@pytest.mark.parametrize("m", [0, 3])
+@pytest.mark.parametrize("lanes", [1, 2, 3, 5, 7, 100, 257, 300])
+def test_lane_starts_match_the_scalar_stream(m, lanes):
+    for seed in EDGE_SEEDS:
+        rng = Xoshiro256StarStar(seed)
+        starts = process._lane_starts(rng.s, m, lanes)
+        want = []
+        for _ in range(lanes):
+            want.append(list(rng.s))
+            for _ in range(1 << m):
+                rng.next_raw()
+        assert starts.T.tolist() == want
+
+
+def test_lane_starts_match_matrix_products():
+    # far jumps, where stepping the scalar generator would take too long
+    powers = reference_jump_columns(20)
+    state = Xoshiro256StarStar(7).s
+    starts = process._lane_starts(state, 12, 300)
+    v = _pack(state)
+    for k in range(300):
+        assert _pack(starts[:, k].tolist()) == v, k
+        v = _apply(powers[12], v)
+
+
 def test_permutations_agree_under_threads_from_a_cold_cache():
     # the pool threads of a sweep may all build the jump-ahead cache at once
-    process._jump_matrix.cache_clear()
+    process._jump_table.cache_clear()
     want = reference_permutation(600, 9)
     results = []
     barrier = threading.Barrier(6)
@@ -261,7 +337,7 @@ def test_swap_loop_on_the_drawn_stream(n_items, seed):
 
 def test_permutation_memory_stays_within_three_arrays():
     n_items = 384 * 384
-    random_permutation(n_items, 1)  # builds the jump-ahead matrices
+    random_permutation(n_items, 1)  # builds the jump-ahead tables
     tracemalloc.start()
     try:
         random_permutation(n_items, 2)
@@ -275,7 +351,7 @@ def test_lane_stream_scrambles_without_a_second_stream():
     # the raw stream itself is N * 8 bytes; the scrambler's rotate used to
     # hold a second array as long, for a peak of 2 N * 8
     n_raw = 384 * 384
-    _lane_stream(1, n_raw)  # builds the jump-ahead matrix
+    _lane_stream(1, n_raw)  # builds the jump-ahead tables
     tracemalloc.start()
     try:
         raw, _ = _lane_stream(2, n_raw)
@@ -706,6 +782,21 @@ def test_summary_statistics_match_manual(square):
     assert abs(g["tau_scaled_mean"] - sum(taus) / 9) < 1e-12
     assert g["jump_ratio_q1"] <= g["jump_ratio_median"] <= g["jump_ratio_q3"]
     assert 0.0 <= g["frac_jump_ge_2"] <= g["frac_jump_ge_1.5"] <= 1.0
+
+
+def test_summary_closure_before_fraction_on_hand_built_records():
+    def rec(model, n, closure_before):
+        return process.ProcessRecord(model, n, 0, closure_before + 1, closure_before, 0.0)
+
+    records = [rec("square", 10, 5), rec("square", 10, 30), rec("square", 10, 8),
+               rec("square", 4, 6), rec("square", 4, 10), rec("boxtimes", 10, 50)]
+    groups = summarise(records).groups
+    assert groups[("square", 10)]["closure_before_frac_median"] == 0.08  # of .05 .08 .30
+    assert groups[("square", 4)]["closure_before_frac_median"] == 0.5  # of 6/16 and 10/16
+    assert groups[("boxtimes", 10)]["closure_before_frac_median"] == 0.5
+    # a summary field only: the v1 CSV row keeps its columns
+    header = records_to_csv(records).splitlines()[0]
+    assert header.split(",") == list(CSV_COLUMNS) and "frac" not in header
 
 
 def test_jump_event_rate_extremes(square):
