@@ -1,7 +1,7 @@
 """Command-line interface: one binary, subcommand style.
 
-Exit codes: 0 success, 1 assertion/scenario failure, 2 usage error.
-Parallelism defaults to the BPERC_THREADS environment variable.
+Exit codes: 0 success, 1 assertion/scenario failure, 2 usage or file error.
+``sweep --parallelism`` caps the threads of batched-path runs only.
 """
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ def _parse_sites(text: str) -> list:
 
 
 def _domain(args, nbhd) -> Domain:
-    if getattr(args, "torus", None):
+    if getattr(args, "torus", None) is not None:
         return Domain.torus(args.torus)
     if getattr(args, "box", None) is not None:
         return Domain.box(args.box)
@@ -93,10 +93,20 @@ def _read_infected(args) -> list:
         path = Path(args.infected_file)
         text = path.read_text()
         if path.suffix == ".json":
-            return [tuple(s) for s in json.loads(text)]
+            return _json_sites(text, "--infected-file")
         infected, _ = parse_grid_text(text)
         return infected
     raise UsageError("no initial set: use --infected or --infected-file")
+
+
+def _json_sites(text: str, flag: str) -> list:
+    """The sites of a JSON list of [x, y] integer pairs, as tuples."""
+    sites = json.loads(text)
+    if not isinstance(sites, list) or not all(
+            isinstance(s, list) and len(s) == 2 and all(type(v) is int for v in s)
+            for s in sites):
+        raise UsageError(f"{flag} is not a JSON list of [x, y] integer pairs")
+    return [tuple(s) for s in sites]
 
 
 def _echo_config(args) -> dict:
@@ -266,7 +276,7 @@ def cmd_extend(args) -> int:
     spec = _model_spec(args)
     nbhd = build_neighbourhood(spec)
     qd = QuasiDroplet.from_json(json.loads(Path(args.droplet).read_text()))
-    a_prime = [tuple(s) for s in json.loads(Path(args.a_prime).read_text())]
+    a_prime = _json_sites(Path(args.a_prime).read_text(), "--a-prime")
     params = ExtensionParams(nbhd, args.big_c)
     trace = extension_algorithm(qd, a_prime, params, stop_bound=args.stop_bound)
     lines = []
@@ -330,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, required=True, help="seeds per (model, n)")
     p.add_argument("--master-seed", type=int, default=0)
     p.add_argument("--parallelism", type=int, default=None,
-                   help="worker threads (default: BPERC_THREADS, else the CPU count)")
+                   help="threads for models on the batched arrival path (default: the "
+                        "CPU count); scalar-path models run serially")
     p.add_argument("--records-out", help="CSV path for the per-run records")
     p.add_argument("--out", help="JSON path for the summary")
     p.set_defaults(func=cmd_sweep)
@@ -369,8 +380,7 @@ def main(argv=None) -> int:
     except AssertionError as e:
         print(f"assertion failed: {e}", file=sys.stderr)
         return 1
-    except (UsageError, ScenarioError, ValueError, FileNotFoundError,
-            json.JSONDecodeError) as e:
+    except (UsageError, ScenarioError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -462,6 +462,8 @@ class StabilityReport:
         return tuple(runs)
 
     def count_at(self, u: Direction) -> int:
+        if len(self.entries) == 1:  # no breakpoints: one arc is the whole circle
+            return self.entries[0].count
         for e in self.entries:
             if e.kind == "point" and e.start == u:
                 return e.count

@@ -6,12 +6,13 @@ closure of the arrived set at every step).  tau is the first arrival count
 whose closure is the full torus; closure_before is the infected count just
 before that arrival.
 
-The cascade has two paths with the same result.  Small neighbourhoods run a
-scalar loop per arrival (``_run_python``); from _BATCHED_MIN_OFFSETS nonzero
-offsets on, arrivals go in batches of n as fronts of the generation step
-``dynamics.push_generations``, with a checkpoint per batch and bisection of
-a batch that fills the torus (``_run_batched``).  Both rest on the state
-after any prefix of the arrivals being the closure of that prefix.
+The cascade has two paths with the same result and one ``_Torus`` state.
+Small neighbourhoods run a scalar loop per arrival (``_run_python``); from
+_BATCHED_MIN_OFFSETS nonzero offsets on, arrivals go in batches of n as
+fronts of the generation step ``dynamics.push_generations``, with a
+checkpoint per batch and bisection of a batch that fills the torus
+(``_run_batched``).  Both rest on the state after any prefix of the
+arrivals being the closure of that prefix.
 
 PRNG contract (frozen under schema_version 1):
 
@@ -57,7 +58,7 @@ import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -391,19 +392,63 @@ def random_permutation(n_items: int, seed: int) -> np.ndarray:
 _BATCHED_MIN_OFFSETS = 16
 
 
+def _arrival_path(offs) -> str:
+    """The arrival loop for the nonzero offsets ``offs``: "batched" or "scalar"."""
+    return "batched" if len(offs) >= _BATCHED_MIN_OFFSETS else "scalar"
+
+
+class _Torus:
+    """Counter-push state on the flat torus.  ``done`` is a numpy view of the
+    bytearray ``infected`` the scalar loop indexes; the checkpoint copies
+    are made on the first save(), so a run that never saves never holds them."""
+
+    def __init__(self, n, r, offs):
+        self.counts = np.zeros(n * n, dtype=np.int32)
+        self.infected = bytearray(n * n)
+        self.done = np.frombuffer(self.infected, dtype=np.uint8)
+        self.saved = None
+        self.r = r
+        self.targets = grid_targets(n, n, offs)
+
+    def grow(self, arrivals, cap) -> int:
+        """Infect the arrivals and their cascade; returns the sites infected.
+
+        ``arrivals`` holds each site once.  Stops once more than ``cap`` are
+        infected, leaving a state only restore() mends.
+        """
+        done = self.done
+        added = 0
+        front = arrivals.compress(done.take(arrivals) == 0)
+        for front in push_generations(self.counts, done, front, self.r, self.targets):
+            added += front.size
+            if added > cap:
+                break
+        return added
+
+    def save(self):
+        if self.saved is None:
+            self.saved = (np.empty_like(self.counts), np.empty_like(self.done))
+        np.copyto(self.saved[0], self.counts)
+        np.copyto(self.saved[1], self.done)
+
+    def restore(self):
+        np.copyto(self.counts, self.saved[0])
+        np.copyto(self.done, self.saved[1])
+
+
 def _run_python(n, r, offs, perm):
     """Arrival loop with incremental cascade; returns (tau, closure_before).
 
     Arrivals and small cascades run as scalar loops.  Once one arrival's
-    cascade has infected more than n sites, _expand finishes it a generation
-    at a time; the result is the same because the infected set after each
-    arrival is the closure of the arrivals so far, whatever order the
-    counter pushes run in.
+    cascade has infected more than n sites, the generation step finishes it
+    on the same state; the result is the same because the infected set
+    after each arrival is the closure of the arrivals so far, whatever
+    order the counter pushes run in.
     """
     n2 = n * n
-    counts_arr = np.zeros(n2, dtype=np.int32)
-    counts = memoryview(counts_arr)
-    infected = bytearray(n2)
+    state = _Torus(n, r, offs)
+    counts = memoryview(state.counts)
+    infected = state.infected
     num = 0
     offsets = [(int(a), int(b)) for a, b in offs]
     deltas = [kx * n + ky for kx, ky in offsets]
@@ -411,7 +456,7 @@ def _run_python(n, r, offs, perm):
     inner = np.zeros((n, n), dtype=np.uint8)  # sites whose neighbours never wrap
     inner[reach:n - reach, reach:n - reach] = 1
     interior = bytearray(inner)
-    stack = []
+    stack = []  # each site at most once: it is pushed when its count reaches r
     push, pop = stack.append, stack.pop
     for t, s in enumerate(memoryview(np.ascontiguousarray(perm, dtype=np.int64))):
         if infected[s]:
@@ -424,7 +469,7 @@ def _run_python(n, r, offs, perm):
                 continue
             if num - prev > n:
                 push(y)
-                num += _expand(n, r, offs, counts_arr, infected, stack)
+                num += state.grow(np.array(stack, dtype=np.int64), n2)
                 stack.clear()
                 break
             infected[y] = 1
@@ -449,43 +494,6 @@ def _run_python(n, r, offs, perm):
     return n2, num
 
 
-class _Checkpointed:
-    """Counter-push state on the flat torus, with one saved copy."""
-
-    def __init__(self, n, r, offs):
-        self.counts = np.zeros(n * n, dtype=np.int32)
-        self.done = np.zeros(n * n, dtype=np.uint8)
-        self.saved = (self.counts.copy(), self.done.copy())
-        self.r = r
-        self.targets = grid_targets(n, n, offs)
-
-    def new(self, arrivals) -> int:
-        """How many of the arrivals are not infected yet."""
-        return arrivals.size - int(np.count_nonzero(self.done.take(arrivals)))
-
-    def grow(self, arrivals, cap) -> int:
-        """Infect the arrivals and their cascade; returns the sites infected.
-
-        Stops once more than ``cap`` are, leaving a state only restore() mends.
-        """
-        done = self.done
-        added = 0
-        front = arrivals.compress(done.take(arrivals) == 0)
-        for front in push_generations(self.counts, done, front, self.r, self.targets):
-            added += front.size
-            if added > cap:
-                break
-        return added
-
-    def save(self):
-        np.copyto(self.saved[0], self.counts)
-        np.copyto(self.saved[1], self.done)
-
-    def restore(self):
-        np.copyto(self.counts, self.saved[0])
-        np.copyto(self.done, self.saved[1])
-
-
 def _run_batched(n, r, offs, perm):
     """Arrivals in batches of n; returns (tau, closure_before).
 
@@ -500,13 +508,14 @@ def _run_batched(n, r, offs, perm):
     """
     n2 = n * n
     perm = np.asarray(perm, dtype=np.int64)
-    state = _Checkpointed(n, r, offs)
+    state = _Torus(n, r, offs)
     num = 0  # infected sites: the closure of perm[:lo]
     lo = 0
     while lo < n2:
         hi = min(lo + n, n2)
         batch = perm[lo:hi]
-        cap = min(n + state.new(batch), n2 - num - 1)
+        new = batch.size - int(np.count_nonzero(state.done.take(batch)))
+        cap = min(n + new, n2 - num - 1)
         state.save()
         added = state.grow(batch, cap)
         if added > cap:
@@ -541,18 +550,6 @@ def _bisect(state, perm, lo, hi, cap):
             lo = mid
             state.save()
     return lo, added
-
-
-def _expand(n, r, offs, counts, infected, pending) -> int:
-    """Finish a cascade from its pending sites, one generation at a time.
-
-    ``counts`` (an array) and ``infected`` (a bytearray) are updated in
-    place; returns the number of sites infected.
-    """
-    done = np.frombuffer(infected, dtype=np.uint8)
-    front = np.unique(np.asarray(pending, dtype=np.int64))
-    front = front[done[front] == 0]
-    return sum(f.size for f in push_generations(counts, done, front, r, grid_targets(n, n, offs)))
 
 
 # ---------------------------------------------------------------------------
@@ -607,20 +604,7 @@ class ProcessRecord:
         ]
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "model": self.model,
-            "n": self.n,
-            "seed": self.seed,
-            "tau": self.tau,
-            "closure_before": self.closure_before,
-            "jump_ratio": self.jump_ratio,
-            "tau_scaled": self.tau_scaled,
-            "wall_ms": self.wall_ms,
-            "perm_ms": self.perm_ms,
-            "cascade_ms": self.cascade_ms,
-            "arrival_path": self.arrival_path,
-        }
+        return {**asdict(self), "jump_ratio": self.jump_ratio, "tau_scaled": self.tau_scaled}
 
 
 def run_once(
@@ -629,16 +613,13 @@ def run_once(
     seed: int,
     model: Optional[str] = None,
     permutation: Optional[Sequence[int]] = None,
-    engine: str = "python",
 ) -> ProcessRecord:
     """One arrival-process run; injecting ``permutation`` bypasses the PRNG.
 
-    ``engine`` must be "python", the only arrival engine.  Neighbourhoods
-    with at least _BATCHED_MIN_OFFSETS nonzero offsets take the batched
-    arrival path, smaller ones the scalar loop; both give the same record.
+    Neighbourhoods with at least _BATCHED_MIN_OFFSETS nonzero offsets take
+    the batched arrival path, smaller ones the scalar loop; both give the
+    same record.
     """
-    if engine != "python":
-        raise ValueError(f"unknown engine {engine!r}; the only engine is 'python'")
     Domain.torus(n).validate_for(nbhd)
     offs = offsets_array(nbhd)
     seed = int(seed) & _MASK
@@ -658,7 +639,7 @@ def run_once(
     else:
         perm = random_permutation(n2, seed)
     drawn = time.perf_counter()
-    path = "batched" if len(offs) >= _BATCHED_MIN_OFFSETS else "scalar"
+    path = _arrival_path(offs)
     run = _run_batched if path == "batched" else _run_python
     tau, closure_before = run(n, nbhd.threshold, offs, perm)
     end = time.perf_counter()
@@ -725,20 +706,6 @@ def summarise(records: Sequence[ProcessRecord],
     return SweepSummary(groups)
 
 
-def default_parallelism() -> int:
-    """Sweep worker threads: ``BPERC_THREADS`` if set, else the CPU count."""
-    env = os.environ.get("BPERC_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"BPERC_THREADS must be a positive integer, got {env!r}")
-    return threads
-
-
 def run_sweep(
     models: Sequence[tuple[str, Neighbourhood]],
     ns: Sequence[int],
@@ -748,33 +715,37 @@ def run_sweep(
     engine: str = "python",
 ) -> tuple[list, SweepSummary]:
     """Cartesian product of models x ns x seed indices; deterministic in the
-    master seed regardless of the parallelism degree."""
+    master seed regardless of the parallelism degree.
+
+    Batched-path runs, mostly numpy calls that release the interpreter lock,
+    go to up to ``parallelism`` threads (default: the CPU count).  Scalar-path
+    runs hold the lock, so they run serially in this thread once the pool has
+    closed.  ``engine`` must be "python", the only arrival engine."""
     if n_seeds < 1:
         raise ValueError("cannot aggregate over zero runs")
     if parallelism is not None and parallelism < 1:
         raise ValueError(f"parallelism must be a positive integer, got {parallelism}")
-    jobs = []
+    if engine != "python":
+        raise ValueError(f"unknown engine {engine!r}; the only engine is 'python'")
+    jobs = {"batched": [], "scalar": []}
     idx = 0
     for name, nbhd in models:
+        path = _arrival_path(offsets_array(nbhd))
         for n in ns:
             for _ in range(n_seeds):
-                jobs.append((idx, name, nbhd, n, derive_run_seed(master_seed, idx)))
+                jobs[path].append((idx, name, nbhd, n, derive_run_seed(master_seed, idx)))
                 idx += 1
-    workers = default_parallelism() if parallelism is None else parallelism
+    results = [None] * idx
 
     def work(job):
         i, name, nbhd, n, seed = job
-        return i, run_once(nbhd, n, seed, model=name, engine=engine)
+        results[i] = run_once(nbhd, n, seed, model=name)
 
-    results = [None] * len(jobs)
-    if workers == 1:
-        for job in jobs:
-            i, rec = work(job)
-            results[i] = rec
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, rec in pool.map(work, jobs):
-                results[i] = rec
+    threads = (os.cpu_count() or 1) if parallelism is None else parallelism
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(work, jobs["batched"]))
+    for job in jobs["scalar"]:
+        work(job)
     return results, summarise(results)
 
 

@@ -35,6 +35,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Integral
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .geometry import (
@@ -312,7 +313,17 @@ class QuasiDroplet:
 
     @staticmethod
     def from_json(obj: dict) -> "QuasiDroplet":
-        return QuasiDroplet.of([((ux, uy), m) for ux, uy, m in obj["constraints"]])
+        """The droplet of {"constraints": [[ux, uy, m], ...]}; a missing or
+        malformed field raises ValueError naming it."""
+        rows = obj.get("constraints") if isinstance(obj, dict) else None
+        if not isinstance(rows, list):
+            raise ValueError("quasi-droplet JSON has no 'constraints' list")
+        for i, row in enumerate(rows):
+            if not (isinstance(row, list) and len(row) == 3
+                    and all(isinstance(v, Integral) and not isinstance(v, bool) for v in row)):
+                raise ValueError(f"quasi-droplet field 'constraints[{i}]' is not an "
+                                 f"integer triple [ux, uy, m]: {row!r}")
+        return QuasiDroplet.of([((ux, uy), m) for ux, uy, m in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,26 @@ def test_missing_domain_exits_2(capsys):
     assert code == 2 and "no domain" in err
 
 
+def test_zero_torus_is_not_a_missing_domain(capsys):
+    code, _, err = run_cli(capsys, "closure", "--model", "square", "--torus", "0",
+                           "--infected", "(0,0)")
+    assert code == 2 and "torus side must be positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", "--model", "square", "--box", "2", "--infected-file", "{dir}"],
+    ["closure", "--model", "square", "--box", "2", "--infected", "(0,0)", "--out", "{dir}"],
+    ["tau", "--model", "square", "--n", "8", "--seed", "1", "--out", "{dir}"],
+    ["sweep", "--models", "square", "--ns", "8", "--seeds", "1", "--out", "{dir}"],
+    ["sweep", "--models", "square", "--ns", "8", "--seeds", "1", "--records-out", "{dir}"],
+], ids=["closure-infected-file", "closure-out", "tau-out", "sweep-out", "sweep-records-out"])
+def test_unusable_path_exits_2(capsys, tmp_path, argv):
+    # a directory where a file is expected: an OSError other than a missing file
+    code, out, err = run_cli(capsys, *[a.format(dir=tmp_path) for a in argv])
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
 def test_bad_site_list_exits_2(capsys):
     code, _, err = run_cli(capsys, "closure", "--model", "square", "--box", "4",
                            "--infected", "0 0 junk")
@@ -153,45 +173,27 @@ def test_sweep_summary_and_records(capsys, tmp_path):
     assert len(rec_path.read_text().splitlines()) == 5
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_sweep_bad_thread_env_exits_2(capsys, monkeypatch, value):
-    monkeypatch.setenv("BPERC_THREADS", value)
-    code, _, err = run_cli(capsys, "sweep", "--models", "square", "--ns", "16",
-                           "--seeds", "2")
-    assert code == 2
-    assert f"BPERC_THREADS must be a positive integer, got {value!r}" in err
-
-
 @pytest.mark.parametrize("value", ["0", "-1"])
-def test_sweep_bad_parallelism_exits_2(capsys, monkeypatch, value):
-    # an explicit --parallelism is checked before the environment is read
-    monkeypatch.setenv("BPERC_THREADS", "abc")
+def test_sweep_bad_parallelism_exits_2(capsys, value):
     code, _, err = run_cli(capsys, "sweep", "--models", "square", "--ns", "16",
                            "--seeds", "2", "--parallelism", value)
     assert code == 2
     assert f"error: parallelism must be a positive integer, got {value}" in err
 
 
-def test_bad_thread_env_leaves_other_subcommands_alone(capsys, monkeypatch):
-    monkeypatch.setenv("BPERC_THREADS", "abc")
-    code, out, _ = run_cli(capsys, "closure", "--model", "square", "--box", "2",
-                           "--infected", "(0,0)")
-    assert code == 0 and "# infected=1" in out
-    with pytest.raises(SystemExit) as e:
-        main(["--version"])
-    assert e.value.code == 0
-
-
-def test_sweep_deterministic_across_parallelism(capsys):
-    outs = []
-    for par in ("1", "3"):
-        _, out, _ = run_cli(capsys, "sweep", "--models", "square", "--ns", "16",
-                            "--seeds", "6", "--master-seed", "2",
-                            "--parallelism", par)
-        obj = json.loads(out)
-        del obj["config"]["parallelism"]
-        outs.append(obj["summary"])
-    assert outs[0] == outs[1]
+def test_sweep_deterministic_across_parallelism(capsys, tmp_path):
+    # square and diamond take the scalar path, square4 the batched one
+    outs, rows = [], []
+    for par in ("1", "2", "4"):
+        csv_path = tmp_path / f"runs{par}.csv"
+        _, out, _ = run_cli(capsys, "sweep", "--models", "square,square4,diamond",
+                            "--ns", "16", "--seeds", "4", "--master-seed", "2",
+                            "--parallelism", par, "--records-out", str(csv_path))
+        outs.append(json.loads(out)["summary"])
+        # every column but wall_ms, the last
+        rows.append([line.rsplit(",", 1)[0] for line in csv_path.read_text().splitlines()])
+    assert outs[0] == outs[1] == outs[2]
+    assert rows[0] == rows[1] == rows[2] and len(rows[0]) == 13
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +280,13 @@ def test_droplets_union_matches_closure(capsys):
     assert obj["union_size"] == 5
 
 
+OCTAGON = {"constraints": [[1, 0, 20], [0, 1, 20], [-1, 0, 0], [0, -1, 0],
+                           [1, 1, 35], [-1, 1, 15], [-1, -1, -5], [1, -1, 15]]}
+
+
 def test_extend_trace_output(capsys, tmp_path):
     droplet = tmp_path / "droplet.json"
-    droplet.write_text(json.dumps({
-        "constraints": [[1, 0, 20], [0, 1, 20], [-1, 0, 0], [0, -1, 0],
-                        [1, 1, 35], [-1, 1, 15], [-1, -1, -5], [1, -1, 15]],
-    }))
+    droplet.write_text(json.dumps(OCTAGON))
     aprime = tmp_path / "aprime.json"
     aprime.write_text("[]")
     code, out, _ = run_cli(capsys, "extend", "--model", "square",
@@ -294,6 +297,25 @@ def test_extend_trace_output(capsys, tmp_path):
     assert json.loads(lines[-1])["status"] in ("stalled", "exited", "step_limit")
     counts = [json.loads(l)["lattice_points"] for l in lines[:-1]]
     assert counts == sorted(counts)
+
+
+@pytest.mark.parametrize("droplet, a_prime, message", [
+    ({}, [], "no 'constraints' list"),
+    ({"constraints": [[1, 0]]}, [], "'constraints[0]' is not an integer triple"),
+    (OCTAGON, {"x": 1}, "--a-prime is not a JSON list of [x, y] integer pairs"),
+    (OCTAGON, [[21, 0, 1]], "--a-prime is not a JSON list of [x, y] integer pairs"),
+    (OCTAGON, [[21, 0.5]], "--a-prime is not a JSON list of [x, y] integer pairs"),
+], ids=["no-constraints", "short-constraint", "a-prime-object", "a-prime-triple",
+        "a-prime-float"])
+def test_extend_bad_input_exits_2(capsys, tmp_path, droplet, a_prime, message):
+    droplet_path, a_prime_path = tmp_path / "droplet.json", tmp_path / "aprime.json"
+    droplet_path.write_text(json.dumps(droplet))
+    a_prime_path.write_text(json.dumps(a_prime))
+    code, out, err = run_cli(capsys, "extend", "--model", "square",
+                             "--droplet", str(droplet_path), "--a-prime", str(a_prime_path),
+                             "--big-c", "27", "--stop-bound", "200")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and message in err
 
 
 def test_extend_counts_match_row_oracle(capsys, tmp_path):

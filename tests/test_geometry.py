@@ -417,6 +417,19 @@ def test_count_at_locates_arcs(named_models):
     assert not rep.is_stable(Direction(1, -1))
 
 
+def test_count_at_without_breakpoints():
+    # only the origin: no breakpoint, one arc around the whole circle
+    origin = build_neighbourhood(NeighbourhoodSpec.explicit([(0, 0)], "critical"))
+    with pytest.warns(ModelWarning):
+        tiny = build_neighbourhood(NeighbourhoodSpec.lp_ball(2, "1/2"))
+    assert tiny.offsets == origin.offsets
+    for nb in (origin, tiny):
+        rep = stability_report(nb)
+        assert nb.threshold == 1 and len(rep.entries) == 1
+        for u in (Direction(1, 0), Direction(-3, 2), Direction(0, -1)):
+            assert rep.count_at(u) == 0 and rep.is_stable(u)
+
+
 # ---------------------------------------------------------------------------
 # Quasi-stable directions
 # ---------------------------------------------------------------------------

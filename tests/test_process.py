@@ -499,13 +499,13 @@ def test_run_python_matches_reference_run(monkeypatch, spec, n, order, handoff, 
     nbhd = build_neighbourhood(spec)
     offs = offsets_array(nbhd)
     expansions = []
-    expand = process._expand
+    grow = process._Torus.grow
 
     def counted(*args):
         expansions.append(True)
-        return expand(*args)
+        return grow(*args)
 
-    monkeypatch.setattr(process, "_expand", counted)
+    monkeypatch.setattr(process._Torus, "grow", counted)
     for perm in _oracle_orders(n, order):
         assert _run_python(n, nbhd.threshold, offs, perm) == reference_run(
             n, nbhd.threshold, offs, perm)
@@ -732,29 +732,73 @@ def test_run_once_rejects_permutation_off_the_torus(square):
 
 
 def test_run_once_rejects_bad_engine(square):
+    # run_once has no engine knob; run_sweep keeps one that takes "python" only
+    with pytest.raises(TypeError, match="engine"):
+        run_once(square, 8, 0, engine="python")
     for engine in ("fortran", "numba"):
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_once(square, 8, 0, engine=engine)
         with pytest.raises(ValueError, match="unknown engine"):
             run_sweep([("square", square)], [8], 2, parallelism=2, engine=engine)
 
 
-def test_sweep_deterministic_across_parallelism(square):
-    models = [("square", square)]
+def _mixed_models():
+    return [(name, build_neighbourhood(NeighbourhoodSpec.named(name)))
+            for name in ("square", "square4", "diamond")]
+
+
+def test_sweep_deterministic_across_parallelism():
     runs = {}
-    for workers in (1, 4):
-        records, _ = run_sweep(models, [16, 24], 10, master_seed=31,
+    for workers in (1, 2, 4):
+        records, _ = run_sweep(_mixed_models(), [16, 24], 4, master_seed=31,
                                parallelism=workers)
-        runs[workers] = [(r.model, r.n, r.seed, r.tau, r.closure_before)
+        runs[workers] = [(r.model, r.n, r.seed, r.tau, r.closure_before, r.arrival_path)
                          for r in records]
-    assert runs[1] == runs[4]
+    assert {path for *_, path in runs[1]} == {"scalar", "batched"}
+    assert runs[1] == runs[2] == runs[4]
 
 
-def test_sweep_thread_env_override(square, monkeypatch):
-    monkeypatch.setenv("BPERC_THREADS", "2")
-    records, summary = run_sweep([("square", square)], [16], 5, master_seed=1)
-    assert len(records) == 5
-    assert ("square", 16) in summary.groups
+def test_sweep_runs_the_scalar_path_on_the_calling_thread(monkeypatch):
+    # scalar runs hold the interpreter lock, so they run serially in the
+    # caller once the pool has closed; batched runs go to the pool threads
+    caller, before = threading.get_ident(), set(threading.enumerate())
+    seen = {"scalar": [], "batched": []}
+
+    def spy(path, run):
+        def spied(*args):
+            seen[path].append((threading.get_ident(), set(threading.enumerate())))
+            return run(*args)
+        monkeypatch.setattr(process, run.__name__, spied)
+
+    spy("scalar", process._run_python)
+    spy("batched", process._run_batched)
+    run_sweep(_mixed_models(), [16], 3, master_seed=5, parallelism=2)
+    assert len(seen["scalar"]) == 6 and len(seen["batched"]) == 3
+    assert all(ident == caller and threads == before for ident, threads in seen["scalar"])
+    assert all(ident != caller for ident, _ in seen["batched"])
+
+
+def test_torus_state_shares_the_scalar_loops_bytes():
+    state = process._Torus(8, 2, offsets_array(build_neighbourhood(SQUARE)))
+    state.done[[3, 9]] = 1
+    assert state.infected[3] == state.infected[9] == 1 and sum(state.infected) == 2
+    assert state.saved is None  # no checkpoint copies before the first save
+    state.save()
+    state.infected[4] = 1
+    state.counts[4] = 7
+    state.restore()
+    assert state.infected[4] == 0 and state.counts[4] == 0 and state.infected[3] == 1
+
+
+def test_scalar_runs_take_no_checkpoint(square, monkeypatch):
+    states = []
+    init = process._Torus.__init__
+
+    def kept(self, *args):
+        init(self, *args)
+        states.append(self)
+
+    monkeypatch.setattr(process._Torus, "__init__", kept)
+    run_once(square, 24, 3)
+    assert len(states) == 1 and states[0].saved is None
 
 
 @pytest.mark.parametrize("parallelism", [0, -1])

@@ -269,6 +269,20 @@ def test_json_round_trip():
     assert QuasiDroplet.from_json(qd.to_json()).constraints == qd.constraints
 
 
+@pytest.mark.parametrize("obj, field", [
+    ({}, "no 'constraints' list"),
+    ([[1, 0, 2]], "no 'constraints' list"),
+    ({"constraints": {"1,0": 2}}, "no 'constraints' list"),
+    ({"constraints": [[1, 0, 2], [0, 1]]}, r"'constraints\[1\]' is not an integer triple"),
+    ({"constraints": [[1, 0, 2.5]]}, r"'constraints\[0\]' is not an integer triple"),
+    ({"constraints": [[True, 0, 2]]}, r"'constraints\[0\]' is not an integer triple"),
+    ({"constraints": ["1,0,2"]}, r"'constraints\[0\]' is not an integer triple"),
+])
+def test_from_json_names_the_bad_field(obj, field):
+    with pytest.raises(ValueError, match=field):
+        QuasiDroplet.from_json(obj)
+
+
 @st.composite
 def constraint_subsets(draw):
     """A random subset of Q(1)..Q(4), levelled a few steps around the
