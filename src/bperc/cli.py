@@ -29,7 +29,7 @@ from .process import (
     run_sweep,
 )
 from .quasidroplets import ExtensionParams, QuasiDroplet, extension_algorithm
-from .scenarios import ScenarioError, load_scenario, run_scenario
+from .scenarios import ScenarioError, _plain_sites, load_scenario, run_scenario
 
 
 class UsageError(ValueError):
@@ -102,9 +102,7 @@ def _read_infected(args) -> list:
 def _json_sites(text: str, flag: str) -> list:
     """The sites of a JSON list of [x, y] integer pairs, as tuples."""
     sites = json.loads(text)
-    if not isinstance(sites, list) or not all(
-            isinstance(s, list) and len(s) == 2 and all(type(v) is int for v in s)
-            for s in sites):
+    if not _plain_sites(sites):
         raise UsageError(f"{flag} is not a JSON list of [x, y] integer pairs")
     return [tuple(s) for s in sites]
 

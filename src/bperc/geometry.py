@@ -5,10 +5,13 @@ cross-product comparisons; no floating point is used for any decision.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterable, Optional, Sequence, Union
 
 Site = tuple[int, int]
@@ -291,6 +294,10 @@ def build_neighbourhood(spec: NeighbourhoodSpec) -> Neighbourhood:
 
 
 def _with_explicit_threshold(offsets: frozenset, r, name: str) -> Neighbourhood:
+    # an integral float passes: the scenario schema types 2.0 as an integer
+    if isinstance(r, bool) or not (isinstance(r, Integral)
+                                   or isinstance(r, float) and r.is_integer()):
+        raise ValueError(f"threshold must be an integer or 'critical', got {r!r}")
     r = int(r)
     nbhd = Neighbourhood(offsets, r, name)
     if r < 2:
@@ -462,23 +469,15 @@ class StabilityReport:
         return tuple(runs)
 
     def count_at(self, u: Direction) -> int:
-        if len(self.entries) == 1:  # no breakpoints: one arc is the whole circle
-            return self.entries[0].count
-        for e in self.entries:
-            if e.kind == "point" and e.start == u:
-                return e.count
-        # u lies strictly inside some arc; locate it by angular order
-        for e in self.entries:
-            if e.kind != "arc":
-                continue
-            if angular_cmp(e.start, u) < 0 and angular_cmp(u, e.end) < 0:
-                return e.count
-        # the arc wrapping past (1,0)
-        for e in self.entries:
-            if e.kind == "arc" and angular_cmp(e.end, e.start) < 0:
-                if angular_cmp(e.start, u) < 0 or angular_cmp(u, e.end) < 0:
-                    return e.count
-        raise ValueError(f"direction {u} not located in sweep")
+        """The count at u: its breakpoint's, or that of the arc it lies on,
+        the arc after the last breakpoint at or before u (before the first
+        one, the arc that wraps past (1,0))."""
+        key = functools.cmp_to_key(angular_cmp)
+        points = self.entries[0::2]  # without breakpoints, the one arc
+        i = bisect.bisect_right(points, key(u), key=lambda e: key(e.start))
+        if i and points[i - 1].start == u:
+            return points[i - 1].count
+        return self.entries[(2 * i - 1) % len(self.entries)].count
 
     def is_stable(self, u: Direction) -> bool:
         return self.count_at(u) < self.threshold

@@ -32,26 +32,27 @@ PRNG contract (frozen under schema_version 1):
   run_index), run_index enumerating the model/n/seed grid row-major.
 
 The contract is this scalar definition; the test suite keeps it as a literal
-loop and checks the engine against it.  The engine produces the same stream
-faster: K lanes start 2^m steps apart (jump-ahead by powers of the GF(2)
-transition matrix, Blackman & Vigna, ACM TOMS 2021), are stepped together as
-uint64 vectors and concatenated into the first K * 2^m raw outputs.  Each
-power T^(2^j) is a cached table of 64 x 16 nibble images (32 KiB), built
-from the one before on first use; a jump is 64 table lookups XORed
-together, done for a whole array of states at once, and the lane starts
-come by doubling: lanes [h, 2h) are lanes [0, h) moved on by T^(h 2^m).
-The draws are mapped as vectors, only raw >= 2^64 - n^2 are checked for
-rejection one by one, and a rejection shifts the later draws along the
-stream.  The swaps are not replayed one by one either: a sort of the
-(draw, step) pairs and pointer jumping give every final position at once
-(``_fisher_yates``).
+loop (``Xoshiro256StarStar`` in tests/test_process.py) and checks the engine
+against it.  The engine produces the same stream faster: K lanes start 2^m
+steps apart (jump-ahead by powers of the GF(2) transition matrix, Blackman &
+Vigna, ACM TOMS 2021), are stepped together as uint64 vectors and
+concatenated into the first K * 2^m raw outputs.  Each power T^(2^j) is a
+cached table of 64 x 16 nibble images (32 KiB), built from the one before on
+first use; a jump is 64 table lookups XORed together, done for a whole array
+of states at once, and the lane starts come by doubling: lanes [h, 2h) are
+lanes [0, h) moved on by T^(h 2^m).  The draws are mapped as vectors, only
+raw >= 2^64 - n^2 are checked for rejection one by one, and a rejection
+shifts the later draws along the stream; the lanes' outputs are the scalar
+stream in order whatever their count, so when the rejections use up the
+spare outputs the draws are taken again from a longer prefix.  The swaps are
+not replayed one by one either: a sort of the (draw, step) pairs and pointer
+jumping give every final position at once (``_fisher_yates``).
 """
 from __future__ import annotations
 
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -83,7 +84,7 @@ def _rejects(r: int, b: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Scalar PRNG (the definition the lane stream reproduces)
+# Seeding: SplitMix64
 # ---------------------------------------------------------------------------
 
 
@@ -105,40 +106,6 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
     frozen; collision-free streams need a new schema version."""
     out, _ = splitmix64((master_seed ^ run_index) & _MASK)
     return out
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK
-
-
-class Xoshiro256StarStar:
-    """Reference implementation; state seeded from SplitMix64."""
-
-    def __init__(self, seed: int):
-        s = []
-        state = seed & _MASK
-        for _ in range(4):
-            out, state = splitmix64(state)
-            s.append(out)
-        self.s = s
-
-    @classmethod
-    def from_state(cls, state: Sequence[int]) -> "Xoshiro256StarStar":
-        rng = cls.__new__(cls)
-        rng.s = [int(w) & _MASK for w in state]
-        return rng
-
-    def next_raw(self) -> int:
-        s = self.s
-        result = (_rotl((s[1] * 5) & _MASK, 7) * 9) & _MASK
-        t = (s[1] << 17) & _MASK
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +201,20 @@ def _lane_starts(state: Sequence[int], m: int, lanes: int) -> np.ndarray:
     return starts
 
 
-def _lane_stream(seed: int, n_raw: int) -> tuple:
-    """The first K * 2^m >= n_raw raw outputs of the seed's stream.
-
-    Returns (raw, state): raw holds the outputs as a uint64 array in stream
-    order, and state is the generator state after the last of them.
-    """
+def _lane_stream(seed: int, n_raw: int) -> np.ndarray:
+    """The first K * 2^m >= n_raw raw outputs of the seed's stream, in
+    stream order, as a uint64 array."""
+    state, z = [], seed & _MASK
+    for _ in range(4):
+        out, z = splitmix64(z)
+        state.append(out)
     # A lane step is ten numpy calls and a lane start a share of one table
     # product; lanes of about sqrt(n_raw) / 2 steps were the fastest at
     # n_raw = 192^2 to 2048^2.
     m = max(0, (math.isqrt(n_raw) // 2).bit_length() - 1)
     steps = 1 << m
     lanes = max(1, -(-n_raw // steps))
-    s0, s1, s2, s3 = _lane_starts(Xoshiro256StarStar(seed).s, m, lanes)
+    s0, s1, s2, s3 = _lane_starts(state, m, lanes)
     t = np.empty(lanes, dtype=np.uint64)
     raw = np.empty((lanes, steps), dtype=np.uint64)
     for j in range(steps):
@@ -264,32 +232,31 @@ def _lane_stream(seed: int, n_raw: int) -> tuple:
         block <<= 7
         block |= hi
         block *= 9
-    # the last lane ends where the stream after the last output starts
-    return raw, [int(s0[-1]), int(s1[-1]), int(s2[-1]), int(s3[-1])]
+    return raw
 
 
-def _bounded_draws(raw: np.ndarray, top: int, more) -> np.ndarray:
-    """Bounded draws below top, top - 1, ..., one per element of ``raw``.
+def _bounded_draws(raw: np.ndarray, top: int, count: int) -> Optional[np.ndarray]:
+    """The first ``count`` bounded draws below top, top - 1, ... from the
+    uint64 raw stream ``raw``, or None when ``raw`` is too short for them.
 
-    ``raw`` is the uint64 raw stream the draws consume in order, and
-    ``more()`` returns the raw output after the last one handed over so far.
-    A rejected raw draw shifts every later draw one place down the stream.
+    A rejected raw draw shifts every later draw one place down the stream:
+    the output at j, after ``rejected`` rejections, is draw j - rejected.
     Only raw >= 2^64 - top can be rejected, so only those are checked one by
     one; a real rejection has probability below top / 2^64 per draw.
     """
-    k = 0  # draws before k are final
-    while True:
-        near_top = np.flatnonzero(raw[k:] > _MASK - top).tolist()
-        rejected = next(
-            (k + c for c in near_top if _rejects(int(raw[k + c]), top - k - c)), None
-        )
-        if rejected is None:
+    rejected = []
+    for j in np.flatnonzero(raw > _MASK - top).tolist():
+        d = j - len(rejected)
+        if d >= count:
             break
-        tail = np.array([more()], dtype=np.uint64)
-        raw = np.concatenate((raw[:rejected], raw[rejected + 1:], tail))
-        k = rejected
-    draws = np.arange(top, top - raw.size, -1, dtype=np.uint64)
-    np.remainder(raw, draws, out=draws)
+        if _rejects(int(raw[j]), top - d):
+            rejected.append(j)
+    if rejected:
+        raw = np.delete(raw, rejected)
+    if raw.size < count:
+        return None
+    draws = np.arange(top, top - count, -1, dtype=np.uint64)
+    np.remainder(raw[:count], draws, out=draws)
     return draws.view(np.int64)
 
 
@@ -298,10 +265,13 @@ def _swap_draws(n_items: int, seed: int) -> np.ndarray:
 
     Element j is the draw of step n_items - 1 - j, a bound of n_items - j.
     """
-    raw, state = _lane_stream(seed & _MASK, n_items - 1)
-    tail = Xoshiro256StarStar.from_state(state)
-    more = itertools.chain(raw[n_items - 1:].tolist(), iter(tail.next_raw, None))
-    return _bounded_draws(raw[: n_items - 1], n_items, more.__next__)
+    n_raw = n_items - 1
+    while True:
+        raw = _lane_stream(seed, n_raw)
+        draws = _bounded_draws(raw, n_items, n_items - 1)
+        if draws is not None:
+            return draws
+        n_raw = raw.size + 1  # the rejections used up the spare outputs
 
 
 def _fisher_yates(draws: np.ndarray, n_items: int) -> np.ndarray:

@@ -181,6 +181,8 @@ class QuasiDroplet:
         for u, m in (constraints.items() if isinstance(constraints, dict) else constraints):
             if not isinstance(u, Direction):
                 u = Direction.of(*u)
+            if not isinstance(m, Integral) or isinstance(m, bool):
+                raise ValueError(f"quasi-droplet level of {u} is not an integer: {m!r}")
             m = int(m)
             items[u] = min(m, items[u]) if u in items else m
         ordered = tuple((u, items[u]) for u in sort_by_angle(items))

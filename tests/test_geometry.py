@@ -1,3 +1,4 @@
+import functools
 import math
 import pickle
 import random
@@ -5,12 +6,14 @@ import re
 from fractions import Fraction
 from functools import cmp_to_key
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bperc.geometry import (
     Direction,
+    NAMED_MODELS,
     ModelWarning,
     Neighbourhood,
     NeighbourhoodSpec,
@@ -208,6 +211,26 @@ def test_explicit_threshold_validation():
         )
     with pytest.raises(ValueError):
         build_neighbourhood(NeighbourhoodSpec.explicit([(1, 0), (0, 1)], 1))
+
+
+VON_NEUMANN = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+@pytest.mark.parametrize("spec", [
+    NeighbourhoodSpec.explicit(VON_NEUMANN, 2.9),
+    NeighbourhoodSpec.explicit(VON_NEUMANN, "3"),
+    NeighbourhoodSpec.explicit(VON_NEUMANN, True),
+    NeighbourhoodSpec.lp_ball(2, 3, 5.5),
+])
+def test_explicit_threshold_is_not_truncated(spec):
+    with pytest.raises(ValueError, match="threshold must be an integer"):
+        build_neighbourhood(spec)
+
+
+@pytest.mark.parametrize("r", [3, np.int64(3), 3.0])
+def test_explicit_threshold_takes_integral_values(r):
+    nbhd = build_neighbourhood(NeighbourhoodSpec.explicit(VON_NEUMANN, r))
+    assert nbhd.threshold == 3 and type(nbhd.threshold) is int
 
 
 def test_explicit_critical_requires_symmetry():
@@ -415,6 +438,29 @@ def test_count_at_locates_arcs(named_models):
     assert rep.is_stable(Direction(1, 1))
     assert not rep.is_stable(Direction(2, 1))
     assert not rep.is_stable(Direction(1, -1))
+
+
+COUNT_AT_SPECS = [NeighbourhoodSpec.named(name) for name in NAMED_MODELS] + [
+    NeighbourhoodSpec.lp_ball(p, s) for p in ("1", "2", "inf") for s in ("2", "7/2")
+] + [
+    NeighbourhoodSpec.explicit([(1, 0), (2, 1), (0, 3), (-1, 1), (3, -2)], 2),
+    NeighbourhoodSpec.explicit([(0, 0)], "critical"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _count_at_case(i):
+    nb = build_neighbourhood(COUNT_AT_SPECS[i])
+    return nb, stability_report(nb), breakpoint_directions(nb.offsets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(i=st.integers(0, len(COUNT_AT_SPECS) - 1), data=st.data())
+def test_count_at_is_the_negative_count(i, data):
+    nb, rep, bps = _count_at_case(i)
+    # breakpoints, where the count differs from both arcs, and any direction
+    u = data.draw(st.sampled_from(bps) | _directions if bps else _directions)
+    assert rep.count_at(u) == negative_count(nb.offsets, u)
 
 
 def test_count_at_without_breakpoints():

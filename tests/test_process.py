@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bperc import process
@@ -16,7 +16,6 @@ from bperc.dynamics import Domain, closure, offsets_array
 from bperc.geometry import NeighbourhoodSpec, build_neighbourhood
 from bperc.process import (
     CSV_COLUMNS,
-    Xoshiro256StarStar,
     _bounded_draws,
     _fisher_yates,
     _lane_stream,
@@ -51,7 +50,36 @@ def row_major_permutation(n):
 # ---------------------------------------------------------------------------
 
 U64 = 1 << 64
+MASK = U64 - 1
 EDGE_SEEDS = (0, (1 << 63) + 5, U64 - 1)
+
+
+def _rotl(x, k):
+    return ((x << k) | (x >> (64 - k))) & MASK
+
+
+class Xoshiro256StarStar:
+    """The v1 stream generator as the contract states it, one output at a
+    time: xoshiro256** on a state of four SplitMix64 outputs of the seed."""
+
+    def __init__(self, seed):
+        self.s = []
+        state = seed & MASK
+        for _ in range(4):
+            out, state = splitmix64(state)
+            self.s.append(out)
+
+    def next_raw(self):
+        s = self.s
+        result = (_rotl((s[1] * 5) & MASK, 7) * 9) & MASK
+        t = (s[1] << 17) & MASK
+        s[2] ^= s[0]
+        s[3] ^= s[1]
+        s[1] ^= s[2]
+        s[0] ^= s[3]
+        s[2] ^= t
+        s[3] = _rotl(s[3], 45)
+        return result
 
 
 def reference_bounded(next_raw, b):
@@ -110,11 +138,10 @@ def test_permutation_matches_scalar_reference(n_items, seed):
 @pytest.mark.parametrize("n_raw", [1, 2, 3, 15, 16, 17, 255, 256, 257, 4097, 70000])
 def test_lane_stream_matches_next_raw(n_raw):
     for seed in EDGE_SEEDS:
-        raw, state = _lane_stream(seed, n_raw)
+        raw = _lane_stream(seed, n_raw)
         rng = Xoshiro256StarStar(seed)
         assert raw.size >= n_raw
         assert raw.tolist() == [rng.next_raw() for _ in range(raw.size)]
-        assert [int(w) for w in state] == rng.s
 
 
 # The jump-ahead as a 256 x 256 GF(2) matrix on Python ints: column j is
@@ -143,7 +170,8 @@ def reference_jump_columns(max_m):
     with next_raw and each power by squaring the one before."""
     cols = []
     for j in range(256):
-        rng = Xoshiro256StarStar.from_state(_unpack(1 << j))
+        rng = Xoshiro256StarStar(0)
+        rng.s = _unpack(1 << j)
         rng.next_raw()
         cols.append(_pack(rng.s))
     powers = [cols]
@@ -226,26 +254,59 @@ def test_rejection_rule_on_top_draws(r, b):
     assert _rejects(r, b) == expect
 
 
-def _draws_against_reference(stream, top, n_draws):
-    """_bounded_draws on the head of ``stream`` vs the scalar rule on all of it."""
-    rest = iter(stream[n_draws:])
-    got = _bounded_draws(np.array(stream[:n_draws], dtype=np.uint64), top, rest.__next__)
+def reference_draws(stream, top, n_draws):
+    """The scalar rule's first n_draws draws from ``stream``, or None when
+    the stream runs out first."""
     it = iter(stream)
-    want = [reference_bounded(it.__next__, top - d) for d in range(n_draws)]
-    assert got.tolist() == want
+    try:
+        return [reference_bounded(it.__next__, top - d) for d in range(n_draws)]
+    except StopIteration:
+        return None
+
+
+def _draws(stream, top, n_draws):
+    got = _bounded_draws(np.array(stream, dtype=np.uint64), top, n_draws)
+    return None if got is None else got.tolist()
+
+
+# bounds 6, 5, 4, 3, 2: 2^64 mod b is 4, 1, 0, 1, 0
+REALIGN_STREAM = [
+    U64 - 1, U64 - 4, U64 - 5,  # b=6: two rejections, then accepted
+    U64 - 1, 7,                 # b=5: one rejection
+    U64 - 1,                    # b=4: a power of two rejects nothing
+    U64 - 1, U64 - 2,           # b=3: one rejection
+    U64 - 1,                    # b=2
+    11, 12, 13,                 # never consumed
+]
 
 
 def test_bounded_draws_realign_after_rejections():
-    # bounds 6, 5, 4, 3, 2: 2^64 mod b is 4, 1, 0, 1, 0
-    stream = [
-        U64 - 1, U64 - 4, U64 - 5,  # b=6: two rejections, then accepted
-        U64 - 1, 7,                 # b=5: one rejection
-        U64 - 1,                    # b=4: a power of two rejects nothing
-        U64 - 1, U64 - 2,           # b=3: one rejection
-        U64 - 1,                    # b=2
-        11, 12, 13,                 # never consumed
-    ]
-    _draws_against_reference(stream, 6, 5)
+    want = [(U64 - 5) % 6, 7 % 5, (U64 - 1) % 4, (U64 - 2) % 3, (U64 - 1) % 2]
+    assert reference_draws(REALIGN_STREAM, 6, 5) == want
+    # the five draws take nine outputs: the spare ones and a prefix just
+    # long enough give the draws, a shorter prefix gives None
+    for size in (12, 10, 9):
+        assert _draws(REALIGN_STREAM[:size], 6, 5) == want
+    assert _draws(REALIGN_STREAM[:8], 6, 5) is None
+
+
+def test_bounded_draws_stop_at_count(monkeypatch):
+    # bounds 3, 2 take the first two outputs; every output after them is
+    # near 2^64 but is no draw, so none of them is checked for rejection
+    checked = []
+
+    def spy(r, b):
+        checked.append(b)
+        return _rejects(r, b)
+
+    monkeypatch.setattr(process, "_rejects", spy)
+    got = _draws([5, 6, U64 - 2, U64 - 2, U64 - 1], 3, 2)
+    assert got == [5 % 3, 6 % 2]
+    assert checked == []
+    # a rejection among the draws moves the stop one output on
+    got = _draws([U64 - 1, 5, 6, U64 - 2, U64 - 1], 3, 2)
+    assert got == [5 % 3, 6 % 2]
+    assert checked == [3]
 
 
 @settings(max_examples=80, deadline=None)
@@ -253,19 +314,30 @@ def test_bounded_draws_realign_after_rejections():
     top=st.integers(2, 12),
     values=st.lists(
         st.one_of(st.integers(U64 - 12, U64 - 1), st.integers(0, U64 - 1)),
-        min_size=40,
+        min_size=0,
         max_size=40,
     ),
 )
 def test_bounded_draws_match_scalar_rule(top, values):
-    # values near 2^64 make rejections common
-    it = iter(values)
-    try:
-        for d in range(top - 1):
-            reference_bounded(it.__next__, top - d)
-    except StopIteration:
-        assume(False)  # too many rejections for the 40 values drawn
-    _draws_against_reference(values, top, top - 1)
+    # values near 2^64 make rejections common; too many for the values
+    # drawn must give None
+    assert _draws(values, top, top - 1) == reference_draws(values, top, top - 1)
+
+
+@pytest.mark.parametrize("chunk, calls", [(16, [5]), (4, [5, 9]), (1, [5, 6, 7, 8, 9])])
+def test_swap_draws_take_a_longer_prefix_after_rejections(monkeypatch, chunk, calls):
+    # a lane stream of ``chunk``-sized lanes over REALIGN_STREAM: every
+    # call returns a prefix of the same stream, at least n_raw long
+    asked = []
+
+    def lane_stream(seed, n_raw):
+        asked.append(n_raw)
+        assert len(asked) <= 10, "the retries do not lengthen the prefix"
+        return np.array(REALIGN_STREAM[: -(-n_raw // chunk) * chunk], dtype=np.uint64)
+
+    monkeypatch.setattr(process, "_lane_stream", lane_stream)
+    assert _swap_draws(6, 0).tolist() == reference_draws(REALIGN_STREAM, 6, 5)
+    assert asked == calls
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +426,7 @@ def test_lane_stream_scrambles_without_a_second_stream():
     _lane_stream(1, n_raw)  # builds the jump-ahead tables
     tracemalloc.start()
     try:
-        raw, _ = _lane_stream(2, n_raw)
+        raw = _lane_stream(2, n_raw)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

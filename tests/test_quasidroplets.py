@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -281,6 +282,19 @@ def test_json_round_trip():
 def test_from_json_names_the_bad_field(obj, field):
     with pytest.raises(ValueError, match=field):
         QuasiDroplet.from_json(obj)
+
+
+@pytest.mark.parametrize("level", [2.7, 3.0, "3", True])
+def test_of_rejects_non_integer_levels(level):
+    cons = {(1, 0): 5, (0, 1): 5, (-1, 0): 0, (0, -1): level}
+    with pytest.raises(ValueError, match="level of .* is not an integer"):
+        QuasiDroplet.of(cons)
+
+
+def test_of_takes_numpy_integer_levels():
+    qd = QuasiDroplet.of({(1, 0): np.int64(5), (0, 1): 5, (-1, 0): 0, (0, -1): 0})
+    assert type(qd.level(Direction(1, 0))) is int
+    assert qd == QuasiDroplet.of({(1, 0): 5, (0, 1): 5, (-1, 0): 0, (0, -1): 0})
 
 
 @st.composite
