@@ -6,7 +6,11 @@ Two engines compute the same thing:
   arrays, one synchronous generation at a time by ``push_generations``,
   the cascade step the arrival process in ``bperc.process`` shares (its
   scalar loop hands large cascades to it, its batched path sends every
-  batch of arrivals through it), and
+  batch of arrivals through it).  Each round takes the cheaper of two
+  branches with the same result: a sparse one that lists every push, and
+  a dense one that counts the pushes per row run of the offsets with a
+  difference array and one cumulative sum, whose cost hardly grows with
+  |K*| (``grid_targets`` picks by the cost rule), and
 * ``closure_synchronous``, iterated whole-grid neighbour counts (numpy
   shifts): the independent oracle the tests check ``closure`` against.
 
@@ -16,6 +20,7 @@ neighbours, never "1 + max over chosen parents".
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -170,17 +175,113 @@ def offsets_array(nbhd: Neighbourhood) -> np.ndarray:
     return np.asarray(offs, dtype=np.int64).reshape(-1, 2)
 
 
+# The cost rule of the generation step, in pushed targets of the sparse
+# branch: a dense round costs about _DENSE_CELL_COST per cell of the grid,
+# plus _DENSE_RUN_COST per front site and row run, plus _DENSE_ROUND_COST
+# for the numpy calls it makes beyond the sparse round's, and runs when
+# that is less than front * |K*|.  Both branches were timed on the same
+# 346 rounds of real runs (lp balls, square, square4, boxtimes and diamond;
+# n = 128 to 384; BENCH_dense_row_runs.json, "rounds"; 2-vCPU VM).  A
+# least-squares fit gives 14 ns per pushed target, 8 ns per cell and 7 ns
+# per front site and run; on grids of 16 to 64 cells a side a dense round
+# takes about 10 us more than a sparse one with as few pushes.  The run
+# cost is set above the fit so that small neighbourhoods, whose many runs
+# per offset the fit prices worst, stay sparse.  The rounds the rule picks
+# take 0.2% longer in all than the faster branch of each, and 8% longer in
+# the worst case (a boxtimes fill).  The largest square4 fronts at n = 192
+# (690 sites over 60 seeds, where dense starts at 861) stay sparse.
+_DENSE_CELL_COST = 0.5
+_DENSE_RUN_COST = 2
+_DENSE_ROUND_COST = 512
+
+
+@functools.lru_cache(maxsize=64)
+def _row_runs(key: bytes):
+    """The runs of consecutive dy, per dx, in the pushed offsets: -k for k
+    in K*, and the origin, which joins the run it would split (a pusher is
+    done, so nothing reads the push onto itself).  ``key`` holds the
+    offsets' int64 bytes, in (dx, dy) pairs.  Returns (dx, lowest dy,
+    length), one entry per run, read-only.  Cached, because the rule builds
+    the runs for any grid whose front might go dense, and a closure of a
+    few rounds on a small grid would otherwise pay for them each call."""
+    offs = np.frombuffer(key, dtype=np.int64).reshape(-1, 2)
+    k = np.concatenate((-offs, np.zeros((1, 2), dtype=np.int64)))
+    k = k[np.lexsort((k[:, 1], k[:, 0]))]
+    head = np.ones(len(k), dtype=bool)
+    head[1:] = (k[1:, 0] != k[:-1, 0]) | (k[1:, 1] != k[:-1, 1] + 1)
+    starts = np.flatnonzero(head)
+    runs = k[starts, 0], k[starts, 1], np.diff(starts, append=len(k))
+    for a in runs:
+        a.flags.writeable = False  # cached and shared by every caller
+    return runs
+
+
+def _row_run_push(width: int, height: int, offs: np.ndarray):
+    """The dense branch on a width x height torus: ``push(front, counts)``
+    adds every push of ``front`` into ``counts`` by row runs, and the number
+    of runs.
+
+    Each front site adds +1 at the start and -1 past the end of each run in
+    a per-row difference array; one cumulative sum along the rows turns it
+    into push counts (the summed-area idea, Crow, SIGGRAPH 1984).  The array
+    has ``reach`` rows and columns of margin on each side, plus a column for
+    the ends, so no push wraps: the margins then fold back onto the rows and
+    columns across the torus, the rows before the sum and the columns after.
+    """
+    dx, dy, length = _row_runs(np.ascontiguousarray(offs, dtype=np.int64).tobytes())
+    reach = int(np.abs(offs).max(initial=0))
+    rows, line = width + 2 * reach, height + 2 * reach + 1
+    off = (dx + reach) * line + dy + reach
+
+    def push(front, counts):
+        fx, fy = np.divmod(front, height)
+        start = np.add.outer(fx * line + fy, off)
+        diff = np.bincount(start.ravel(), minlength=rows * line)
+        start += length
+        diff -= np.bincount(start.ravel(), minlength=rows * line)
+        diff = diff.reshape(rows, line)
+        diff[width:width + reach] += diff[:reach]
+        diff[reach:2 * reach] += diff[width + reach:]
+        grid = diff[reach:width + reach]
+        np.cumsum(grid, axis=1, out=grid)
+        grid[:, height:height + reach] += grid[:, :reach]
+        grid[:, reach:2 * reach] += grid[:, height + reach:-1]
+        counts.reshape(width, height)[:] += grid[:, reach:height + reach]
+
+    return push, len(dx)
+
+
 def grid_targets(width: int, height: int, offs: np.ndarray) -> Callable:
     """``targets`` for push_generations on a width x height torus with site
-    (x, y) at index x*height + y: y - k for each front site y and offset k,
-    as int32 while the indices fit."""
+    (x, y) at index x*height + y, where each front site y pushes y - k for
+    each offset k.
+
+    ``targets(front, counts)`` picks the cheaper branch for the round by the
+    cost rule above.  The sparse branch returns the pushed sites, one per
+    push, as int32 while the indices fit.  The dense branch adds the pushes
+    into ``counts`` itself and returns None; its row runs are fetched on
+    the first round that might take it, so a call whose fronts stay small
+    pays only one product and comparison of integers per round.
+    """
     reach = int(np.abs(offs).max(initial=0))
     itype = np.int32 if width * height < 1 << 31 else np.int64
     rows = (np.arange(-reach, width + reach) % width * height).astype(itype)
     cols = (np.arange(-reach, height + reach) % height).astype(itype)
     kx, ky = reach - offs[:, :1], reach - offs[:, 1:]
+    nk = len(offs)
+    dense_at = int(_DENSE_CELL_COST * width * height) + _DENSE_ROUND_COST
+    gain = nk  # sparse pushes a dense round saves per front site: at most nk
+    dense = None
 
-    def targets(front):
+    def targets(front, counts):
+        nonlocal gain, dense
+        if front.size * gain > dense_at:
+            if dense is None:
+                dense, runs = _row_run_push(width, height, offs)
+                gain = nk - _DENSE_RUN_COST * runs
+            if front.size * gain > dense_at:
+                dense(front, counts)
+                return None
         fx, fy = np.divmod(front, height)
         return (rows[fx + kx] + cols[fy + ky]).ravel()
 
@@ -191,22 +292,35 @@ def push_generations(counts, done, front, r, targets):
     """The counter-push cascade, one synchronous generation at a time.
 
     ``counts`` and ``done`` are flat arrays over the sites, updated in place;
-    ``targets(front)`` gives the site each offset pushes from each front site.
-    Yields ``front``, then each round's sites whose count crosses r and that
-    are not done.
+    ``targets`` comes from grid_targets.  Yields ``front``, then each
+    round's sites whose count crosses r and that are not done, in
+    increasing order.
+
+    A round has two branches with the same result, picked by cost.  The
+    sparse one costs about front * |K*| pushed targets: it lists each push,
+    drops those onto done sites, sorts the rest and adds the run lengths.
+    The dense one costs about half a target per site of the grid, two per
+    front site and row run, and a fixed 512: it counts the pushes per row
+    run with a difference array and one cumulative sum, adds them to every
+    site, done or not, and takes the sites at r or more that are not done.
 
     The step relies on one invariant: no site that is not done holds r or
     more counts at the start of a round.  The caller makes it hold on entry
     by putting every such site in ``front``; each round keeps it, because
     every site its pushes lift to r joins the next front.  So a site crosses
-    r exactly when its count reaches r.  Pushes onto done sites are dropped
-    before counting, which leaves the counts of done sites stale: nothing
+    r exactly when its count reaches r, and the dense branch's test of the
+    whole grid finds the same sites as the sparse branch's test of those
+    pushed.  The counts of done sites go stale (the sparse branch drops
+    their pushes, the dense branch adds them, and a pusher's own): nothing
     reads them again.
     """
     while front.size:
         done[front] = 1
         yield front
-        hit = targets(front)
+        hit = targets(front, counts)
+        if hit is None:
+            front = np.flatnonzero((counts >= r) & (done == 0))
+            continue
         hit = hit.compress(done.take(hit) == 0)
         hit.sort()
         edge = np.empty(hit.size + 1, dtype=bool)  # a run of one site starts here

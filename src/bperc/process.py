@@ -353,12 +353,20 @@ def random_permutation(n_items: int, seed: int) -> np.ndarray:
 # The arrival cascade: a scalar loop and batched arrivals
 # ---------------------------------------------------------------------------
 
-# |K*| from which the batched path is the faster one.  Timed against the
-# scalar loop at n = 128 and 256 (3 seeds, best of 5): |K*| = 12 (lp balls,
-# p = 1 and 2, s = 2) takes 1.0-1.2 times as long batched, |K*| = 24 to 40
-# takes 0.4-0.85 times as long; square, diamond and triangular take 1.1-1.8
-# times as long, boxtimes 1.45 at n = 128 and 1.0 at n = 256.  At n = 512
-# and 1024, square4 and lp p = 2, s = 4 take 0.4-0.55 times as long.
+# |K*| from which the batched path is the faster one.  Time of the batched
+# path over the scalar loop's on the same permutations (seeds 1-3, best of
+# 5 each, interleaved; 2-vCPU VM), with the dense branch of the generation
+# step in both:
+#
+#   |K*|  neighbourhood           n = 128    n = 256    n = 512
+#      8  boxtimes                   1.47       1.05       1.05
+#     12  lp p = 1, 2; s = 2    1.27-1.28       1.12  0.96-0.97
+#     24  lp p = 1, inf; s = 3  0.83-0.93  0.72-0.75  0.70-0.73
+#     40  square4                    0.59       0.56       0.63
+#
+# The crossover stays between 12 and 24 up to n = 256 and moves only at
+# n = 512, where |K*| = 12 gains 3-4% batched: too little to take a rule on
+# (|K*|, n) over the constant (BENCH_dense_row_runs.json, "crossover").
 _BATCHED_MIN_OFFSETS = 16
 
 

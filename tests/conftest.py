@@ -1,11 +1,44 @@
+import contextlib
 import random
+from unittest import mock
 
 import pytest
 
+from bperc import dynamics
 from bperc.geometry import NeighbourhoodSpec, build_neighbourhood
 from bperc.process import run_sweep
 
 NAMED = ("square", "triangular", "boxtimes", "diamond", "square4")
+
+
+@contextlib.contextmanager
+def dense_rounds():
+    """Records the front size of every dense round of the generation step."""
+    rounds = []
+    build = dynamics._row_run_push
+
+    def counted(width, height, offs):
+        push, runs = build(width, height, offs)
+
+        def spy(front, counts):
+            rounds.append(front.size)
+            push(front, counts)
+
+        return spy, runs
+
+    with mock.patch.object(dynamics, "_row_run_push", counted):
+        yield rounds
+
+
+@contextlib.contextmanager
+def generation_branch(branch):
+    """Puts every round of the generation step on one branch, "dense" or
+    "sparse", through the cost rule's constants; yields the dense rounds."""
+    cell = {"dense": 0, "sparse": 1 << 40}[branch]
+    with dense_rounds() as rounds, mock.patch.multiple(
+            dynamics, _DENSE_CELL_COST=cell, _DENSE_RUN_COST=0, _DENSE_ROUND_COST=0):
+        yield rounds
+
 
 # acceptance-criterion pass/fail lines, replayed in the terminal summary
 CRITERION_LINES = []

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bperc
 from bperc.cli import main
 from bperc.geometry import Direction, NeighbourhoodSpec, build_neighbourhood
 from bperc.quasidroplets import ExtensionParams, QuasiDroplet
@@ -23,6 +28,14 @@ def run_cli(capsys, *argv):
 def test_usage_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "closure", "--model", "square", "--box", "4")
     assert code == 2 and "no initial set" in err
+
+
+def test_module_runs_the_cli():
+    # `python -m bperc` from a checkout, with only the sources on the path
+    env = dict(os.environ, PYTHONPATH=str(Path(bperc.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "bperc", "--version"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout.strip()) == (0, f"bperc {bperc.__version__}")
 
 
 def test_unknown_model_exits_2(capsys):

@@ -16,7 +16,7 @@ from bperc.dynamics import (
     to_grid_text,
 )
 from bperc.geometry import Direction, NeighbourhoodSpec, build_neighbourhood
-from conftest import NAMED, random_instances
+from conftest import NAMED, generation_branch, random_instances
 
 
 @pytest.fixture(scope="module")
@@ -164,15 +164,23 @@ _SPECS = [NeighbourhoodSpec.named(m) for m in NAMED] + [
 _NBHDS = [build_neighbourhood(spec) for spec in _SPECS]
 
 
+# Offsets not closed under k -> -k, which show which way the pushes go.
+_DIRECTED = [
+    build_neighbourhood(NeighbourhoodSpec.explicit([(0, 1), (1, 0), (2, 1), (-1, 2)], 2)),
+    build_neighbourhood(NeighbourhoodSpec.explicit(
+        [(a, b) for a in range(5) for b in range(4) if (a, b) != (0, 0)], 8)),
+]
+
+
 @st.composite
-def closure_cases(draw):
+def closure_cases(draw, nbhds=_NBHDS):
     """(domain, neighbourhood, initial, region) over every domain kind.
 
     The torus side starts at its minimum 2R + 1; rectangles sit off centre;
     the region, when given, is drawn independently of the initial set, so
     it may leave initial sites out; the initial set may be empty.
     """
-    nbhd = draw(st.sampled_from(_NBHDS))
+    nbhd = draw(st.sampled_from(nbhds))
     rnd = draw(st.randoms(use_true_random=False))
     kind = draw(st.sampled_from(["torus", "box", "rect", "framed_rect"]))
     if kind == "torus":
@@ -207,6 +215,40 @@ def test_closure_equals_synchronous_oracle(case):
     assert a.infected == b.infected
     assert a.times == b.times
     assert a.generation == b.generation
+
+
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+@settings(max_examples=300, deadline=None)
+@given(case=closure_cases(_NBHDS + _DIRECTED))
+def test_each_branch_equals_synchronous_oracle(branch, case):
+    dom, nbhd, initial, region = case
+    with generation_branch(branch) as rounds:
+        a = closure(dom, nbhd, initial, region=region)
+    b = closure_synchronous(dom, nbhd, initial, region=region)
+    assert a.infected == b.infected
+    assert a.times == b.times
+    assert a.generation == b.generation
+    pushes = bool(initial or dom.frozen) and nbhd.max_infectable() > 0
+    assert bool(rounds) == (branch == "dense" and pushes)
+
+
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+def test_each_branch_equals_synchronous_oracle_on_larger_instances(branch):
+    # lp balls up to s = 8 on tori and squares up to n = 64, and the
+    # asymmetric set at density 0.3
+    asymmetric = _DIRECTED[0]
+    rng = random.Random(5)
+    sites = [(x, y) for x in range(64) for y in range(64) if rng.random() < 0.3]
+    cases = [(nbhd, n, pts, on_torus) for nbhd, n, pts, on_torus in random_instances(13, 80)]
+    cases += [(asymmetric, 64, sites, True), (asymmetric, 64, sites, False)]
+    with generation_branch(branch) as rounds:
+        for nbhd, n, pts, on_torus in cases:
+            dom = Domain.torus(n) if on_torus else Domain.rect(0, 0, n - 1, n - 1)
+            a = closure(dom, nbhd, pts)
+            b = closure_synchronous(dom, nbhd, pts)
+            assert a.infected == b.infected
+            assert a.times == b.times
+    assert bool(rounds) == (branch == "dense")
 
 
 @settings(max_examples=200, deadline=None)

@@ -33,6 +33,7 @@ from bperc.process import (
     splitmix64,
     summarise,
 )
+from conftest import dense_rounds, generation_branch
 
 
 @pytest.fixture(scope="module")
@@ -669,6 +670,78 @@ def test_run_once_matches_the_k_core_dual(spec, n):
         assert healthy_core(n, nbhd.threshold, offs, perm[: rec.tau]) == 0
         assert healthy_core(n, nbhd.threshold, offs, perm[: rec.tau - 1]) == (
             n * n - rec.closure_before)
+
+
+# The same oracles with every round of the generation step forced onto one
+# branch: the scalar loop's hand-offs, the batches and bisections of the
+# batched path, and the cascade that fills the torus.
+
+@pytest.mark.parametrize("spec, n, order, handoff, path", ORACLE_CASES)
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+def test_each_branch_matches_reference_run(branch, spec, n, order, handoff, path):
+    nbhd = build_neighbourhood(spec)
+    offs = offsets_array(nbhd)
+    with generation_branch(branch) as rounds:
+        for perm in _oracle_orders(n, order):
+            want = reference_run(n, nbhd.threshold, offs, perm)
+            assert _run_python(n, nbhd.threshold, offs, perm) == want
+            assert _run_batched(n, nbhd.threshold, offs, perm) == want
+    assert bool(rounds) == (branch == "dense")
+
+
+@pytest.mark.parametrize("p", ["1", "2", "inf"])
+@pytest.mark.parametrize("s", ["2", "3", "4"])
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+def test_each_branch_matches_reference_run_on_lp_balls(branch, p, s):
+    nbhd = build_neighbourhood(NeighbourhoodSpec.lp_ball(p, s))
+    offs = offsets_array(nbhd)
+    n = 2 * nbhd.radius_ceil + 3
+    with generation_branch(branch) as rounds:
+        for seed in range(3):
+            perm = _random_order(n, seed)
+            want = reference_run(n, nbhd.threshold, offs, perm)
+            assert _run_python(n, nbhd.threshold, offs, perm) == want
+            assert _run_batched(n, nbhd.threshold, offs, perm) == want
+    assert bool(rounds) == (branch == "dense")
+
+
+@pytest.mark.parametrize("spec, n", [
+    pytest.param(NeighbourhoodSpec.named("square"), 16, id="square"),
+    pytest.param(NeighbourhoodSpec.named("square4"), 12, id="square4"),
+    pytest.param(NeighbourhoodSpec.lp_ball("2", "3"), 12, id="lp2-s3"),
+    pytest.param(SKEW, 12, id="skew"),
+    pytest.param(QUADRANT, 12, id="quadrant"),
+])
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+def test_each_branch_matches_the_k_core_dual(branch, spec, n):
+    nbhd = build_neighbourhood(spec)
+    offs = [tuple(map(int, k)) for k in offsets_array(nbhd)]
+    with generation_branch(branch):
+        for seed in range(3):
+            perm = _random_order(n, seed)
+            rec = run_once(nbhd, n, 0, permutation=perm)
+            assert healthy_core(n, nbhd.threshold, offs, perm[: rec.tau]) == 0
+            assert healthy_core(n, nbhd.threshold, offs, perm[: rec.tau - 1]) == (
+                n * n - rec.closure_before)
+
+
+def test_cost_rule_picks_dense_on_lp_balls_and_sparse_on_square_fills():
+    lp = build_neighbourhood(NeighbourhoodSpec.lp_ball("2", "8"))
+    rng = random.Random(3)
+    sites = [(x, y) for x in range(64) for y in range(64) if rng.random() < 0.2]
+    with dense_rounds() as rounds:
+        closure(Domain.torus(64), lp, sites)
+    assert rounds and rounds[0] == len(sites)
+    with dense_rounds() as rounds:
+        run_once(lp, 128, 1)
+    assert rounds
+    # the square fill runs about 2n rounds on fronts of about n sites, and
+    # square4's fronts at n = 192 (at most about 690 sites) stay below the
+    # 861 where dense would start: both stay sparse
+    with dense_rounds() as rounds:
+        run_once(build_neighbourhood(NeighbourhoodSpec.named("square")), 384, 1)
+        run_once(build_neighbourhood(NeighbourhoodSpec.named("square4")), 192, 1)
+    assert rounds == []
 
 
 # Hand-built orders for the batched path's edge cases.  The spy records each
