@@ -7,10 +7,12 @@ Two engines compute the same thing:
   the cascade step the arrival process in ``bperc.process`` shares (its
   scalar loop hands large cascades to it, its batched path sends every
   batch of arrivals through it).  Each round takes the cheaper of two
-  branches with the same result: a sparse one that lists every push, and
-  a dense one that counts the pushes per row run of the offsets with a
-  difference array and one cumulative sum, whose cost hardly grows with
-  |K*| (``grid_targets`` picks by the cost rule), and
+  branches with the same result: a sparse one that lists every push,
+  gathered from two cached per-axis tables of wrapped row and column
+  indices in a fixed number of numpy calls, and a dense one that counts
+  the pushes per row run of the offsets with a difference array and one
+  cumulative sum, whose cost hardly grows with |K*| (``grid_targets``
+  picks by the cost rule), and
 * ``closure_synchronous``, iterated whole-grid neighbour counts (numpy
   shifts): the independent oracle the tests check ``closure`` against.
 
@@ -177,21 +179,23 @@ def offsets_array(nbhd: Neighbourhood) -> np.ndarray:
 
 # The cost rule of the generation step, in pushed targets of the sparse
 # branch: a dense round costs about _DENSE_CELL_COST per cell of the grid,
-# plus _DENSE_RUN_COST per front site and row run, plus _DENSE_ROUND_COST
-# for the numpy calls it makes beyond the sparse round's, and runs when
-# that is less than front * |K*|.  Both branches were timed on the same
-# 346 rounds of real runs (lp balls, square, square4, boxtimes and diamond;
-# n = 128 to 384; BENCH_dense_row_runs.json, "rounds"; 2-vCPU VM).  A
-# least-squares fit gives 14 ns per pushed target, 8 ns per cell and 7 ns
-# per front site and run; on grids of 16 to 64 cells a side a dense round
-# takes about 10 us more than a sparse one with as few pushes.  The run
-# cost is set above the fit so that small neighbourhoods, whose many runs
-# per offset the fit prices worst, stay sparse.  The rounds the rule picks
-# take 0.2% longer in all than the faster branch of each, and 8% longer in
-# the worst case (a boxtimes fill).  The largest square4 fronts at n = 192
-# (690 sites over 60 seeds, where dense starts at 861) stay sparse.
-_DENSE_CELL_COST = 0.5
-_DENSE_RUN_COST = 2
+# plus _DENSE_ROUND_COST for the numpy calls it makes beyond the sparse
+# round's, and runs when that is less than front * |K*|.  Both branches
+# were timed, twice, on the same 514 rounds of real runs (lp balls, square,
+# square4, boxtimes and diamond; n = 128 to 2048; BENCH_gather_tables.json,
+# "rounds"; 2-vCPU VM).  Up to n = 256 a sparse round with the gather
+# tables takes 10-16 ns per pushed target and a dense one 8-13 ns per cell.
+# A search over the constants puts the cell cost at 0.9; the dense round's
+# cost per front site and row run, which used to keep small neighbourhoods
+# sparse, made no case pick better and is gone.  The rounds the rule picks
+# take 3-4% longer in all than the faster branch of each and at most 1.9x
+# on one round, against 4-5% and 3.2x for the old rule (0.5 per cell, 2 per
+# front site and run).  The crossover falls with n: on batches of 2048
+# arrivals of lp p = 2, s = 16 at n = 2048 dense wins from about 0.4
+# targets per cell, and the picks take 9-12% longer than the faster branch.
+# The largest square4 fronts at n = 192 (690 sites over 60 seeds, where
+# dense starts at 843) stay sparse.
+_DENSE_CELL_COST = 0.9
 _DENSE_ROUND_COST = 512
 
 
@@ -201,9 +205,9 @@ def _row_runs(key: bytes):
     in K*, and the origin, which joins the run it would split (a pusher is
     done, so nothing reads the push onto itself).  ``key`` holds the
     offsets' int64 bytes, in (dx, dy) pairs.  Returns (dx, lowest dy,
-    length), one entry per run, read-only.  Cached, because the rule builds
-    the runs for any grid whose front might go dense, and a closure of a
-    few rounds on a small grid would otherwise pay for them each call."""
+    length), one entry per run, read-only.  Cached, because every grid
+    whose front goes dense needs them, and a closure of a few rounds on a
+    small grid would otherwise pay for them each call."""
     offs = np.frombuffer(key, dtype=np.int64).reshape(-1, 2)
     k = np.concatenate((-offs, np.zeros((1, 2), dtype=np.int64)))
     k = k[np.lexsort((k[:, 1], k[:, 0]))]
@@ -218,8 +222,7 @@ def _row_runs(key: bytes):
 
 def _row_run_push(width: int, height: int, offs: np.ndarray):
     """The dense branch on a width x height torus: ``push(front, counts)``
-    adds every push of ``front`` into ``counts`` by row runs, and the number
-    of runs.
+    adds every push of ``front`` into ``counts`` by row runs.
 
     Each front site adds +1 at the start and -1 past the end of each run in
     a per-row difference array; one cumulative sum along the rows turns it
@@ -248,7 +251,41 @@ def _row_run_push(width: int, height: int, offs: np.ndarray):
         grid[:, reach:2 * reach] += grid[:, height + reach:-1]
         counts.reshape(width, height)[:] += grid[:, reach:height + reach]
 
-    return push, len(dx)
+    return push
+
+
+def _gather_tables(width: int, height: int, key: bytes):
+    """The sparse branch's gather tables on a width x height torus:
+    ``rowtab[x, i] = ((x - kx) mod width) * height`` and
+    ``coltab[y, i] = (y - ky) mod height`` for the i-th offset (kx, ky), so
+    the sites front site (x, y) pushes are ``rowtab[x] + coltab[y]``.
+    ``key`` holds the offsets' int64 bytes, in (kx, ky) pairs.  int32 while
+    the indices fit, read-only: the callers below cache them.
+
+    The pair takes (width + height) * |K*| * 4 bytes: 12 KB for square at
+    n = 384, 3.7 MB for lp p = 2, s = 24 at n = 256 and 29 MB at n = 2048.
+    """
+    itype = np.int32 if width * height < 1 << 31 else np.int64
+    kx, ky = np.frombuffer(key, dtype=np.int64).reshape(-1, 2).astype(itype).T
+    rowtab = np.arange(width, dtype=itype)[:, None] - kx
+    rowtab %= width
+    rowtab *= height
+    coltab = np.arange(height, dtype=itype)[:, None] - ky
+    coltab %= height
+    rowtab.flags.writeable = coltab.flags.writeable = False  # shared by every caller
+    return rowtab, coltab
+
+
+# Pairs of at most _SMALL_GATHER_ENTRIES entries (1 MiB) are cached 32 at a
+# time, enough for the grids a mix of small closures cycles through; of the
+# larger ones only the latest is kept, so the tables pin at most 32 MiB plus
+# the largest pair in use, and a ladder of n for one large lp ball keeps one
+# size at a time.  Building the pair costs about 4 ns per entry, so the
+# cache matters where a call makes few pushes: small closures, and the runs
+# of one sweep on one grid.
+_SMALL_GATHER_ENTRIES = 1 << 18
+_small_gather_tables = functools.lru_cache(maxsize=32)(_gather_tables)
+_large_gather_tables = functools.lru_cache(maxsize=1)(_gather_tables)
 
 
 def grid_targets(width: int, height: int, offs: np.ndarray) -> Callable:
@@ -258,32 +295,29 @@ def grid_targets(width: int, height: int, offs: np.ndarray) -> Callable:
 
     ``targets(front, counts)`` picks the cheaper branch for the round by the
     cost rule above.  The sparse branch returns the pushed sites, one per
-    push, as int32 while the indices fit.  The dense branch adds the pushes
-    into ``counts`` itself and returns None; its row runs are fetched on
-    the first round that might take it, so a call whose fronts stay small
-    pays only one product and comparison of integers per round.
+    push, as int32 while the indices fit: two row gathers from the per-axis
+    tables of _gather_tables and one sum, whatever |K*|.  The dense branch
+    adds the pushes into ``counts`` itself and returns None; its row runs
+    are fetched on the first round that takes it, so a call whose fronts
+    stay small pays only one product and comparison of integers per round.
     """
-    reach = int(np.abs(offs).max(initial=0))
-    itype = np.int32 if width * height < 1 << 31 else np.int64
-    rows = (np.arange(-reach, width + reach) % width * height).astype(itype)
-    cols = (np.arange(-reach, height + reach) % height).astype(itype)
-    kx, ky = reach - offs[:, :1], reach - offs[:, 1:]
+    key = np.ascontiguousarray(offs, dtype=np.int64).tobytes()
     nk = len(offs)
+    small = (width + height) * nk <= _SMALL_GATHER_ENTRIES
+    tables = _small_gather_tables if small else _large_gather_tables
+    rowtab, coltab = tables(width, height, key)
     dense_at = int(_DENSE_CELL_COST * width * height) + _DENSE_ROUND_COST
-    gain = nk  # sparse pushes a dense round saves per front site: at most nk
     dense = None
 
     def targets(front, counts):
-        nonlocal gain, dense
-        if front.size * gain > dense_at:
+        nonlocal dense
+        if front.size * nk > dense_at:
             if dense is None:
-                dense, runs = _row_run_push(width, height, offs)
-                gain = nk - _DENSE_RUN_COST * runs
-            if front.size * gain > dense_at:
-                dense(front, counts)
-                return None
+                dense = _row_run_push(width, height, offs)
+            dense(front, counts)
+            return None
         fx, fy = np.divmod(front, height)
-        return (rows[fx + kx] + cols[fy + ky]).ravel()
+        return (rowtab.take(fx, axis=0) + coltab.take(fy, axis=0)).ravel()
 
     return targets
 
@@ -299,10 +333,12 @@ def push_generations(counts, done, front, r, targets):
     A round has two branches with the same result, picked by cost.  The
     sparse one costs about front * |K*| pushed targets: it lists each push,
     drops those onto done sites, sorts the rest and adds the run lengths.
-    The dense one costs about half a target per site of the grid, two per
-    front site and row run, and a fixed 512: it counts the pushes per row
-    run with a difference array and one cumulative sum, adds them to every
-    site, done or not, and takes the sites at r or more that are not done.
+    The dense one costs about 0.9 targets per site of the grid and a fixed
+    512: it counts the pushes per row run with a difference array and one
+    cumulative sum, adds them to every site, done or not, and takes the
+    sites at r or more that are not done.  The sparse branch reads and
+    writes the flat arrays with take, put and compress, each one call with
+    less overhead than the fancy indexing it replaces.
 
     The step relies on one invariant: no site that is not done holds r or
     more counts at the start of a round.  The caller makes it hold on entry
@@ -315,7 +351,7 @@ def push_generations(counts, done, front, r, targets):
     reads them again.
     """
     while front.size:
-        done[front] = 1
+        done.put(front, 1)
         yield front
         hit = targets(front, counts)
         if hit is None:
@@ -323,14 +359,13 @@ def push_generations(counts, done, front, r, targets):
             continue
         hit = hit.compress(done.take(hit) == 0)
         hit.sort()
-        edge = np.empty(hit.size + 1, dtype=bool)  # a run of one site starts here
-        edge[0] = edge[-1] = True
+        edge = np.ones(hit.size + 1, dtype=bool)  # a run of one site starts here
         np.not_equal(hit[1:], hit[:-1], out=edge[1:-1])
         bounds = edge.nonzero()[0]  # the run starts, then hit.size
-        sites = hit[bounds[:-1]]
-        after = counts[sites] + (bounds[1:] - bounds[:-1])
-        counts[sites] = after
-        front = sites[after >= r]
+        sites = hit.take(bounds[:-1])
+        after = counts.take(sites) + (bounds[1:] - bounds[:-1])
+        counts.put(sites, after)
+        front = sites.compress(after >= r)
 
 
 def closure(

@@ -355,18 +355,20 @@ def random_permutation(n_items: int, seed: int) -> np.ndarray:
 
 # |K*| from which the batched path is the faster one.  Time of the batched
 # path over the scalar loop's on the same permutations (seeds 1-3, best of
-# 5 each, interleaved; 2-vCPU VM), with the dense branch of the generation
-# step in both:
+# 5 each, interleaved; 2-vCPU VM), with the gather tables and the dense
+# branch of the generation step in both:
 #
-#   |K*|  neighbourhood           n = 128    n = 256    n = 512
-#      8  boxtimes                   1.47       1.05       1.05
-#     12  lp p = 1, 2; s = 2    1.27-1.28       1.12  0.96-0.97
-#     24  lp p = 1, inf; s = 3  0.83-0.93  0.72-0.75  0.70-0.73
-#     40  square4                    0.59       0.56       0.63
+#   |K*|  neighbourhood           n = 128    n = 256    n = 512   n = 1024
+#      8  boxtimes                   1.44       0.99       0.94       0.74
+#     12  lp p = 1, 2; s = 2    1.20-1.28  0.96-1.03  0.91-0.97  0.94-0.97
+#     24  lp p = 1, inf; s = 3  0.81-0.82  0.62-0.63  0.55-0.57       0.63
+#     40  square4                    0.50       0.43       0.56
 #
-# The crossover stays between 12 and 24 up to n = 256 and moves only at
-# n = 512, where |K*| = 12 gains 3-4% batched: too little to take a rule on
-# (|K*|, n) over the constant (BENCH_dense_row_runs.json, "crossover").
+# The crossover lies between 12 and 24 at n = 128 and falls with n:
+# |K*| = 8 and 12 break even at n = 256, gain 3-9% batched from n = 512,
+# and boxtimes gains 26% at n = 1024.  A rule on (|K*|, n) would move those
+# runs to the other path, which their records name; the constant stays
+# until such a gain is worth that (BENCH_gather_tables.json, "crossover").
 _BATCHED_MIN_OFFSETS = 16
 
 

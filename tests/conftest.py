@@ -18,13 +18,13 @@ def dense_rounds():
     build = dynamics._row_run_push
 
     def counted(width, height, offs):
-        push, runs = build(width, height, offs)
+        push = build(width, height, offs)
 
         def spy(front, counts):
             rounds.append(front.size)
             push(front, counts)
 
-        return spy, runs
+        return spy
 
     with mock.patch.object(dynamics, "_row_run_push", counted):
         yield rounds
@@ -36,7 +36,7 @@ def generation_branch(branch):
     "sparse", through the cost rule's constants; yields the dense rounds."""
     cell = {"dense": 0, "sparse": 1 << 40}[branch]
     with dense_rounds() as rounds, mock.patch.multiple(
-            dynamics, _DENSE_CELL_COST=cell, _DENSE_RUN_COST=0, _DENSE_ROUND_COST=0):
+            dynamics, _DENSE_CELL_COST=cell, _DENSE_ROUND_COST=0):
         yield rounds
 
 

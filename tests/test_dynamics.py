@@ -1,16 +1,20 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bperc import dynamics
 from bperc.dynamics import (
     Configuration,
     Domain,
     closure,
     closure_synchronous,
+    grid_targets,
     infection_graph,
     is_closed,
+    offsets_array,
     parse_grid_text,
     synchronous_step,
     to_grid_text,
@@ -273,6 +277,61 @@ def test_closure_is_idempotent(case):
     twice = closure(dom, nbhd, sorted(once.infected), region=region)
     assert twice.infected == once.infected
     assert twice.generation == 0
+
+
+def test_back_to_back_closures_do_not_share_gather_tables():
+    # The sparse branch's cached tables belong to one padded grid: rectangles
+    # of one width and different heights, and a torus and a box with the
+    # same offsets (the box is padded by their reach), each need their own.
+    dynamics._small_gather_tables.cache_clear()
+    nbhd = _DIRECTED[0]
+    rng = random.Random(17)
+    domains = [Domain.rect(0, 0, 11, 11), Domain.rect(0, 0, 11, 19), Domain.rect(0, 0, 11, 6),
+               Domain.torus(12), Domain.rect(0, 0, 11, 11), Domain.torus(16), Domain.torus(12)]
+    with generation_branch("sparse"):
+        for dom in domains:
+            sites = [p for p in dom.sites() if rng.random() < 0.3]
+            a = closure(dom, nbhd, sites)
+            b = closure_synchronous(dom, nbhd, sites)
+            assert a.infected == b.infected
+            assert a.times == b.times
+
+
+def test_gather_tables_are_read_only():
+    offs = offsets_array(_DIRECTED[1])
+    key = offs.tobytes()
+    for tables in (dynamics._small_gather_tables, dynamics._large_gather_tables):
+        rowtab, coltab = tables(9, 13, key)
+        for table in (rowtab, coltab):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1
+        assert rowtab.dtype == coltab.dtype == np.int32
+
+
+@pytest.mark.parametrize("nbhd", _DIRECTED + [
+    build_neighbourhood(NeighbourhoodSpec.lp_ball("2", "24"))], ids=["skew", "quadrant", "lp2-24"])
+def test_sparse_gather_lists_every_push(nbhd):
+    # one sparse round on a width != height torus, against the literal
+    # ((x - kx) mod w) * h + (y - ky) mod h for every front site and offset
+    offs = offsets_array(nbhd)
+    width, height = (11, 7) if len(offs) < 100 else (97, 83)
+    rng = random.Random(len(offs))
+    front = sorted(rng.sample(range(width * height), 5))
+    with generation_branch("sparse"):
+        hit = grid_targets(width, height, offs)(np.array(front), np.zeros(width * height, np.int32))
+    want = [((s // height - kx) % width) * height + (s % height - ky) % height
+            for s in front for kx, ky in offs.tolist()]
+    assert sorted(hit.tolist()) == sorted(want)
+
+
+def test_large_gather_tables_keep_one_grid():
+    # pairs above the small cache's size: a ladder of n pins one at a time
+    offs = offsets_array(build_neighbourhood(NeighbourhoodSpec.lp_ball("2", "24")))
+    for n in (80, 96, 112):
+        assert 2 * n * len(offs) > dynamics._SMALL_GATHER_ENTRIES
+        grid_targets(n, n, offs)
+        assert dynamics._large_gather_tables.cache_info().currsize == 1
+        assert dynamics._large_gather_tables(n, n, offs.tobytes())[0].shape == (n, len(offs))
 
 
 def test_synchronous_oracle_rejects_region_outside_domain(square):

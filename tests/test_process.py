@@ -737,7 +737,7 @@ def test_cost_rule_picks_dense_on_lp_balls_and_sparse_on_square_fills():
     assert rounds
     # the square fill runs about 2n rounds on fronts of about n sites, and
     # square4's fronts at n = 192 (at most about 690 sites) stay below the
-    # 861 where dense would start: both stay sparse
+    # 843 where dense would start: both stay sparse
     with dense_rounds() as rounds:
         run_once(build_neighbourhood(NeighbourhoodSpec.named("square")), 384, 1)
         run_once(build_neighbourhood(NeighbourhoodSpec.named("square4")), 192, 1)
