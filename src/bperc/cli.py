@@ -1,7 +1,7 @@
 """Command-line interface: one binary, subcommand style.
 
 Exit codes: 0 success, 1 assertion/scenario failure, 2 usage or file error.
-``sweep --parallelism`` caps the threads of batched-path runs only.
+``sweep --parallelism`` caps the threads of batched-path chunks of runs only.
 """
 from __future__ import annotations
 
@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tau", help="run the permutation process")
     _add_model_flags(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, nargs="+", required=True)
+    p.add_argument("--seed", type=int, nargs="+", required=True,
+                   help="seeds, each an integer in [0, 2^64)")
     p.add_argument("--audit", action="store_true",
                    help="cross-check tau against from-scratch closures")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
@@ -336,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True, help="comma-separated named models")
     p.add_argument("--ns", required=True, help="comma-separated torus sides")
     p.add_argument("--seeds", type=int, required=True, help="seeds per (model, n)")
-    p.add_argument("--master-seed", type=int, default=0)
+    p.add_argument("--master-seed", type=int, default=0, help="an integer in [0, 2^64)")
     p.add_argument("--parallelism", type=int, default=None,
-                   help="threads for models on the batched arrival path (default: the "
-                        "CPU count); scalar-path models run serially")
+                   help="threads for chunks of runs on the batched arrival path "
+                        "(default: the CPU count); scalar-path chunks run serially")
     p.add_argument("--records-out", help="CSV path for the per-run records")
     p.add_argument("--out", help="JSON path for the summary")
     p.set_defaults(func=cmd_sweep)

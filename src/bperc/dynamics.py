@@ -6,13 +6,14 @@ Two engines compute the same thing:
   arrays, one synchronous generation at a time by ``push_generations``,
   the cascade step the arrival process in ``bperc.process`` shares (its
   scalar loop hands large cascades to it, its batched path sends every
-  batch of arrivals through it).  Each round takes the cheaper of two
-  branches with the same result: a sparse one that lists every push,
-  gathered from two cached per-axis tables of wrapped row and column
-  indices in a fixed number of numpy calls, and a dense one that counts
-  the pushes per row run of the offsets with a difference array and one
-  cumulative sum, whose cost hardly grows with |K*| (``grid_targets``
-  picks by the cost rule), and
+  batch of arrivals through it, and the runs of a sweep advance on stacked
+  tori one shared round of ``next_generation`` at a time).  Each round
+  takes the cheaper of two branches with the same result: a sparse one
+  that lists every push, gathered from two cached per-axis tables of
+  wrapped row and column indices in a fixed number of numpy calls, and a
+  dense one that counts the pushes per row run of the offsets with a
+  difference array and one cumulative sum, whose cost hardly grows with
+  |K*| (``grid_targets`` picks by the cost rule), and
 * ``closure_synchronous``, iterated whole-grid neighbour counts (numpy
   shifts): the independent oracle the tests check ``closure`` against.
 
@@ -220,56 +221,64 @@ def _row_runs(key: bytes):
     return runs
 
 
-def _row_run_push(width: int, height: int, offs: np.ndarray):
-    """The dense branch on a width x height torus: ``push(front, counts)``
-    adds every push of ``front`` into ``counts`` by row runs.
+def _row_run_push(width: int, height: int, offs: np.ndarray, tori: int = 1):
+    """The dense branch on ``tori`` width x height tori stacked along x:
+    ``push(front, counts)`` adds every push of ``front`` into ``counts`` by
+    row runs.
 
     Each front site adds +1 at the start and -1 past the end of each run in
     a per-row difference array; one cumulative sum along the rows turns it
-    into push counts (the summed-area idea, Crow, SIGGRAPH 1984).  The array
-    has ``reach`` rows and columns of margin on each side, plus a column for
-    the ends, so no push wraps: the margins then fold back onto the rows and
-    columns across the torus, the rows before the sum and the columns after.
+    into push counts (the summed-area idea, Crow, SIGGRAPH 1984).  Each
+    torus has ``reach`` rows and columns of margin on each side, plus a
+    column for the ends, so no push wraps: the margins then fold back onto
+    the rows and columns across the same torus, the rows before the sum and
+    the columns after.
     """
     dx, dy, length = _row_runs(np.ascontiguousarray(offs, dtype=np.int64).tobytes())
     reach = int(np.abs(offs).max(initial=0))
     rows, line = width + 2 * reach, height + 2 * reach + 1
     off = (dx + reach) * line + dy + reach
+    cells = tori * rows * line
 
     def push(front, counts):
         fx, fy = np.divmod(front, height)
+        if tori > 1:
+            fx += fx // width * (2 * reach)  # the margins of the tori before
         start = np.add.outer(fx * line + fy, off)
-        diff = np.bincount(start.ravel(), minlength=rows * line)
+        diff = np.bincount(start.ravel(), minlength=cells)
         start += length
-        diff -= np.bincount(start.ravel(), minlength=rows * line)
-        diff = diff.reshape(rows, line)
-        diff[width:width + reach] += diff[:reach]
-        diff[reach:2 * reach] += diff[width + reach:]
-        grid = diff[reach:width + reach]
-        np.cumsum(grid, axis=1, out=grid)
-        grid[:, height:height + reach] += grid[:, :reach]
-        grid[:, reach:2 * reach] += grid[:, height + reach:-1]
-        counts.reshape(width, height)[:] += grid[:, reach:height + reach]
+        diff -= np.bincount(start.ravel(), minlength=cells)
+        diff = diff.reshape(tori, rows, line)
+        diff[:, width:width + reach] += diff[:, :reach]
+        diff[:, reach:2 * reach] += diff[:, width + reach:]
+        grid = diff[:, reach:width + reach]
+        np.cumsum(grid, axis=2, out=grid)
+        grid[:, :, height:height + reach] += grid[:, :, :reach]
+        grid[:, :, reach:2 * reach] += grid[:, :, height + reach:-1]
+        counts.reshape(tori, width, height)[:] += grid[:, :, reach:height + reach]
 
     return push
 
 
-def _gather_tables(width: int, height: int, key: bytes):
-    """The sparse branch's gather tables on a width x height torus:
-    ``rowtab[x, i] = ((x - kx) mod width) * height`` and
-    ``coltab[y, i] = (y - ky) mod height`` for the i-th offset (kx, ky), so
-    the sites front site (x, y) pushes are ``rowtab[x] + coltab[y]``.
+def _gather_tables(width: int, height: int, key: bytes, tori: int = 1):
+    """The sparse branch's gather tables on ``tori`` width x height tori
+    stacked along x: ``rowtab[t * width + x, i] = (t * width + (x - kx) mod
+    width) * height`` and ``coltab[y, i] = (y - ky) mod height`` for the
+    i-th offset (kx, ky), so the sites front site (t * width + x, y) pushes
+    are ``rowtab[t * width + x] + coltab[y]``, all in its own torus t.
     ``key`` holds the offsets' int64 bytes, in (kx, ky) pairs.  int32 while
     the indices fit, read-only: the callers below cache them.
 
-    The pair takes (width + height) * |K*| * 4 bytes: 12 KB for square at
-    n = 384, 3.7 MB for lp p = 2, s = 24 at n = 256 and 29 MB at n = 2048.
+    The pair takes (tori * width + height) * |K*| * 4 bytes: 12 KB for
+    square at n = 384, 3.7 MB for lp p = 2, s = 24 at n = 256 and 29 MB at
+    n = 2048.
     """
-    itype = np.int32 if width * height < 1 << 31 else np.int64
+    itype = np.int32 if tori * width * height < 1 << 31 else np.int64
     kx, ky = np.frombuffer(key, dtype=np.int64).reshape(-1, 2).astype(itype).T
     rowtab = np.arange(width, dtype=itype)[:, None] - kx
     rowtab %= width
-    rowtab *= height
+    rowtab = rowtab + np.arange(0, tori * width, width, dtype=itype)[:, None, None]
+    rowtab = rowtab.reshape(tori * width, -1) * height
     coltab = np.arange(height, dtype=itype)[:, None] - ky
     coltab %= height
     rowtab.flags.writeable = coltab.flags.writeable = False  # shared by every caller
@@ -288,32 +297,34 @@ _small_gather_tables = functools.lru_cache(maxsize=32)(_gather_tables)
 _large_gather_tables = functools.lru_cache(maxsize=1)(_gather_tables)
 
 
-def grid_targets(width: int, height: int, offs: np.ndarray) -> Callable:
-    """``targets`` for push_generations on a width x height torus with site
-    (x, y) at index x*height + y, where each front site y pushes y - k for
-    each offset k.
+def grid_targets(width: int, height: int, offs: np.ndarray, tori: int = 1) -> Callable:
+    """``targets`` for next_generation on ``tori`` width x height tori
+    stacked along x, with site (x, y) of torus t at index
+    (t * width + x) * height + y, where each front site y pushes y - k for
+    each offset k, wrapped within its own torus.
 
     ``targets(front, counts)`` picks the cheaper branch for the round by the
-    cost rule above.  The sparse branch returns the pushed sites, one per
-    push, as int32 while the indices fit: two row gathers from the per-axis
-    tables of _gather_tables and one sum, whatever |K*|.  The dense branch
-    adds the pushes into ``counts`` itself and returns None; its row runs
-    are fetched on the first round that takes it, so a call whose fronts
-    stay small pays only one product and comparison of integers per round.
+    cost rule above, over the cells of all the tori.  The sparse branch
+    returns the pushed sites, one per push, as int32 while the indices fit:
+    two row gathers from the per-axis tables of _gather_tables and one sum,
+    whatever |K*|.  The dense branch adds the pushes into ``counts`` itself
+    and returns None; its row runs are fetched on the first round that
+    takes it, so a call whose fronts stay small pays only one product and
+    comparison of integers per round.
     """
     key = np.ascontiguousarray(offs, dtype=np.int64).tobytes()
     nk = len(offs)
-    small = (width + height) * nk <= _SMALL_GATHER_ENTRIES
+    small = (tori * width + height) * nk <= _SMALL_GATHER_ENTRIES
     tables = _small_gather_tables if small else _large_gather_tables
-    rowtab, coltab = tables(width, height, key)
-    dense_at = int(_DENSE_CELL_COST * width * height) + _DENSE_ROUND_COST
+    rowtab, coltab = tables(width, height, key, tori)
+    dense_at = int(_DENSE_CELL_COST * tori * width * height) + _DENSE_ROUND_COST
     dense = None
 
     def targets(front, counts):
         nonlocal dense
         if front.size * nk > dense_at:
             if dense is None:
-                dense = _row_run_push(width, height, offs)
+                dense = _row_run_push(width, height, offs, tori)
             dense(front, counts)
             return None
         fx, fy = np.divmod(front, height)
@@ -322,50 +333,59 @@ def grid_targets(width: int, height: int, offs: np.ndarray) -> Callable:
     return targets
 
 
+def next_generation(counts, done, front, r, targets):
+    """One round of the counter-push cascade: pushes ``front``, whose sites
+    are already done, and returns the sites whose count crosses r and that
+    are not done, in increasing order, without marking them.
+
+    ``counts`` and ``done`` are flat arrays over the sites, updated in place;
+    ``targets`` comes from grid_targets.  The round has two branches with
+    the same result, picked by cost.  The sparse one costs about
+    front * |K*| pushed targets: it lists each push, drops those onto done
+    sites, sorts the rest and adds the run lengths.  The dense one costs
+    about 0.9 targets per site of the grid and a fixed 512: it counts the
+    pushes per row run with a difference array and one cumulative sum, adds
+    them to every site, done or not, and takes the sites at r or more that
+    are not done.  The sparse branch reads and writes the flat arrays with
+    take, put and compress, each one call with less overhead than the fancy
+    indexing it replaces.
+
+    The round relies on one invariant: no site that is not done holds r or
+    more counts, apart from those ``front`` pushes to r.  Each round keeps
+    it for the next, because every site its pushes lift to r joins the
+    next front.  So a site crosses r exactly when its count reaches r, and
+    the dense branch's test of the whole grid finds the same sites as the
+    sparse branch's test of those pushed.  The counts of done sites go
+    stale (the sparse branch drops their pushes, the dense branch adds
+    them, and a pusher's own): nothing reads them again.
+    """
+    hit = targets(front, counts)
+    if hit is None:
+        return np.flatnonzero((counts >= r) & (done == 0))
+    hit = hit.compress(done.take(hit) == 0)
+    hit.sort()
+    edge = np.ones(hit.size + 1, dtype=bool)  # a run of one site starts here
+    np.not_equal(hit[1:], hit[:-1], out=edge[1:-1])
+    bounds = edge.nonzero()[0]  # the run starts, then hit.size
+    sites = hit.take(bounds[:-1])
+    after = counts.take(sites) + (bounds[1:] - bounds[:-1])
+    counts.put(sites, after)
+    return sites.compress(after >= r)
+
+
 def push_generations(counts, done, front, r, targets):
     """The counter-push cascade, one synchronous generation at a time.
 
-    ``counts`` and ``done`` are flat arrays over the sites, updated in place;
-    ``targets`` comes from grid_targets.  Yields ``front``, then each
-    round's sites whose count crosses r and that are not done, in
-    increasing order.
-
-    A round has two branches with the same result, picked by cost.  The
-    sparse one costs about front * |K*| pushed targets: it lists each push,
-    drops those onto done sites, sorts the rest and adds the run lengths.
-    The dense one costs about 0.9 targets per site of the grid and a fixed
-    512: it counts the pushes per row run with a difference array and one
-    cumulative sum, adds them to every site, done or not, and takes the
-    sites at r or more that are not done.  The sparse branch reads and
-    writes the flat arrays with take, put and compress, each one call with
-    less overhead than the fancy indexing it replaces.
-
-    The step relies on one invariant: no site that is not done holds r or
-    more counts at the start of a round.  The caller makes it hold on entry
-    by putting every such site in ``front``; each round keeps it, because
-    every site its pushes lift to r joins the next front.  So a site crosses
-    r exactly when its count reaches r, and the dense branch's test of the
-    whole grid finds the same sites as the sparse branch's test of those
-    pushed.  The counts of done sites go stale (the sparse branch drops
-    their pushes, the dense branch adds them, and a pusher's own): nothing
-    reads them again.
+    Yields ``front``, then each round's sites whose count crosses r and that
+    are not done (next_generation), in increasing order, marking each front
+    done before it is pushed.  The caller makes next_generation's invariant
+    hold on entry by putting every site that is not done and holds r or
+    more counts in ``front``.
     """
     while front.size:
         done.put(front, 1)
         yield front
-        hit = targets(front, counts)
-        if hit is None:
-            front = np.flatnonzero((counts >= r) & (done == 0))
-            continue
-        hit = hit.compress(done.take(hit) == 0)
-        hit.sort()
-        edge = np.ones(hit.size + 1, dtype=bool)  # a run of one site starts here
-        np.not_equal(hit[1:], hit[:-1], out=edge[1:-1])
-        bounds = edge.nonzero()[0]  # the run starts, then hit.size
-        sites = hit.take(bounds[:-1])
-        after = counts.take(sites) + (bounds[1:] - bounds[:-1])
-        counts.put(sites, after)
-        front = sites.compress(after >= r)
+        front = next_generation(counts, done, front, r, targets)
 
 
 def closure(

@@ -9,10 +9,19 @@ before that arrival.
 The cascade has two paths with the same result and one ``_Torus`` state.
 Small neighbourhoods run a scalar loop per arrival (``_run_python``); from
 _BATCHED_MIN_OFFSETS nonzero offsets on, arrivals go in batches of n as
-fronts of the generation step ``dynamics.push_generations``, with a
+fronts of the generation step ``dynamics.next_generation``, with a
 checkpoint per batch and bisection of a batch that fills the torus
 (``_run_batched``).  Both rest on the state after any prefix of the
 arrivals being the closure of that prefix.
+
+Runs advance in chunks (``_lockstep``).  The tori of a chunk's runs lie side
+by side in one pair of flat arrays.  Both loops are generators that hand
+every cascade they need grown to one driver: the scalar loop's hand-off,
+each batch, each bisection probe and the final fill.  The driver advances
+all of them one generation round at a time, so a round's fixed cost of
+numpy calls is paid once for the chunk, not once per run (iteration-level
+batching; Yu et al., Orca, OSDI 2022).  ``run_once`` is a chunk of one;
+``run_sweep`` cuts each (model, n) group into chunks of consecutive runs.
 
 PRNG contract (frozen under schema_version 1):
 
@@ -55,6 +64,7 @@ import functools
 import io
 import json
 import math
+import numbers
 import os
 import statistics
 import time
@@ -64,7 +74,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import Domain, grid_targets, offsets_array, push_generations
+from .dynamics import Domain, grid_targets, next_generation, offsets_array
 from .geometry import Neighbourhood
 
 SCHEMA_VERSION = 1
@@ -354,22 +364,27 @@ def random_permutation(n_items: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # |K*| from which the batched path is the faster one.  Time of the batched
-# path over the scalar loop's on the same permutations (seeds 1-3, best of
-# 5 each, interleaved; 2-vCPU VM), with the gather tables and the dense
-# branch of the generation step in both:
+# path over the scalar loop's on the same permutations, each run through
+# _lockstep in the chunks a sweep makes of them (up to 16 runs; seeds 11 on,
+# best of 5, interleaved; 2-vCPU VM; BENCH_lockstep_runs.json, "crossover"):
 #
 #   |K*|  neighbourhood           n = 128    n = 256    n = 512   n = 1024
-#      8  boxtimes                   1.44       0.99       0.94       0.74
-#     12  lp p = 1, 2; s = 2    1.20-1.28  0.96-1.03  0.91-0.97  0.94-0.97
-#     24  lp p = 1, inf; s = 3  0.81-0.82  0.62-0.63  0.55-0.57       0.63
-#     40  square4                    0.50       0.43       0.56
+#      4  square, diamond       1.15-1.24  1.14-1.15  1.20-1.27  1.15-1.29
+#      6  triangular                 1.11       1.00       0.99       0.96
+#      8  boxtimes; lp inf s = 2 0.71-0.79 0.83-0.85  0.81-0.93  0.83-0.93
+#     12  lp p = 1, 2; s = 2    0.83-0.85  0.84-0.85  0.87-0.90  0.82-0.83
+#     24  lp p = 1; s = 3            0.54       0.70       0.70       0.54
+#     40  square4                    0.36       0.47       0.55       0.61
 #
-# The crossover lies between 12 and 24 at n = 128 and falls with n:
-# |K*| = 8 and 12 break even at n = 256, gain 3-9% batched from n = 512,
-# and boxtimes gains 26% at n = 1024.  A rule on (|K*|, n) would move those
-# runs to the other path, which their records name; the constant stays
-# until such a gain is worth that (BENCH_gather_tables.json, "crossover").
-_BATCHED_MIN_OFFSETS = 16
+# (lp inf s = 2, |K*| = 24 and 40 best of 3; 16, 16, 7 and 1 runs a
+# chunk.)  Shared rounds favour the batched path,
+# whose batches at small n run many rounds of small fronts: the crossover
+# now lies between 6 and 8 at every n, where it used to fall from between
+# 12 and 24 at n = 128 to about 8 at n = 1024.  A run alone still finds
+# |K*| = 8 and 12 slower batched at n = 128 (1.28-1.41) and about even at
+# n = 256 (1.02-1.09), a few ms a run; sweeps of them gain 3-19% at
+# parallelism 2.
+_BATCHED_MIN_OFFSETS = 8
 
 
 def _arrival_path(offs) -> str:
@@ -378,32 +393,17 @@ def _arrival_path(offs) -> str:
 
 
 class _Torus:
-    """Counter-push state on the flat torus.  ``done`` is a numpy view of the
-    bytearray ``infected`` the scalar loop indexes; the checkpoint copies
-    are made on the first save(), so a run that never saves never holds them."""
+    """One run's counter-push state: ``counts`` and ``done`` are views of its
+    block of a chunk's flat arrays, and ``infected`` is a memoryview of the
+    bytes of ``done``, which the scalar loop indexes.  The checkpoint copies
+    are made on the first save(), so a run that never saves never holds
+    them."""
 
-    def __init__(self, n, r, offs):
-        self.counts = np.zeros(n * n, dtype=np.int32)
-        self.infected = bytearray(n * n)
-        self.done = np.frombuffer(self.infected, dtype=np.uint8)
+    def __init__(self, counts, infected):
+        self.counts = counts
+        self.infected = infected
+        self.done = np.frombuffer(infected, dtype=np.uint8)
         self.saved = None
-        self.r = r
-        self.targets = grid_targets(n, n, offs)
-
-    def grow(self, arrivals, cap) -> int:
-        """Infect the arrivals and their cascade; returns the sites infected.
-
-        ``arrivals`` holds each site once.  Stops once more than ``cap`` are
-        infected, leaving a state only restore() mends.
-        """
-        done = self.done
-        added = 0
-        front = arrivals.compress(done.take(arrivals) == 0)
-        for front in push_generations(self.counts, done, front, self.r, self.targets):
-            added += front.size
-            if added > cap:
-                break
-        return added
 
     def save(self):
         if self.saved is None:
@@ -416,17 +416,18 @@ class _Torus:
         np.copyto(self.done, self.saved[1])
 
 
-def _run_python(n, r, offs, perm):
-    """Arrival loop with incremental cascade; returns (tau, closure_before).
+def _run_python(n, r, offs, perm, state):
+    """Arrival loop with incremental cascade on ``state``, a loop for
+    _lockstep; returns (tau, closure_before).
 
     Arrivals and small cascades run as scalar loops.  Once one arrival's
-    cascade has infected more than n sites, the generation step finishes it
-    on the same state; the result is the same because the infected set
-    after each arrival is the closure of the arrivals so far, whatever
-    order the counter pushes run in.
+    cascade has infected more than n sites, the loop hands the sites still
+    to infect to the generation step, which finishes the cascade on the
+    same state; the result is the same because the infected set after each
+    arrival is the closure of the arrivals so far, whatever order the
+    counter pushes run in.
     """
     n2 = n * n
-    state = _Torus(n, r, offs)
     counts = memoryview(state.counts)
     infected = state.infected
     num = 0
@@ -449,7 +450,7 @@ def _run_python(n, r, offs, perm):
                 continue
             if num - prev > n:
                 push(y)
-                num += state.grow(np.array(stack, dtype=np.int64), n2)
+                num += yield np.array(stack, dtype=np.int64), n2
                 stack.clear()
                 break
             infected[y] = 1
@@ -474,11 +475,12 @@ def _run_python(n, r, offs, perm):
     return n2, num
 
 
-def _run_batched(n, r, offs, perm):
-    """Arrivals in batches of n; returns (tau, closure_before).
+def _run_batched(n, r, offs, perm, state):
+    """Arrivals in batches of n on ``state``, a loop for _lockstep; returns
+    (tau, closure_before).
 
     The infected set after any prefix of the arrivals is the closure of that
-    prefix, so a batch goes in as one front of push_generations.  A batch
+    prefix, so a batch goes in as one front of the generation step.  A batch
     whose cascade infects more than n sites beyond its own new arrivals, or
     fills the torus, is undone from the checkpoint taken before it, and
     _bisect finds the first arrival t whose prefix crosses that limit.  Its
@@ -488,7 +490,6 @@ def _run_batched(n, r, offs, perm):
     """
     n2 = n * n
     perm = np.asarray(perm, dtype=np.int64)
-    state = _Torus(n, r, offs)
     num = 0  # infected sites: the closure of perm[:lo]
     lo = 0
     while lo < n2:
@@ -497,13 +498,13 @@ def _run_batched(n, r, offs, perm):
         new = batch.size - int(np.count_nonzero(state.done.take(batch)))
         cap = min(n + new, n2 - num - 1)
         state.save()
-        added = state.grow(batch, cap)
+        added = yield batch, cap
         if added > cap:
             state.restore()
-            lo, added = _bisect(state, perm, lo, hi, cap)
+            lo, added = yield from _bisect(state, perm, lo, hi, cap)
             num += added
             hi = lo + 1
-            added = state.grow(perm[lo:hi], n2)
+            added = yield perm[lo:hi], n2
             if num + added == n2:
                 return hi, num
         num += added
@@ -521,7 +522,7 @@ def _bisect(state, perm, lo, hi, cap):
     added = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        more = state.grow(perm[lo:mid], cap - added)
+        more = yield perm[lo:mid], cap - added
         if added + more > cap:
             hi = mid
             state.restore()
@@ -530,6 +531,145 @@ def _bisect(state, perm, lo, hi, cap):
             lo = mid
             state.save()
     return lo, added
+
+
+_IDLE_ROOM = 1 << 62  # the room of a run with no request in the front
+
+
+def _lockstep(n, r, offs, perms, loop):
+    """Runs ``loop`` on each permutation of ``perms``, on one stack of n x n
+    tori; returns (tau, closure_before, seconds) for each.
+
+    ``loop(n, r, offs, perm, state)`` is a generator on its run's _Torus
+    (_run_python or _run_batched).  It yields grow requests (sites, cap):
+    infect ``sites``, torus indices each given once, and their cascade.
+    The reply is the number of sites infected; once more than ``cap`` are,
+    it is some number above cap, and the torus is left in a state only the
+    loop's restore() mends.  The loop returns (tau, closure_before).
+
+    Every pending request advances in one round of next_generation over
+    all the tori at a time.  A request joins the front between rounds,
+    shifted to its torus's block, without the sites already done.  A run
+    leaves once its cascade ends or passes its cap, and its loop resumes
+    before the next round.  A run past its cap while others go on still has
+    sites in the front, though; its torus is marked done, so their pushes
+    reach no site that is not done, and its loop resumes, and restores the
+    torus, after one more round.  When no run goes on, the front is dropped
+    instead.  Each round's bookkeeping is a fixed number of numpy calls
+    over the runs, and none while one run is in the front.
+
+    ``seconds`` is the time the run's own loop took plus its share of the
+    set-up and of each round it was in, a round's time split evenly among
+    the runs in it.
+    """
+    start = time.perf_counter()
+    k, n2 = len(perms), n * n
+    counts = np.zeros(k * n2, dtype=np.int32)
+    buf = bytearray(k * n2)
+    done = np.frombuffer(buf, dtype=np.uint8)
+    targets = grid_targets(n, n, offs, k)
+    # a chunk of one keeps the bytearray, which the scalar loop indexes
+    # faster than a memoryview
+    blocks = [buf] if k == 1 else [memoryview(buf)[j * n2:(j + 1) * n2] for j in range(k)]
+    runs = [loop(n, r, offs, perm, _Torus(counts[j * n2:(j + 1) * n2], blocks[j]))
+            for j, perm in enumerate(perms)]
+    out = [None] * k
+    caps = [0] * k
+    room = np.full(k, _IDLE_ROOM, dtype=np.int64)  # cap + 1 - sites added so far
+    idle = np.ones(k, dtype=np.int64)  # 0 while the run has a request in the front
+    active = set()  # the runs with a request in the front
+    front = np.empty(0, dtype=np.int64)
+    wake = [(j, None) for j in range(k)]  # runs to resume now, with their replies
+    later = []  # runs past their cap, resumed after the next round
+    seconds = [(time.perf_counter() - start) / k] * k
+    clock = 0.0  # the rounds' time so far, each round's split among its runs
+    entered = [0.0] * k  # the clock when the run's request joined
+
+    def resume(j, reply):
+        """Runs j's loop from ``reply`` to its next request that needs a
+        round, joined to the front; returns its sites, or None once the
+        loop has returned."""
+        begin = time.perf_counter()
+        base = j * n2
+        try:
+            while True:
+                sites, cap = runs[j].send(reply)
+                piece = sites + base if base else sites
+                piece = piece.compress(done.take(piece) == 0)
+                if 0 < piece.size <= cap:
+                    break
+                reply = piece.size  # nothing to push, or past the cap already
+        except StopIteration as stop:
+            out[j] = stop.value
+            piece = None
+        else:
+            done.put(piece, 1)
+            caps[j] = cap
+            room[j] = cap + 1 - piece.size
+            idle[j] = 0
+            entered[j] = clock
+            active.add(j)
+        seconds[j] += time.perf_counter() - begin
+        return piece
+
+    mark = time.perf_counter()
+    while True:
+        if wake:
+            if active:
+                now = time.perf_counter()
+                clock += (now - mark) / len(active)
+            pieces = [front] if front.size else []
+            for j, reply in wake:
+                piece = resume(j, reply)
+                if piece is not None:
+                    pieces.append(piece)
+            wake = []
+            if pieces:
+                front = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            mark = time.perf_counter()
+        if not active:
+            return [(*out[j], seconds[j]) for j in range(k)]
+        if len(active) == 1 and not later:
+            # one run in the front: its rounds run on until it leaves
+            (j,) = active
+            left = int(room[j])
+            while True:
+                front = next_generation(counts, done, front, r, targets)
+                if not front.size:
+                    break
+                done.put(front, 1)
+                left -= front.size
+                if left <= 0:
+                    break
+            room[j] = left
+            leaving = [j]
+        else:
+            front = next_generation(counts, done, front, r, targets)
+            if front.size:
+                done.put(front, 1)
+            wake, later = later, []
+            sizes = np.bincount(front // n2, minlength=k)
+            room -= sizes
+            leaving = np.flatnonzero(np.minimum(sizes + idle, room) <= 0).tolist()
+            if not leaving:
+                continue
+        now = time.perf_counter()
+        clock += (now - mark) / len(active)
+        mark = now
+        active.difference_update(leaving)
+        for j in leaving:
+            over = room[j] <= 0
+            reply = caps[j] + 1 - int(room[j])
+            room[j] = _IDLE_ROOM
+            idle[j] = 1
+            seconds[j] += clock - entered[j]
+            if over and active:
+                done[j * n2:(j + 1) * n2] = 1
+                later.append((j, reply))
+            else:
+                wake.append((j, reply))
+        if not active:
+            front = front[:0]  # only the sites of runs past their cap are left
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +698,10 @@ class ProcessRecord:
     closure_before: int
     wall_ms: float
     perm_ms: float = 0.0  # drawing (or checking an injected) permutation
-    cascade_ms: float = 0.0  # the arrival loop
+    cascade_ms: float = 0.0  # the arrival loop and its share of shared rounds
     schema_version: int = SCHEMA_VERSION
     arrival_path: str = "scalar"  # "scalar" or "batched": the loop that ran
+    chunk_runs: int = 1  # the runs whose generation rounds this one shared
 
     @property
     def jump_ratio(self) -> float:
@@ -587,6 +728,31 @@ class ProcessRecord:
         return {**asdict(self), "jump_ratio": self.jump_ratio, "tau_scaled": self.tau_scaled}
 
 
+def _seed64(value, name: str) -> int:
+    """``value`` as a 64-bit seed: an integer in [0, 2^64), else ValueError."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and 0 <= value <= _MASK):
+        return int(value)
+    raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
+
+
+def _run_chunk(model, nbhd, n, seeds, perms, perm_s) -> list:
+    """The records of runs on the permutations ``perms``, advanced together
+    by _lockstep; ``perm_s`` holds the seconds each permutation took."""
+    offs = offsets_array(nbhd)
+    path = _arrival_path(offs)
+    loop = _run_batched if path == "batched" else _run_python
+    records = []
+    for seed, drawn, (tau, before, cascade) in zip(
+            seeds, perm_s, _lockstep(n, nbhd.threshold, offs, perms, loop)):
+        perm_ms, cascade_ms = drawn * 1000.0, cascade * 1000.0
+        records.append(ProcessRecord(model, n, seed, int(tau), int(before),
+                                     wall_ms=perm_ms + cascade_ms, perm_ms=perm_ms,
+                                     cascade_ms=cascade_ms, arrival_path=path,
+                                     chunk_runs=len(perms)))
+    return records
+
+
 def run_once(
     nbhd: Neighbourhood,
     n: int,
@@ -596,13 +762,13 @@ def run_once(
 ) -> ProcessRecord:
     """One arrival-process run; injecting ``permutation`` bypasses the PRNG.
 
-    Neighbourhoods with at least _BATCHED_MIN_OFFSETS nonzero offsets take
-    the batched arrival path, smaller ones the scalar loop; both give the
-    same record.
+    ``seed`` must lie in [0, 2^64).  Neighbourhoods with at least
+    _BATCHED_MIN_OFFSETS nonzero offsets take the batched arrival path,
+    smaller ones the scalar loop; both give the same record.  The run is a
+    chunk of one: its rounds are its own.
     """
     Domain.torus(n).validate_for(nbhd)
-    offs = offsets_array(nbhd)
-    seed = int(seed) & _MASK
+    seed = _seed64(seed, "seed")
     n2 = n * n
     start = time.perf_counter()
     if permutation is not None:
@@ -618,14 +784,8 @@ def run_once(
             raise ValueError("injected permutation is not a bijection on the torus")
     else:
         perm = random_permutation(n2, seed)
-    drawn = time.perf_counter()
-    path = _arrival_path(offs)
-    run = _run_batched if path == "batched" else _run_python
-    tau, closure_before = run(n, nbhd.threshold, offs, perm)
-    end = time.perf_counter()
-    return ProcessRecord(model or nbhd.name, n, seed, int(tau), int(closure_before),
-                         wall_ms=(end - start) * 1000.0, perm_ms=(drawn - start) * 1000.0,
-                         cascade_ms=(end - drawn) * 1000.0, arrival_path=path)
+    drawn = time.perf_counter() - start
+    return _run_chunk(model or nbhd.name, nbhd, n, [seed], [perm], [drawn])[0]
 
 
 @dataclass(frozen=True)
@@ -686,6 +846,37 @@ def summarise(records: Sequence[ProcessRecord],
     return SweepSummary(groups)
 
 
+# The sites a chunk of a sweep may hold, each run counted as n^2 plus the
+# n * |K*| entries it adds to the gather tables.  run_sweep at parallelism 1
+# on 32 runs of square n = 384, diamond n = 255 and square4 n = 192, 16 of
+# square n = 512 and 4 of square n = 1024, each budget interleaved with
+# chunks of one (5 repeats, least CPU seconds per run, 2-vCPU VM;
+# BENCH_lockstep_runs.json, "chunk_budget"), as a share of chunks of one:
+#
+#   budget               2^19   2^20   2^21   2^22
+#   square n = 384       0.88   0.77   0.75   0.80   (3, 6, 13, 27 runs)
+#   square n = 512       1.09   0.92   0.80   0.78   (1, 3, 7, 15 runs)
+#   diamond n = 255      0.67   0.64   0.61   0.61   (7, 15, 31, 32 runs)
+#   square4 n = 192      0.95   1.03   1.08   1.00   (11, 23, 32, 32 runs)
+#
+# Chunks of one differ from each other by up to 18% (square n = 1024), so
+# only the scalar path's gain stands out: its final fills run many rounds
+# on small fronts, while the batched path pushes whole batches.  2^21 keeps
+# that gain at n = 512 and holds about 27 MB of arrays and permutations per
+# scalar chunk, 38 MB per batched one.
+_CHUNK_SITES = 1 << 21
+
+
+def _sweep_chunk(model, nbhd, n, seeds) -> list:
+    """The records of one chunk of a sweep: its permutations, then its runs."""
+    perms, perm_s = [], []
+    for seed in seeds:
+        start = time.perf_counter()
+        perms.append(random_permutation(n * n, seed))
+        perm_s.append(time.perf_counter() - start)
+    return _run_chunk(model, nbhd, n, seeds, perms, perm_s)
+
+
 def run_sweep(
     models: Sequence[tuple[str, Neighbourhood]],
     ns: Sequence[int],
@@ -695,37 +886,47 @@ def run_sweep(
     engine: str = "python",
 ) -> tuple[list, SweepSummary]:
     """Cartesian product of models x ns x seed indices; deterministic in the
-    master seed regardless of the parallelism degree.
+    master seed, which must lie in [0, 2^64), regardless of the parallelism
+    degree.
 
-    Batched-path runs, mostly numpy calls that release the interpreter lock,
-    go to up to ``parallelism`` threads (default: the CPU count).  Scalar-path
-    runs hold the lock, so they run serially in this thread once the pool has
-    closed.  ``engine`` must be "python", the only arrival engine."""
+    Each (model, n) group is cut into chunks of consecutive runs, as many as
+    _CHUNK_SITES allows, and the runs of a chunk advance together on stacked
+    tori, one generation round for all their cascades at a time (_lockstep).
+    Batched-path chunks, mostly numpy calls that release the interpreter
+    lock, go to up to ``parallelism`` threads (default: the CPU count).
+    Scalar-path chunks hold the lock in their Python loops, so they run one
+    after another in this thread once the pool has closed.  ``engine`` must
+    be "python", the only arrival engine."""
     if n_seeds < 1:
         raise ValueError("cannot aggregate over zero runs")
     if parallelism is not None and parallelism < 1:
         raise ValueError(f"parallelism must be a positive integer, got {parallelism}")
     if engine != "python":
         raise ValueError(f"unknown engine {engine!r}; the only engine is 'python'")
-    jobs = {"batched": [], "scalar": []}
+    master_seed = _seed64(master_seed, "master_seed")
+    chunks = {"batched": [], "scalar": []}
     idx = 0
     for name, nbhd in models:
-        path = _arrival_path(offsets_array(nbhd))
+        offs = offsets_array(nbhd)
         for n in ns:
-            for _ in range(n_seeds):
-                jobs[path].append((idx, name, nbhd, n, derive_run_seed(master_seed, idx)))
-                idx += 1
+            Domain.torus(n).validate_for(nbhd)
+            size = max(1, _CHUNK_SITES // (n * n + n * len(offs)))
+            for first in range(idx, idx + n_seeds, size):
+                seeds = [derive_run_seed(master_seed, i)
+                         for i in range(first, min(first + size, idx + n_seeds))]
+                chunks[_arrival_path(offs)].append((first, name, nbhd, n, seeds))
+            idx += n_seeds
     results = [None] * idx
 
-    def work(job):
-        i, name, nbhd, n, seed = job
-        results[i] = run_once(nbhd, n, seed, model=name)
+    def work(chunk):
+        first, name, nbhd, n, seeds = chunk
+        results[first:first + len(seeds)] = _sweep_chunk(name, nbhd, n, seeds)
 
     threads = (os.cpu_count() or 1) if parallelism is None else parallelism
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, jobs["batched"]))
-    for job in jobs["scalar"]:
-        work(job)
+        list(pool.map(work, chunks["batched"]))
+    for chunk in chunks["scalar"]:
+        work(chunk)
     return results, summarise(results)
 
 

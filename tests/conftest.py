@@ -17,8 +17,8 @@ def dense_rounds():
     rounds = []
     build = dynamics._row_run_push
 
-    def counted(width, height, offs):
-        push = build(width, height, offs)
+    def counted(*args):
+        push = build(*args)
 
         def spy(front, counts):
             rounds.append(front.size)

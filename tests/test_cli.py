@@ -186,6 +186,21 @@ def test_sweep_summary_and_records(capsys, tmp_path):
     assert len(rec_path.read_text().splitlines()) == 5
 
 
+@pytest.mark.parametrize("value", ["-1", "18446744073709551616"])
+def test_tau_seed_outside_64_bits_exits_2(capsys, value):
+    code, out, err = run_cli(capsys, "tau", "--model", "square", "--n", "8", "--seed", value)
+    assert code == 2 and not out
+    assert f"error: seed must be an integer in [0, 2^64), got {value}" in err
+
+
+@pytest.mark.parametrize("value", ["-5", "18446744073709551616"])
+def test_sweep_master_seed_outside_64_bits_exits_2(capsys, value):
+    code, out, err = run_cli(capsys, "sweep", "--models", "square", "--ns", "8",
+                             "--seeds", "2", "--master-seed", value)
+    assert code == 2 and not out
+    assert f"error: master_seed must be an integer in [0, 2^64), got {value}" in err
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_sweep_bad_parallelism_exits_2(capsys, value):
     code, _, err = run_cli(capsys, "sweep", "--models", "square", "--ns", "16",

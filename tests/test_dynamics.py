@@ -324,6 +324,34 @@ def test_sparse_gather_lists_every_push(nbhd):
     assert sorted(hit.tolist()) == sorted(want)
 
 
+@pytest.mark.parametrize("nbhd", _DIRECTED + [
+    build_neighbourhood(NeighbourhoodSpec.lp_ball("2", "4"))], ids=["skew", "quadrant", "lp2-4"])
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+def test_stacked_tori_push_within_their_own_torus(branch, nbhd):
+    # one round on three width != height tori stacked along x, against the
+    # literal t*w*h + ((x - kx) mod w) * h + (y - ky) mod h per push, so a
+    # push never wraps into the torus before or after
+    offs = offsets_array(nbhd)
+    width, height, tori = 11, 9, 3
+    cells = width * height
+    rng = random.Random(len(offs))
+    front = np.array(sorted(rng.sample(range(tori * cells), 40)))
+    want = np.zeros(tori * cells, np.int64)
+    for s in front.tolist():
+        t, x, y = s // cells, s % cells // height, s % height
+        for kx, ky in offs.tolist():
+            want[t * cells + (x - kx) % width * height + (y - ky) % height] += 1
+    counts = np.zeros(tori * cells, np.int32)
+    with generation_branch(branch) as rounds:
+        hit = grid_targets(width, height, offs, tori)(front, counts)
+    if branch == "dense":
+        assert hit is None and rounds == [front.size]
+        want[front] += 1  # the runs' push onto the pusher itself, which nothing reads
+    else:
+        counts += np.bincount(hit, minlength=tori * cells).astype(np.int32)
+    assert counts.tolist() == want.tolist()
+
+
 def test_large_gather_tables_keep_one_grid():
     # pairs above the small cache's size: a ladder of n pins one at a time
     offs = offsets_array(build_neighbourhood(NeighbourhoodSpec.lp_ball("2", "24")))

@@ -514,6 +514,30 @@ def reference_run(n, r, offs, perm):
     raise AssertionError("the last arrival always fills the torus")
 
 
+def run_alone(loop, n, r, offs, perm):
+    """(tau, closure_before) of the arrival loop ``loop`` on ``perm``, as a
+    chunk of one."""
+    ((tau, before, _),) = process._lockstep(n, r, offs, [np.asarray(perm, dtype=np.int64)], loop)
+    return tau, before
+
+
+def watched(loop, events):
+    """``loop`` with each of its grow requests appended to ``events`` as
+    (cap, reply, sites done before the request, sites done at the reply)."""
+    def spied(n, r, offs, perm, state):
+        gen = loop(n, r, offs, perm, state)
+        reply = None
+        while True:
+            try:
+                sites, cap = gen.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            before = int(np.count_nonzero(state.done))
+            reply = yield sites, cap
+            events.append((cap, reply, before, int(np.count_nonzero(state.done))))
+    return spied
+
+
 def _random_order(n, seed):
     perm = list(range(n * n))
     random.Random(seed).shuffle(perm)
@@ -538,7 +562,7 @@ ORACLE_CASES = [
     pytest.param(NeighbourhoodSpec.named("diamond"), 15, "random", True, "scalar", id="diamond-odd"),
     pytest.param(NeighbourhoodSpec.named("diamond"), 16, "random", True, "scalar",
                  id="diamond-even"),
-    pytest.param(NeighbourhoodSpec.lp_ball("2", "2"), 10, "random", True, "scalar", id="lp2"),
+    pytest.param(NeighbourhoodSpec.lp_ball("2", "2"), 10, "random", True, "batched", id="lp2"),
     pytest.param(NeighbourhoodSpec.lp_ball("2", "3"), 10, "random", True, "batched",
                  id="lp2-s3"),
     pytest.param(NeighbourhoodSpec.explicit([(0, 1), (1, 0), (2, 1), (-1, 2)], 2), 12,
@@ -568,20 +592,13 @@ def test_directed_cases_depend_on_the_push_direction(spec, n):
 
 
 @pytest.mark.parametrize("spec, n, order, handoff, path", ORACLE_CASES)
-def test_run_python_matches_reference_run(monkeypatch, spec, n, order, handoff, path):
+def test_run_python_matches_reference_run(spec, n, order, handoff, path):
     nbhd = build_neighbourhood(spec)
     offs = offsets_array(nbhd)
     expansions = []
-    grow = process._Torus.grow
-
-    def counted(*args):
-        expansions.append(True)
-        return grow(*args)
-
-    monkeypatch.setattr(process._Torus, "grow", counted)
     for perm in _oracle_orders(n, order):
-        assert _run_python(n, nbhd.threshold, offs, perm) == reference_run(
-            n, nbhd.threshold, offs, perm)
+        assert run_alone(watched(_run_python, expansions), n, nbhd.threshold, offs,
+                         perm) == reference_run(n, nbhd.threshold, offs, perm)
     assert bool(expansions) == handoff
 
 
@@ -590,7 +607,7 @@ def test_run_batched_matches_reference_run(spec, n, order, handoff, path):
     nbhd = build_neighbourhood(spec)
     offs = offsets_array(nbhd)
     for perm in _oracle_orders(n, order):
-        assert _run_batched(n, nbhd.threshold, offs, perm) == reference_run(
+        assert run_alone(_run_batched, n, nbhd.threshold, offs, perm) == reference_run(
             n, nbhd.threshold, offs, perm)
 
 
@@ -602,7 +619,7 @@ def test_run_batched_matches_reference_run_on_lp_balls(p, s):
     n = 2 * nbhd.radius_ceil + 3
     for seed in range(3):
         perm = _random_order(n, seed)
-        assert _run_batched(n, nbhd.threshold, offs, perm) == reference_run(
+        assert run_alone(_run_batched, n, nbhd.threshold, offs, perm) == reference_run(
             n, nbhd.threshold, offs, perm)
 
 
@@ -684,8 +701,8 @@ def test_each_branch_matches_reference_run(branch, spec, n, order, handoff, path
     with generation_branch(branch) as rounds:
         for perm in _oracle_orders(n, order):
             want = reference_run(n, nbhd.threshold, offs, perm)
-            assert _run_python(n, nbhd.threshold, offs, perm) == want
-            assert _run_batched(n, nbhd.threshold, offs, perm) == want
+            assert run_alone(_run_python, n, nbhd.threshold, offs, perm) == want
+            assert run_alone(_run_batched, n, nbhd.threshold, offs, perm) == want
     assert bool(rounds) == (branch == "dense")
 
 
@@ -700,8 +717,8 @@ def test_each_branch_matches_reference_run_on_lp_balls(branch, p, s):
         for seed in range(3):
             perm = _random_order(n, seed)
             want = reference_run(n, nbhd.threshold, offs, perm)
-            assert _run_python(n, nbhd.threshold, offs, perm) == want
-            assert _run_batched(n, nbhd.threshold, offs, perm) == want
+            assert run_alone(_run_python, n, nbhd.threshold, offs, perm) == want
+            assert run_alone(_run_batched, n, nbhd.threshold, offs, perm) == want
     assert bool(rounds) == (branch == "dense")
 
 
@@ -744,6 +761,132 @@ def test_cost_rule_picks_dense_on_lp_balls_and_sparse_on_square_fills():
     assert rounds == []
 
 
+# Chunks: the runs of a sweep advance together on stacked tori.  The same
+# oracles, with all the orders of a case in one chunk, on both loops and
+# with every round forced onto each branch.
+
+LP_GRID = [pytest.param(p, s, id=f"lp{p}-s{s}") for p in ("1", "2", "inf") for s in ("2", "3", "4")]
+
+
+def _lp_case(p, s):
+    nbhd = build_neighbourhood(NeighbourhoodSpec.lp_ball(p, s))
+    return nbhd, 2 * nbhd.radius_ceil + 3
+
+
+def _chunk_against_reference(nbhd, n, orders):
+    offs = offsets_array(nbhd)
+    perms = [np.asarray(perm, dtype=np.int64) for perm in orders]
+    want = [reference_run(n, nbhd.threshold, offs, perm) for perm in orders]
+    for loop in (_run_python, _run_batched):
+        got = process._lockstep(n, nbhd.threshold, offs, perms, loop)
+        assert [(tau, before) for tau, before, _ in got] == want
+
+
+@pytest.mark.parametrize("spec, n, order, handoff, path", ORACLE_CASES)
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+def test_chunk_matches_reference_run(branch, spec, n, order, handoff, path):
+    with generation_branch(branch) as rounds:
+        _chunk_against_reference(build_neighbourhood(spec), n, _oracle_orders(n, order))
+    assert bool(rounds) == (branch == "dense")
+
+
+@pytest.mark.parametrize("p, s", LP_GRID)
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+def test_chunk_matches_reference_run_on_lp_balls(branch, p, s):
+    nbhd, n = _lp_case(p, s)
+    with generation_branch(branch) as rounds:
+        _chunk_against_reference(nbhd, n, [_random_order(n, seed) for seed in range(4)])
+    assert bool(rounds) == (branch == "dense")
+
+
+SWEEP_CASES = [pytest.param(*case.values[:2], id=case.id) for case in ORACLE_CASES] + [
+    pytest.param(NeighbourhoodSpec.lp_ball(p, s), None, id=f"lp{p}-s{s}")
+    for p in ("1", "2", "inf") for s in ("2", "3", "4")]
+
+
+@pytest.mark.parametrize("spec, n", SWEEP_CASES)
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+def test_sweep_chunks_match_chunks_of_one(monkeypatch, branch, spec, n):
+    nbhd = build_neighbourhood(spec)
+    n = n or 2 * nbhd.radius_ceil + 3
+    per_run = n * n + n * len(offsets_array(nbhd))
+    runs = {}
+    with generation_branch(branch):
+        # one run a chunk, chunks of two (2, 2, 1) and the whole group
+        for budget, sizes in ((1, [1] * 5), (2 * per_run + 1, [2, 2, 2, 2, 1]),
+                              (1 << 40, [5] * 5)):
+            monkeypatch.setattr(process, "_CHUNK_SITES", budget)
+            records, _ = run_sweep([("case", nbhd)], [n], 5, master_seed=41)
+            assert [r.chunk_runs for r in records] == sizes
+            runs[budget] = [(r.model, r.n, r.seed, r.tau, r.closure_before, r.arrival_path)
+                            for r in records]
+    assert len(set(map(tuple, runs.values()))) == 1
+
+
+def _waits(events, n):
+    """For each request of ``events`` that passed its cap, whether the driver
+    had marked its whole torus done, other than by filling it."""
+    return [after == n * n and before + reply < n * n
+            for cap, reply, before, after in events if reply > cap]
+
+
+def test_chunk_run_past_its_cap_waits_a_round_while_another_grows():
+    # batched square4 runs in one chunk on the dense branch: a probe or batch
+    # that passes its cap while another run's cascade goes on has its torus
+    # marked done, so the one round its sites still take part in infects
+    # nothing there; its loop then gets the reply and restores the torus
+    nbhd = build_neighbourhood(NeighbourhoodSpec.named("square4"))
+    offs = offsets_array(nbhd)
+    n = 12
+    orders = [_random_order(n, seed) for seed in range(8)]
+    want = [reference_run(n, nbhd.threshold, offs, o) for o in orders]
+    events = []
+    with generation_branch("dense"):
+        got = process._lockstep(n, nbhd.threshold, offs,
+                                [np.asarray(o, dtype=np.int64) for o in orders],
+                                watched(_run_batched, events))
+        assert [(tau, before) for tau, before, _ in got] == want
+        assert any(_waits(events, n))
+        # alone, a run past its cap is replied to at once, its torus as the
+        # cascade left it: the sites done before and those it infected
+        events.clear()
+        assert run_alone(watched(_run_batched, events), n, nbhd.threshold, offs,
+                         orders[0]) == want[0]
+    over = [(cap, reply, before, after) for cap, reply, before, after in events if reply > cap]
+    assert over and all(after == before + reply for _, reply, before, after in over)
+
+
+def test_chunk_records_split_the_wall_time(square, monkeypatch):
+    monkeypatch.setattr(process, "_CHUNK_SITES", 1 << 40)
+    records, _ = run_sweep([("square", square)], [24], 4, master_seed=3)
+    for rec in records:
+        assert rec.chunk_runs == 4
+        assert rec.perm_ms > 0 and rec.cascade_ms > 0
+        assert rec.perm_ms + rec.cascade_ms == pytest.approx(rec.wall_ms, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [-1, -5, 1 << 64, 1 << 70, 1.0, "3", True, None])
+def test_run_once_rejects_seeds_outside_64_bits(square, seed):
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\), got "):
+        run_once(square, 8, seed)
+
+
+def test_run_once_takes_seeds_at_both_ends(square):
+    assert run_once(square, 8, 0).seed == 0
+    top = run_once(square, 8, (1 << 64) - 1)
+    assert top.seed == (1 << 64) - 1
+    assert run_once(square, 8, np.uint64((1 << 64) - 1)).tau == top.tau
+
+
+@pytest.mark.parametrize("master", [-5, -1, 1 << 64, 2.0])
+def test_sweep_rejects_master_seeds_outside_64_bits(square, master):
+    # -5 used to run the sweep of 2^64 - 5, reduced mod 2^64
+    with pytest.raises(ValueError, match=r"master_seed must be an integer in \[0, 2\^64\)"):
+        run_sweep([("square", square)], [8], 2, master_seed=master)
+    records, _ = run_sweep([("square", square)], [8], 2, master_seed=(1 << 64) - 5)
+    assert len(records) == 2
+
+
 # Hand-built orders for the batched path's edge cases.  The spy records each
 # bisection as (batch start, batch end, first arrival past the limit); the
 # batches hold n arrivals and restart after the arrival a bisection found.
@@ -758,7 +901,7 @@ def bisections(monkeypatch):
     bisect = process._bisect
 
     def spy(state, perm, lo, hi, cap):
-        t, added = bisect(state, perm, lo, hi, cap)
+        t, added = yield from bisect(state, perm, lo, hi, cap)
         calls.append((lo, hi, t))
         return t, added
 
@@ -769,7 +912,7 @@ def bisections(monkeypatch):
 def _batched_against_reference(spec, n, perm):
     nbhd = build_neighbourhood(spec)
     offs = offsets_array(nbhd)
-    tau, before = _run_batched(n, nbhd.threshold, offs, np.array(perm))
+    tau, before = run_alone(_run_batched, n, nbhd.threshold, offs, perm)
     assert (tau, before) == reference_run(n, nbhd.threshold, offs, perm)
     return tau, before
 
@@ -902,35 +1045,44 @@ def test_sweep_deterministic_across_parallelism():
 
 
 def test_sweep_runs_the_scalar_path_on_the_calling_thread(monkeypatch):
-    # scalar runs hold the interpreter lock, so they run serially in the
-    # caller once the pool has closed; batched runs go to the pool threads
+    # scalar chunks hold the interpreter lock, so they run serially in the
+    # caller once the pool has closed; batched chunks go to the pool threads
     caller, before = threading.get_ident(), set(threading.enumerate())
-    seen = {"scalar": [], "batched": []}
+    lockstep = process._lockstep
 
-    def spy(path, run):
-        def spied(*args):
-            seen[path].append((threading.get_ident(), set(threading.enumerate())))
-            return run(*args)
-        monkeypatch.setattr(process, run.__name__, spied)
+    def spied(n, r, offs, perms, loop):
+        seen[loop.__name__].append(
+            (len(perms), threading.get_ident(), set(threading.enumerate())))
+        return lockstep(n, r, offs, perms, loop)
 
-    spy("scalar", process._run_python)
-    spy("batched", process._run_batched)
-    run_sweep(_mixed_models(), [16], 3, master_seed=5, parallelism=2)
-    assert len(seen["scalar"]) == 6 and len(seen["batched"]) == 3
-    assert all(ident == caller and threads == before for ident, threads in seen["scalar"])
-    assert all(ident != caller for ident, _ in seen["batched"])
+    monkeypatch.setattr(process, "_lockstep", spied)
+    for budget, sizes in ((1 << 40, 3), (1, 1)):
+        monkeypatch.setattr(process, "_CHUNK_SITES", budget)
+        seen = {"_run_python": [], "_run_batched": []}
+        run_sweep(_mixed_models(), [16], 3, master_seed=5, parallelism=2)
+        scalar, batched = seen["_run_python"], seen["_run_batched"]
+        # square and diamond on the scalar path, square4 batched
+        assert [k for k, *_ in scalar] == [sizes] * (6 // sizes)
+        assert [k for k, *_ in batched] == [sizes] * (3 // sizes)
+        assert all(ident == caller and threads == before for _, ident, threads in scalar)
+        assert all(ident != caller for _, ident, _ in batched)
 
 
 def test_torus_state_shares_the_scalar_loops_bytes():
-    state = process._Torus(8, 2, offsets_array(build_neighbourhood(SQUARE)))
+    # run 1 of a chunk of two 8 x 8 tori: views of the second block
+    counts, buf = np.zeros(128, dtype=np.int32), bytearray(128)
+    state = process._Torus(counts[64:], memoryview(buf)[64:])
     state.done[[3, 9]] = 1
     assert state.infected[3] == state.infected[9] == 1 and sum(state.infected) == 2
+    assert buf[67] == buf[73] == 1 and sum(buf) == 2
     assert state.saved is None  # no checkpoint copies before the first save
     state.save()
     state.infected[4] = 1
     state.counts[4] = 7
+    assert counts[68] == 7
     state.restore()
     assert state.infected[4] == 0 and state.counts[4] == 0 and state.infected[3] == 1
+    assert buf[68] == 0 and counts[68] == 0
 
 
 def test_scalar_runs_take_no_checkpoint(square, monkeypatch):
@@ -1038,8 +1190,10 @@ def test_jsonl_round_trip(square):
     obj = json.loads(line)
     assert obj["tau"] == rec.tau
     assert obj["schema_version"] == 1
-    assert set(obj) == set(CSV_COLUMNS) | {"perm_ms", "cascade_ms", "arrival_path"}
+    assert set(obj) == set(CSV_COLUMNS) | {"perm_ms", "cascade_ms", "arrival_path",
+                                           "chunk_runs"}
     assert obj["arrival_path"] == "scalar"
+    assert obj["chunk_runs"] == 1
 
 
 def test_records_name_the_arrival_path(square):
