@@ -1,7 +1,8 @@
 """Command-line interface: one binary, subcommand style.
 
 Exit codes: 0 success, 1 assertion/scenario failure, 2 usage or file error.
-``sweep --parallelism`` caps the threads of batched-path chunks of runs only.
+``sweep --parallelism``: worker processes for chunks of runs (default: the
+CPU count); 1 runs in this process.
 """
 from __future__ import annotations
 
@@ -339,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, required=True, help="seeds per (model, n)")
     p.add_argument("--master-seed", type=int, default=0, help="an integer in [0, 2^64)")
     p.add_argument("--parallelism", type=int, default=None,
-                   help="threads for chunks of runs on the batched arrival path "
-                        "(default: the CPU count); scalar-path chunks run serially")
+                   help="worker processes for chunks of runs "
+                        "(default: the CPU count); 1 runs in this process")
     p.add_argument("--records-out", help="CSV path for the per-run records")
     p.add_argument("--out", help="JSON path for the summary")
     p.set_defaults(func=cmd_sweep)

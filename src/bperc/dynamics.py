@@ -3,17 +3,16 @@
 Two engines compute the same thing:
 
 * ``closure``, the primary implementation: a counter push on flat index
-  arrays, one synchronous generation at a time by ``push_generations``,
-  the cascade step the arrival process in ``bperc.process`` shares (its
-  scalar loop hands large cascades to it, its batched path sends every
-  batch of arrivals through it, and the runs of a sweep advance on stacked
-  tori one shared round of ``next_generation`` at a time).  Each round
-  takes the cheaper of two branches with the same result: a sparse one
-  that lists every push, gathered from two cached per-axis tables of
-  wrapped row and column indices in a fixed number of numpy calls, and a
-  dense one that counts the pushes per row run of the offsets with a
-  difference array and one cumulative sum, whose cost hardly grows with
-  |K*| (``grid_targets`` picks by the cost rule), and
+  arrays, one synchronous generation at a time by ``next_generation``,
+  the round the arrival process in ``bperc.process`` shares (its driver
+  advances every cascade of a chunk of runs, on stacked tori, one round
+  at a time).  Each round takes the cheaper of two branches with the
+  same result: a sparse one that lists every push, gathered from two
+  cached per-axis tables of wrapped row and column indices in a fixed
+  number of numpy calls, and a dense one that counts the pushes per row
+  run of the offsets with a difference array and one cumulative sum,
+  whose cost hardly grows with |K*| (``grid_targets`` picks by the cost
+  rule), and
 * ``closure_synchronous``, iterated whole-grid neighbour counts (numpy
   shifts): the independent oracle the tests check ``closure`` against.
 
@@ -373,21 +372,6 @@ def next_generation(counts, done, front, r, targets):
     return sites.compress(after >= r)
 
 
-def push_generations(counts, done, front, r, targets):
-    """The counter-push cascade, one synchronous generation at a time.
-
-    Yields ``front``, then each round's sites whose count crosses r and that
-    are not done (next_generation), in increasing order, marking each front
-    done before it is pushed.  The caller makes next_generation's invariant
-    hold on entry by putting every site that is not done and holds r or
-    more counts in ``front``.
-    """
-    while front.size:
-        done.put(front, 1)
-        yield front
-        front = next_generation(counts, done, front, r, targets)
-
-
 def closure(
     domain: Domain,
     nbhd: Neighbourhood,
@@ -422,7 +406,12 @@ def closure(
     done[front] = 1
     counts = np.zeros(width * height, dtype=np.int32)
     targets = grid_targets(width, height, offs)
-    new = list(push_generations(counts, done, front, nbhd.threshold, targets))[1:]
+    new = []  # each round's newly infected sites
+    while front.size:
+        front = next_generation(counts, done, front, nbhd.threshold, targets)
+        if front.size:
+            done.put(front, 1)
+            new.append(front)
     if not new:
         return cfg
     xs, ys = np.divmod(np.concatenate(new), height)

@@ -21,7 +21,8 @@ each batch, each bisection probe and the final fill.  The driver advances
 all of them one generation round at a time, so a round's fixed cost of
 numpy calls is paid once for the chunk, not once per run (iteration-level
 batching; Yu et al., Orca, OSDI 2022).  ``run_once`` is a chunk of one;
-``run_sweep`` cuts each (model, n) group into chunks of consecutive runs.
+``run_sweep`` cuts each (model, n) group into chunks of consecutive runs
+and maps them over one pool of worker processes.
 
 PRNG contract (frozen under schema_version 1):
 
@@ -68,7 +69,7 @@ import numbers
 import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -167,7 +168,7 @@ def _nibble_table(cols: np.ndarray) -> np.ndarray:
     quads = cols.reshape(64, 4, 4)
     for b in range(4):
         np.bitwise_xor(table[:, : 1 << b], quads[:, b, None], out=table[:, 1 << b: 2 << b])
-    table.flags.writeable = False  # cached and shared by the sweep's threads
+    table.flags.writeable = False  # cached and shared by every later jump
     return table
 
 
@@ -728,10 +729,14 @@ class ProcessRecord:
         return {**asdict(self), "jump_ratio": self.jump_ratio, "tau_scaled": self.tau_scaled}
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer; bool and float are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _seed64(value, name: str) -> int:
     """``value`` as a 64-bit seed: an integer in [0, 2^64), else ValueError."""
-    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and 0 <= value <= _MASK):
+    if _integer(value) and 0 <= value <= _MASK:
         return int(value)
     raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
 
@@ -854,7 +859,7 @@ def summarise(records: Sequence[ProcessRecord],
 # BENCH_lockstep_runs.json, "chunk_budget"), as a share of chunks of one:
 #
 #   budget               2^19   2^20   2^21   2^22
-#   square n = 384       0.88   0.77   0.75   0.80   (3, 6, 13, 27 runs)
+#   square n = 384       0.88   0.77   0.75   0.80   (3, 7, 14, 28 runs)
 #   square n = 512       1.09   0.92   0.80   0.78   (1, 3, 7, 15 runs)
 #   diamond n = 255      0.67   0.64   0.61   0.61   (7, 15, 31, 32 runs)
 #   square4 n = 192      0.95   1.03   1.08   1.00   (11, 23, 32, 32 runs)
@@ -892,19 +897,21 @@ def run_sweep(
     Each (model, n) group is cut into chunks of consecutive runs, as many as
     _CHUNK_SITES allows, and the runs of a chunk advance together on stacked
     tori, one generation round for all their cascades at a time (_lockstep).
-    Batched-path chunks, mostly numpy calls that release the interpreter
-    lock, go to up to ``parallelism`` threads (default: the CPU count).
-    Scalar-path chunks hold the lock in their Python loops, so they run one
-    after another in this thread once the pool has closed.  ``engine`` must
-    be "python", the only arrival engine."""
+    The chunks go to one pool of up to ``parallelism`` worker processes
+    (default: the CPU count), never more than there are chunks; with one
+    worker they run in this process, so a sweep that fits one chunk starts
+    no process.  ``n_seeds`` and ``parallelism`` must be positive integers,
+    and ``engine`` must be "python", the only arrival engine."""
+    if not _integer(n_seeds):
+        raise ValueError(f"n_seeds must be an integer, got {n_seeds!r}")
     if n_seeds < 1:
         raise ValueError("cannot aggregate over zero runs")
-    if parallelism is not None and parallelism < 1:
-        raise ValueError(f"parallelism must be a positive integer, got {parallelism}")
+    if parallelism is not None and not (_integer(parallelism) and parallelism >= 1):
+        raise ValueError(f"parallelism must be a positive integer, got {parallelism!r}")
     if engine != "python":
         raise ValueError(f"unknown engine {engine!r}; the only engine is 'python'")
     master_seed = _seed64(master_seed, "master_seed")
-    chunks = {"batched": [], "scalar": []}
+    jobs = []  # (model name, nbhd, n, seeds) of each chunk, in grid order
     idx = 0
     for name, nbhd in models:
         offs = offsets_array(nbhd)
@@ -914,20 +921,18 @@ def run_sweep(
             for first in range(idx, idx + n_seeds, size):
                 seeds = [derive_run_seed(master_seed, i)
                          for i in range(first, min(first + size, idx + n_seeds))]
-                chunks[_arrival_path(offs)].append((first, name, nbhd, n, seeds))
+                jobs.append((name, nbhd, n, seeds))
             idx += n_seeds
-    results = [None] * idx
-
-    def work(chunk):
-        first, name, nbhd, n, seeds = chunk
-        results[first:first + len(seeds)] = _sweep_chunk(name, nbhd, n, seeds)
-
-    threads = (os.cpu_count() or 1) if parallelism is None else parallelism
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, chunks["batched"]))
-    for chunk in chunks["scalar"]:
-        work(chunk)
-    return results, summarise(results)
+    workers = min(len(jobs), int(parallelism or os.cpu_count() or 1))
+    if workers <= 1:
+        parts = [_sweep_chunk(*job) for job in jobs]
+    else:
+        # the first lookup imports the pool and multiprocessing (about 10 ms),
+        # so importing bperc does not
+        with futures.ProcessPoolExecutor(workers) as pool:
+            parts = list(pool.map(_sweep_chunk, *zip(*jobs)))
+    records = [rec for part in parts for rec in part]
+    return records, summarise(records)
 
 
 def jump_event_rate(records: Sequence[ProcessRecord], c: float) -> float:

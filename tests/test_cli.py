@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,17 @@ def test_module_runs_the_cli():
     out = subprocess.run([sys.executable, "-m", "bperc", "--version"], env=env,
                          capture_output=True, text=True, timeout=60)
     assert (out.returncode, out.stdout.strip()) == (0, f"bperc {bperc.__version__}")
+
+
+def test_module_runs_the_cli_only_as_main(monkeypatch):
+    # spawn and forkserver workers import the main module as __mp_main__
+    calls = []
+    monkeypatch.setattr("bperc.cli.main", lambda: calls.append(1) or 0)
+    runpy.run_module("bperc", run_name="__mp_main__")
+    assert calls == []
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("bperc", run_name="__main__")
+    assert calls == [1] and exit_.value.code == 0
 
 
 def test_unknown_model_exits_2(capsys):

@@ -223,7 +223,7 @@ def test_lane_starts_match_matrix_products():
 
 
 def test_permutations_agree_under_threads_from_a_cold_cache():
-    # the pool threads of a sweep may all build the jump-ahead cache at once
+    # a caller's own threads may all build the jump-ahead cache at once
     process._jump_table.cache_clear()
     want = reference_permutation(600, 9)
     results = []
@@ -816,7 +816,7 @@ def test_sweep_chunks_match_chunks_of_one(monkeypatch, branch, spec, n):
         for budget, sizes in ((1, [1] * 5), (2 * per_run + 1, [2, 2, 2, 2, 1]),
                               (1 << 40, [5] * 5)):
             monkeypatch.setattr(process, "_CHUNK_SITES", budget)
-            records, _ = run_sweep([("case", nbhd)], [n], 5, master_seed=41)
+            records, _ = run_sweep([("case", nbhd)], [n], 5, master_seed=41, parallelism=1)
             assert [r.chunk_runs for r in records] == sizes
             runs[budget] = [(r.model, r.n, r.seed, r.tau, r.closure_before, r.arrival_path)
                             for r in records]
@@ -858,7 +858,7 @@ def test_chunk_run_past_its_cap_waits_a_round_while_another_grows():
 
 def test_chunk_records_split_the_wall_time(square, monkeypatch):
     monkeypatch.setattr(process, "_CHUNK_SITES", 1 << 40)
-    records, _ = run_sweep([("square", square)], [24], 4, master_seed=3)
+    records, _ = run_sweep([("square", square)], [24], 4, master_seed=3, parallelism=1)
     for rec in records:
         assert rec.chunk_runs == 4
         assert rec.perm_ms > 0 and rec.cascade_ms > 0
@@ -1044,28 +1044,50 @@ def test_sweep_deterministic_across_parallelism():
     assert runs[1] == runs[2] == runs[4]
 
 
-def test_sweep_runs_the_scalar_path_on_the_calling_thread(monkeypatch):
-    # scalar chunks hold the interpreter lock, so they run serially in the
-    # caller once the pool has closed; batched chunks go to the pool threads
-    caller, before = threading.get_ident(), set(threading.enumerate())
-    lockstep = process._lockstep
+def test_sweep_pools_only_more_than_one_chunk(monkeypatch):
+    # one chunk, or one worker, runs in the caller; more chunks go to one
+    # pool of min(parallelism, chunks) worker processes
+    pools = []
+    pool = process.futures.ProcessPoolExecutor
 
-    def spied(n, r, offs, perms, loop):
-        seen[loop.__name__].append(
-            (len(perms), threading.get_ident(), set(threading.enumerate())))
-        return lockstep(n, r, offs, perms, loop)
+    def spied(workers):
+        pools.append(workers)
+        return pool(workers)
 
-    monkeypatch.setattr(process, "_lockstep", spied)
-    for budget, sizes in ((1 << 40, 3), (1, 1)):
-        monkeypatch.setattr(process, "_CHUNK_SITES", budget)
-        seen = {"_run_python": [], "_run_batched": []}
-        run_sweep(_mixed_models(), [16], 3, master_seed=5, parallelism=2)
-        scalar, batched = seen["_run_python"], seen["_run_batched"]
-        # square and diamond on the scalar path, square4 batched
-        assert [k for k, *_ in scalar] == [sizes] * (6 // sizes)
-        assert [k for k, *_ in batched] == [sizes] * (3 // sizes)
-        assert all(ident == caller and threads == before for _, ident, threads in scalar)
-        assert all(ident != caller for _, ident, _ in batched)
+    def runs(records):
+        return [(r.model, r.n, r.seed, r.tau, r.closure_before, r.arrival_path, r.chunk_runs)
+                for r in records]
+
+    monkeypatch.setattr(process.futures, "ProcessPoolExecutor", spied)
+    models = _mixed_models()
+    for parallelism in (None, 1, 2, 4):
+        run_sweep(models[:1], [16], 3, master_seed=5, parallelism=parallelism)
+    assert pools == []
+    serial, _ = run_sweep(models, [16], 3, master_seed=5, parallelism=1)
+    assert [r.chunk_runs for r in serial] == [3] * 9 and pools == []
+    pooled, _ = run_sweep(models, [16], 3, master_seed=5, parallelism=2)
+    assert pools == [2] and runs(pooled) == runs(serial)
+    pooled, _ = run_sweep(models, [16], 3, master_seed=5, parallelism=4)
+    assert pools == [2, 3] and runs(pooled) == runs(serial)
+    monkeypatch.setattr(process, "_CHUNK_SITES", 1)  # a run a chunk: nine chunks
+    one, _ = run_sweep(models, [16], 3, master_seed=5, parallelism=1)
+    assert pools == [2, 3]
+    pooled, _ = run_sweep(models, [16], 3, master_seed=5, parallelism=2)
+    assert pools == [2, 3, 2] and runs(pooled) == runs(one)
+    assert [r[:5] for r in runs(one)] == [r[:5] for r in runs(serial)]
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None])
+def test_sweep_rejects_counts_that_are_not_integers(square, value):
+    # bool and float are not integers, as for seeds
+    with pytest.raises(ValueError, match=f"n_seeds must be an integer, got {value!r}"):
+        run_sweep([("square", square)], [8], value)
+    if value is not None:
+        with pytest.raises(ValueError,
+                           match=f"parallelism must be a positive integer, got {value!r}"):
+            run_sweep([("square", square)], [8], 2, parallelism=value)
+    records, _ = run_sweep([("square", square)], [8], np.int64(2), parallelism=np.int64(1))
+    assert len(records) == 2
 
 
 def test_torus_state_shares_the_scalar_loops_bytes():
