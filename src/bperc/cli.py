@@ -192,19 +192,19 @@ def cmd_tau(args) -> int:
     for seed in args.seed:
         rec = run_once(nbhd, args.n, seed)
         if args.audit:
-            # looked up on the module, as run_once does, so a wrapper
-            # installed there (the benchmark's tracer) sees this call too
-            perm = process.random_permutation(args.n * args.n, seed)
-            _audit_tau(nbhd, args.n, perm, rec)
+            # only the first tau arrivals, from the solver run_once uses
+            arrived = process.arrival_prefix(args.n * args.n, seed, rec.tau)
+            _audit_tau(nbhd, args.n, arrived, rec)
         records.append(rec)
     _write(args, records_to_jsonl(records) if args.format == "jsonl" else records_to_csv(records))
     return 0
 
 
-def _audit_tau(nbhd, n, perm, rec) -> None:
-    """From-scratch check that tau and closure_before match the definition."""
+def _audit_tau(nbhd, n, arrived, rec) -> None:
+    """From-scratch check that tau and closure_before match the definition;
+    ``arrived`` holds the first tau arrivals."""
     dom = Domain.torus(n)
-    sites = [(int(p) // n, int(p) % n) for p in perm]
+    sites = [divmod(p, n) for p in arrived.tolist()]
     before = closure(dom, nbhd, sites[: rec.tau - 1])
     after = closure(dom, nbhd, sites[: rec.tau])
     if before.is_full() or not after.is_full() or len(before.infected) != rec.closure_before:

@@ -55,14 +55,20 @@ raw >= 2^64 - n^2 are checked for rejection one by one, and a rejection
 shifts the later draws along the stream; the lanes' outputs are the scalar
 stream in order whatever their count, so when the rejections use up the
 spare outputs the draws are taken again from a longer prefix.  The swaps are
-not replayed one by one either: a sort of the (draw, step) pairs and pointer
-jumping give every final position at once (``_fisher_yates``).
+not replayed one by one either, and a run solves only the prefix of the
+permutation its loop reads (``_Arrivals``): tau is 3-5% of n^2 on the
+square torus.  The steps that draw below a prefix's end, sorted by (draw,
+step), give each of its positions the last step to move a value there, and
+the value follows from a table of the first step to draw each value (the
+order drawn lazily, as Newman & Ziff, PRL 85, 4104, 2000, draw theirs).
+``random_permutation`` is the same solver run to the end.
 """
 from __future__ import annotations
 
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import numbers
@@ -285,63 +291,186 @@ def _swap_draws(n_items: int, seed: int) -> np.ndarray:
         n_raw = raw.size + 1  # the rejections used up the spare outputs
 
 
-def _fisher_yates(draws: np.ndarray, n_items: int) -> np.ndarray:
-    """The permutation the backward Fisher-Yates swaps leave, solved in bulk.
+# ---------------------------------------------------------------------------
+# The permutation, solved a prefix at a time
+# ---------------------------------------------------------------------------
+#
+# Step i (n_items - 1 down to 1) swaps positions i and d_i <= i, so position
+# i is final after step i and keeps the value step i finds at d_i.  Among
+# the steps that ran before (those above i), the last to write there is
+# nw(i), the smallest step above i with the same draw; with no such step the
+# value is d_i itself.  The value step k finds at its own position, W(k), is
+# W(succ(k)) for succ(k) the smallest step above k that drew k, and k when
+# there is none.  Position 0 acts as a step 0 that draws 0.  So
+# perm[i] = W(nw(i)) when nw(i) exists, else d_i.
+#
+# Every step below hi draws below hi, so the steps that position i < hi
+# needs, i and nw(i), are among the steps that draw below hi.  Sorting the
+# steps of a range of draws by (draw, step) puts each one's nw right after
+# it, and W only climbs succ, a table of every value built once per run,
+# along short chains.  So a prefix costs the draws and succ, O(n_items)
+# numpy work once, plus work in proportion to the steps that draw below its
+# end, each sorted once: its nw is kept in place of its draw.
 
-    ``draws`` is the int64 output of ``_swap_draws``: step i (n_items - 1
-    down to 1) swaps positions i and d_i <= i.  Its buffer is consumed, and
-    1 <= n_items < 2^31.
+def _chain_ends(succ, w):
+    """W(k) for each step k of the int array ``w``, in place: succ followed
+    from k while it rises.  A chain from a random k rises about once, the
+    longest 17 to 19 times from n_items = 384^2 to 2048^2."""
+    cur, live = w, None  # live: the entries of w that cur still follows
+    while cur.size:
+        nxt = succ.take(cur)
+        up = np.flatnonzero(nxt > cur)
+        live = up if live is None else live.take(up)
+        cur = nxt.take(up)
+        w.put(live, cur)
+    return w
 
-    Position i is final after step i and keeps the value step i finds at d_i.
-    Among the steps that ran before (those above i), the last to write there
-    is nw(i), the smallest step above i with the same draw; with no such step
-    the value is d_i itself.  The value step k finds at its own position,
-    W(k), is W(succ(k)) for succ(k) the smallest step above k that drew k,
-    and k when there is none.  Position 0 acts as a step 0 that draws 0.  So
-    perm[i] = W(nw(i)) when nw(i) exists, else d_i.
 
-    One in-place sort of the (draw, step) pairs, packed in an int64, groups
-    the steps by draw in step order: nw(i) is the next entry of i's group,
-    and succ(k) the first entry of group k.  That entry is k itself when
-    step k drew itself, but W(k) is then never needed: nw(i) = k would need
-    d_i = k > i, and succ(j) = k would need d_k = j < k.  W follows by
-    pointer jumping; succ chains increase strictly, so the rounds grow with
-    the log of the longest chain.  The work arrays are int32 and the draws'
-    buffer goes once it is split, so less than 2.5 * n_items * 8 bytes are
-    alive at once.
+class _Arrivals:
+    """One run's arrival order, the v1 permutation, solved on demand.
+
+    ``perm[:solved]`` is solved; ``need(hi)`` extends it to hi or more, in
+    blocks that at least double (from n_items / 16), and ``blocks()`` yields
+    its solved stretches in order.  ``seconds`` is all the time spent
+    drawing and solving, and ``release()`` drops the arrays once the run is
+    over.  The solver state is the draws and succ, int32 each, plus perm,
+    as long as the solved prefix; solving adds work arrays for at most about
+    n_items / 4 sorted steps or n_items / 16 positions.  So a run at 1/16 of
+    n_items holds about as much as a whole permutation, and even the whole
+    solve peaks at about 18 bytes an entry, as the bulk solve did.
     """
-    m = n_items - 1
-    bits = m.bit_length()
-    key = draws
-    key <<= bits
-    key |= np.arange(m, 0, -1, dtype=np.int32)
-    key.sort()
-    step = np.empty(m, dtype=np.int32)
-    np.bitwise_and(key, (1 << bits) - 1, out=step, casting="unsafe")
-    key >>= bits
-    draw = key.astype(np.int32)
-    del draws, key
-    head = np.empty(m, dtype=bool)  # the entry opens its draw's group
-    head[:1] = True
-    np.not_equal(draw[1:], draw[:-1], out=head[1:])
-    succ = np.arange(n_items + 1, dtype=np.int32)  # entry n_items absorbs the rest
-    succ[np.where(head, draw, n_items)] = step
-    w = succ[:n_items]
-    del succ
-    while True:
-        jumped = w[w]
-        if np.array_equal(jumped, w):
-            break
-        w = jumped
-    del jumped
-    value = draw  # d_i for the last entry of a group, else W(nw(i))
-    first_value = w[step[0]] if m and draw[0] == 0 else 0  # nw(0) leads group 0
-    np.copyto(value[:-1], w[step[1:]], where=~head[1:])
-    del w, head
-    perm = np.empty(n_items, dtype=np.int64)
-    perm[0] = first_value
-    perm[step] = value
-    return perm
+
+    def __init__(self, n_items: int, seed: int):
+        if n_items >= 1 << 31:
+            raise ValueError(f"n_items must be below 2^31, got {n_items}")
+        start = time.perf_counter()
+        self.n_items = n_items
+        if n_items < 2:
+            self.perm, self.solved = np.arange(n_items, dtype=np.int64), n_items
+        else:
+            m = n_items - 1
+            draws = _swap_draws(n_items, seed)
+            draw = np.empty(n_items, dtype=np.int32)  # element j: the draw of step m - j
+            draw[:m] = draws
+            draw[m] = 0  # position 0 as a step 0 that draws 0
+            del draws
+            # succ[v]: the first step that drew v, or 0 for none; that is v
+            # itself when step v drew v, but W(v) is then never needed: nw(i)
+            # = v would need d_i = v > i, and succ(j) = v would need d_v = j.
+            # The minimum runs on step - 1 as uint32, so step 0 (-1) and no
+            # step (the fill, 2^32 - 1) are the largest and wrap back to 0.
+            succ = np.full(n_items, -1, dtype=np.int32).view(np.uint32)
+            np.minimum.at(succ, draw, np.arange(m - 1, -2, -1, dtype=np.int32).view(np.uint32))
+            succ += np.uint32(1)
+            self._draw, self._succ = draw, succ.view(np.int32)
+            self.perm, self.solved = np.empty(0, dtype=np.int64), 0
+        self.seconds = time.perf_counter() - start
+
+    @classmethod
+    def given(cls, perm: np.ndarray, seconds: float) -> "_Arrivals":
+        """An arrival order that is already solved: an injected permutation
+        and the ``seconds`` its check took."""
+        self = cls.__new__(cls)
+        self.n_items = self.solved = perm.size
+        self.perm, self.seconds = perm, seconds
+        return self
+
+    def need(self, hi: int) -> np.ndarray:
+        """perm, solved at least up to min(hi, n_items)."""
+        if hi > self.solved:
+            start = time.perf_counter()
+            lo = self.solved
+            top = min(self.n_items, max(hi, 2 * lo, self.n_items // 16))
+            self._solve(lo, top)
+            self.solved = top
+            self.seconds += time.perf_counter() - start
+        return self.perm
+
+    def blocks(self):
+        """The arrivals in order, as memoryviews of the solved blocks."""
+        lo = 0
+        while lo < self.n_items:
+            self.need(lo + 1)
+            yield memoryview(self.perm[lo:self.solved])
+            lo = self.solved
+
+    def release(self) -> None:
+        self.perm = self._draw = self._succ = None
+
+    def _draw_ranges(self, lo: int, hi: int) -> list:
+        """The ends of the ranges of draws [lo, e_1), [e_1, e_2), ...,
+        [., hi) that _solve sorts at a time: about equal shares of the steps
+        expected to draw in [lo, hi), each at most about n_items / 4.
+
+        Step j draws below v with chance min(1, v / (j + 1)), so about
+        F(v) = v (1 + ln(n_items / v)) steps draw below v."""
+        n_items = self.n_items
+
+        def below(v):
+            return v * (1 + math.log(n_items / v)) if v else 0.0
+
+        share = (below(hi) - below(lo)) / math.ceil(4 * (below(hi) - below(lo)) / n_items)
+        ends, start = [], lo
+        while below(hi) - below(start) > 1.5 * share:
+            a, b = start, hi  # the first v with below(v) >= below(start) + share
+            while b - a > 1:
+                mid = (a + b) // 2
+                if below(mid) - below(start) < share:
+                    a = mid
+                else:
+                    b = mid
+            if b == hi:
+                break
+            ends.append(b)
+            start = b
+        return ends + [hi]
+
+    def _solve(self, lo: int, hi: int) -> None:
+        """Solves perm[lo:hi], perm[:lo] being solved; perm, as long as the
+        solved prefix, moves to a new array of hi entries.
+
+        The steps that draw in [lo, hi) are taken a range of draws at a
+        time, packed as draw << bits | step in an int64 and sorted: each
+        draw's steps then follow in increasing order.  A step with a next
+        one, its nw, gets -1 - nw in place of its draw, which no later range
+        selects.  Then position i holds -1 - nw(i) or d_i, so the solved
+        block is a slice of the draws, reversed, with the chains followed
+        from the nw, n_items / 16 positions at a time."""
+        m = self.n_items - 1
+        bits = m.bit_length()
+        draw = self._draw
+        steps = draw[:self.n_items - lo]  # only steps from lo up draw from lo up
+        a = lo
+        for b in self._draw_ranges(lo, hi):
+            key = np.flatnonzero((steps >= a) & (steps < b) if a else steps < b)
+            step = m - key.astype(np.int32)
+            np.left_shift(steps.take(key), bits, out=key, dtype=np.int64)
+            key |= step
+            key.sort()
+            np.bitwise_and(key, (1 << bits) - 1, out=step, casting="unsafe")
+            key >>= bits
+            nw = key[1:] == key[:-1]  # the entry's draw has a next step
+            del key
+            at, nxt = step[:-1].compress(nw), step[1:].compress(nw)
+            del step, nw
+            np.subtract(m, at, out=at)
+            np.subtract(-1, nxt, out=nxt)
+            draw[at] = nxt
+            del at, nxt
+            a = b
+        perm = np.empty(hi, dtype=np.int64)
+        perm[:lo] = self.perm
+        self.perm = perm
+        for p in range(lo, hi, max(1, self.n_items // 16)):
+            q = min(p + max(1, self.n_items // 16), hi)
+            code = draw[m + 1 - q:m + 1 - p][::-1]  # positions p .. q - 1
+            chained = code < 0
+            nw = code.compress(chained)
+            np.subtract(-1, nw, out=nw)
+            block = perm[p:q]
+            block[:] = code
+            block[chained] = _chain_ends(self._succ, nw)
+            del chained, nw
 
 
 def random_permutation(n_items: int, seed: int) -> np.ndarray:
@@ -349,15 +478,18 @@ def random_permutation(n_items: int, seed: int) -> np.ndarray:
 
     Same result as the scalar loop the module docstring defines: the raw
     stream comes from jump-ahead lanes, the draws are mapped as vectors and
-    the swaps are solved in bulk by ``_fisher_yates``.  n_items must be
-    below 2^31 (a torus side up to 46340).
+    the swaps are solved by the runs' own solver, _Arrivals, to the end.
+    n_items must be below 2^31 (a torus side up to 46340).
     """
-    if n_items >= 1 << 31:
-        raise ValueError(f"n_items must be below 2^31, got {n_items}")
-    if n_items < 2:
-        return np.arange(n_items, dtype=np.int64)
-    # no reference to the draws stays here, so the solver can free them
-    return _fisher_yates(_swap_draws(n_items, seed), n_items)
+    return _Arrivals(n_items, seed).need(n_items)
+
+
+def arrival_prefix(n_items: int, seed: int, k: int) -> np.ndarray:
+    """The first k entries of random_permutation(n_items, seed), solved
+    only as far as they need (a copy; 0 <= k <= n_items)."""
+    if not 0 <= k <= n_items:
+        raise ValueError(f"k must lie in [0, {n_items}], got {k}")
+    return _Arrivals(n_items, seed).need(k)[:k].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +549,10 @@ class _Torus:
         np.copyto(self.done, self.saved[1])
 
 
-def _run_python(n, r, offs, perm, state):
+def _run_python(n, r, offs, arrivals, state):
     """Arrival loop with incremental cascade on ``state``, a loop for
-    _lockstep; returns (tau, closure_before).
+    _lockstep; returns (tau, closure_before).  It reads ``arrivals`` (an
+    _Arrivals) a solved block at a time.
 
     Arrivals and small cascades run as scalar loops.  Once one arrival's
     cascade has infected more than n sites, the loop hands the sites still
@@ -440,7 +573,7 @@ def _run_python(n, r, offs, perm, state):
     interior = bytearray(inner)
     stack = []  # each site at most once: it is pushed when its count reaches r
     push, pop = stack.append, stack.pop
-    for t, s in enumerate(memoryview(np.ascontiguousarray(perm, dtype=np.int64))):
+    for t, s in enumerate(itertools.chain.from_iterable(arrivals.blocks())):
         if infected[s]:
             continue
         prev = num
@@ -476,9 +609,10 @@ def _run_python(n, r, offs, perm, state):
     return n2, num
 
 
-def _run_batched(n, r, offs, perm, state):
+def _run_batched(n, r, offs, arrivals, state):
     """Arrivals in batches of n on ``state``, a loop for _lockstep; returns
-    (tau, closure_before).
+    (tau, closure_before).  Each batch asks ``arrivals`` (an _Arrivals) to
+    solve the permutation up to its end before it slices it.
 
     The infected set after any prefix of the arrivals is the closure of that
     prefix, so a batch goes in as one front of the generation step.  A batch
@@ -490,11 +624,11 @@ def _run_batched(n, r, offs, perm, state):
     once; the probes stop as soon as they cross the limit.
     """
     n2 = n * n
-    perm = np.asarray(perm, dtype=np.int64)
     num = 0  # infected sites: the closure of perm[:lo]
     lo = 0
     while lo < n2:
         hi = min(lo + n, n2)
+        perm = arrivals.need(hi)
         batch = perm[lo:hi]
         new = batch.size - int(np.count_nonzero(state.done.take(batch)))
         cap = min(n + new, n2 - num - 1)
@@ -534,19 +668,17 @@ def _bisect(state, perm, lo, hi, cap):
     return lo, added
 
 
-_IDLE_ROOM = 1 << 62  # the room of a run with no request in the front
-
-
-def _lockstep(n, r, offs, perms, loop):
-    """Runs ``loop`` on each permutation of ``perms``, on one stack of n x n
+def _lockstep(n, r, offs, arrivals, loop):
+    """Runs ``loop`` on each _Arrivals of ``arrivals``, on one stack of n x n
     tori; returns (tau, closure_before, seconds) for each.
 
-    ``loop(n, r, offs, perm, state)`` is a generator on its run's _Torus
+    ``loop(n, r, offs, arrivals, state)`` is a generator on its run's _Torus
     (_run_python or _run_batched).  It yields grow requests (sites, cap):
     infect ``sites``, torus indices each given once, and their cascade.
     The reply is the number of sites infected; once more than ``cap`` are,
     it is some number above cap, and the torus is left in a state only the
-    loop's restore() mends.  The loop returns (tau, closure_before).
+    loop's restore() mends.  The loop returns (tau, closure_before), and
+    its run's arrays are released.
 
     Every pending request advances in one round of next_generation over
     all the tori at a time.  A request joins the front between rounds,
@@ -556,28 +688,31 @@ def _lockstep(n, r, offs, perms, loop):
     sites in the front, though; its torus is marked done, so their pushes
     reach no site that is not done, and its loop resumes, and restores the
     torus, after one more round.  When no run goes on, the front is dropped
-    instead.  Each round's bookkeeping is a fixed number of numpy calls
-    over the runs, and none while one run is in the front.
+    instead.  A round's new front is in increasing order, so one
+    searchsorted over the block bounds gives each run's share of it; the
+    rest of the bookkeeping is a Python pass over the runs in the front, and
+    there is none while one run is in the front.
 
     ``seconds`` is the time the run's own loop took plus its share of the
     set-up and of each round it was in, a round's time split evenly among
-    the runs in it.
+    the runs in it.  Solving the permutation inside the loop is not in it:
+    that time goes to the run's _Arrivals.
     """
     start = time.perf_counter()
-    k, n2 = len(perms), n * n
+    k, n2 = len(arrivals), n * n
     counts = np.zeros(k * n2, dtype=np.int32)
     buf = bytearray(k * n2)
     done = np.frombuffer(buf, dtype=np.uint8)
     targets = grid_targets(n, n, offs, k)
+    bounds = np.arange(n2, (k + 1) * n2, n2)  # the end of each run's block
     # a chunk of one keeps the bytearray, which the scalar loop indexes
     # faster than a memoryview
     blocks = [buf] if k == 1 else [memoryview(buf)[j * n2:(j + 1) * n2] for j in range(k)]
-    runs = [loop(n, r, offs, perm, _Torus(counts[j * n2:(j + 1) * n2], blocks[j]))
-            for j, perm in enumerate(perms)]
+    runs = [loop(n, r, offs, source, _Torus(counts[j * n2:(j + 1) * n2], blocks[j]))
+            for j, source in enumerate(arrivals)]
     out = [None] * k
     caps = [0] * k
-    room = np.full(k, _IDLE_ROOM, dtype=np.int64)  # cap + 1 - sites added so far
-    idle = np.ones(k, dtype=np.int64)  # 0 while the run has a request in the front
+    room = [0] * k  # while in the front: cap + 1 - the sites added so far
     active = set()  # the runs with a request in the front
     front = np.empty(0, dtype=np.int64)
     wake = [(j, None) for j in range(k)]  # runs to resume now, with their replies
@@ -591,6 +726,7 @@ def _lockstep(n, r, offs, perms, loop):
         round, joined to the front; returns its sites, or None once the
         loop has returned."""
         begin = time.perf_counter()
+        solving = arrivals[j].seconds
         base = j * n2
         try:
             while True:
@@ -602,15 +738,16 @@ def _lockstep(n, r, offs, perms, loop):
                 reply = piece.size  # nothing to push, or past the cap already
         except StopIteration as stop:
             out[j] = stop.value
+            runs[j] = None
+            arrivals[j].release()
             piece = None
         else:
             done.put(piece, 1)
             caps[j] = cap
             room[j] = cap + 1 - piece.size
-            idle[j] = 0
             entered[j] = clock
             active.add(j)
-        seconds[j] += time.perf_counter() - begin
+        seconds[j] += time.perf_counter() - begin - (arrivals[j].seconds - solving)
         return piece
 
     mark = time.perf_counter()
@@ -633,7 +770,7 @@ def _lockstep(n, r, offs, perms, loop):
         if len(active) == 1 and not later:
             # one run in the front: its rounds run on until it leaves
             (j,) = active
-            left = int(room[j])
+            left = room[j]
             while True:
                 front = next_generation(counts, done, front, r, targets)
                 if not front.size:
@@ -649,9 +786,13 @@ def _lockstep(n, r, offs, perms, loop):
             if front.size:
                 done.put(front, 1)
             wake, later = later, []
-            sizes = np.bincount(front // n2, minlength=k)
-            room -= sizes
-            leaving = np.flatnonzero(np.minimum(sizes + idle, room) <= 0).tolist()
+            ends = front.searchsorted(bounds).tolist()
+            leaving = []
+            for j in active:
+                size = ends[j] - ends[j - 1] if j else ends[0]
+                room[j] -= size
+                if not size or room[j] <= 0:
+                    leaving.append(j)
             if not leaving:
                 continue
         now = time.perf_counter()
@@ -660,9 +801,7 @@ def _lockstep(n, r, offs, perms, loop):
         active.difference_update(leaving)
         for j in leaving:
             over = room[j] <= 0
-            reply = caps[j] + 1 - int(room[j])
-            room[j] = _IDLE_ROOM
-            idle[j] = 1
+            reply = caps[j] + 1 - room[j]
             seconds[j] += clock - entered[j]
             if over and active:
                 done[j * n2:(j + 1) * n2] = 1
@@ -698,11 +837,12 @@ class ProcessRecord:
     tau: int
     closure_before: int
     wall_ms: float
-    perm_ms: float = 0.0  # drawing (or checking an injected) permutation
+    perm_ms: float = 0.0  # drawing and solving (or checking an injected) permutation
     cascade_ms: float = 0.0  # the arrival loop and its share of shared rounds
     schema_version: int = SCHEMA_VERSION
     arrival_path: str = "scalar"  # "scalar" or "batched": the loop that ran
     chunk_runs: int = 1  # the runs whose generation rounds this one shared
+    arrivals_solved: int = 0  # the prefix of the permutation solved (n^2 if injected)
 
     @property
     def jump_ratio(self) -> float:
@@ -741,20 +881,21 @@ def _seed64(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
 
 
-def _run_chunk(model, nbhd, n, seeds, perms, perm_s) -> list:
-    """The records of runs on the permutations ``perms``, advanced together
-    by _lockstep; ``perm_s`` holds the seconds each permutation took."""
+def _run_chunk(model, nbhd, n, seeds, arrivals) -> list:
+    """The records of runs on the arrival orders ``arrivals`` (_Arrivals),
+    advanced together by _lockstep."""
     offs = offsets_array(nbhd)
     path = _arrival_path(offs)
     loop = _run_batched if path == "batched" else _run_python
     records = []
-    for seed, drawn, (tau, before, cascade) in zip(
-            seeds, perm_s, _lockstep(n, nbhd.threshold, offs, perms, loop)):
-        perm_ms, cascade_ms = drawn * 1000.0, cascade * 1000.0
+    for seed, source, (tau, before, cascade) in zip(
+            seeds, arrivals, _lockstep(n, nbhd.threshold, offs, arrivals, loop)):
+        perm_ms, cascade_ms = source.seconds * 1000.0, cascade * 1000.0
         records.append(ProcessRecord(model, n, seed, int(tau), int(before),
                                      wall_ms=perm_ms + cascade_ms, perm_ms=perm_ms,
                                      cascade_ms=cascade_ms, arrival_path=path,
-                                     chunk_runs=len(perms)))
+                                     chunk_runs=len(arrivals),
+                                     arrivals_solved=source.solved))
     return records
 
 
@@ -770,7 +911,8 @@ def run_once(
     ``seed`` must lie in [0, 2^64).  Neighbourhoods with at least
     _BATCHED_MIN_OFFSETS nonzero offsets take the batched arrival path,
     smaller ones the scalar loop; both give the same record.  The run is a
-    chunk of one: its rounds are its own.
+    chunk of one: its rounds are its own.  A drawn permutation is solved
+    only as far as the loop reads it.
     """
     Domain.torus(n).validate_for(nbhd)
     seed = _seed64(seed, "seed")
@@ -787,10 +929,10 @@ def run_once(
         seen[perm] = True
         if not seen.all():
             raise ValueError("injected permutation is not a bijection on the torus")
+        arrivals = _Arrivals.given(perm, time.perf_counter() - start)
     else:
-        perm = random_permutation(n2, seed)
-    drawn = time.perf_counter() - start
-    return _run_chunk(model or nbhd.name, nbhd, n, [seed], [perm], [drawn])[0]
+        arrivals = _Arrivals(n2, seed)
+    return _run_chunk(model or nbhd.name, nbhd, n, [seed], [arrivals])[0]
 
 
 @dataclass(frozen=True)
@@ -867,19 +1009,16 @@ def summarise(records: Sequence[ProcessRecord],
 # Chunks of one differ from each other by up to 18% (square n = 1024), so
 # only the scalar path's gain stands out: its final fills run many rounds
 # on small fronts, while the batched path pushes whole batches.  2^21 keeps
-# that gain at n = 512 and holds about 27 MB of arrays and permutations per
-# scalar chunk, 38 MB per batched one.
+# that gain at n = 512.  A chunk's peak, arrays and the runs' solver state
+# (draws and succ, 8 bytes a site, and the solved prefix), is about 30 MB
+# for 7 square runs at n = 512 and 44 MB for 27 square4 runs at n = 256
+# (tracemalloc; 28 and 43 MB when each run held its whole permutation).
 _CHUNK_SITES = 1 << 21
 
 
 def _sweep_chunk(model, nbhd, n, seeds) -> list:
-    """The records of one chunk of a sweep: its permutations, then its runs."""
-    perms, perm_s = [], []
-    for seed in seeds:
-        start = time.perf_counter()
-        perms.append(random_permutation(n * n, seed))
-        perm_s.append(time.perf_counter() - start)
-    return _run_chunk(model, nbhd, n, seeds, perms, perm_s)
+    """The records of one chunk of a sweep: its arrival orders, then its runs."""
+    return _run_chunk(model, nbhd, n, seeds, [_Arrivals(n * n, seed) for seed in seeds])
 
 
 def run_sweep(

@@ -185,6 +185,23 @@ def test_tau_audit_passes(capsys):
     assert rec["tau"] <= 64
 
 
+def test_tau_audit_reads_only_the_first_tau_arrivals(capsys, monkeypatch):
+    calls = []
+    prefix = bperc.process.arrival_prefix
+
+    def spied(n_items, seed, k):
+        arrived = prefix(n_items, seed, k)
+        calls.append((n_items, seed, k, arrived.size))
+        return arrived
+
+    monkeypatch.setattr(bperc.process, "arrival_prefix", spied)
+    code, out, _ = run_cli(capsys, "tau", "--model", "square", "--n", "32",
+                           "--seed", "7", "--audit", "--format", "jsonl")
+    assert code == 0
+    tau = json.loads(out.splitlines()[0])["tau"]
+    assert calls == [(32 * 32, 7, tau, tau)]
+
+
 def test_sweep_summary_and_records(capsys, tmp_path):
     rec_path = tmp_path / "runs.csv"
     code, out, _ = run_cli(capsys, "sweep", "--models", "square", "--ns", "16",

@@ -4,7 +4,9 @@ import math
 import random
 import sys
 import threading
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +18,8 @@ from bperc.dynamics import Domain, closure, offsets_array
 from bperc.geometry import NeighbourhoodSpec, build_neighbourhood
 from bperc.process import (
     CSV_COLUMNS,
+    _Arrivals,
     _bounded_draws,
-    _fisher_yates,
     _lane_stream,
     _rejects,
     _run_batched,
@@ -355,8 +357,16 @@ def reference_swaps(draws, n_items):
     return perm
 
 
+def crafted(draws, n_items):
+    """The runs' solver, _Arrivals, on the crafted ``draws`` in place of the
+    seed's."""
+    with mock.patch.object(process, "_swap_draws",
+                           lambda n, seed: np.array(draws, dtype=np.int64)):
+        return _Arrivals(n_items, 0)
+
+
 def _solve(draws, n_items):
-    return _fisher_yates(np.array(draws, dtype=np.int64), n_items).tolist()
+    return crafted(draws, n_items).need(n_items).tolist()
 
 
 @st.composite
@@ -400,6 +410,45 @@ def test_swap_solver_is_a_bijection_from_draws(n_items):
         assert perm == reference_swaps(draws, n_items).tolist()
         seen.add(tuple(perm))
     assert len(seen) == math.factorial(n_items)
+
+
+@settings(max_examples=200, deadline=None)
+@given(swap_draws(), st.lists(st.integers(1, 400), max_size=8), st.data())
+def test_prefix_solver_matches_swap_loop_in_any_blocks(case, ends, data):
+    # the solved prefix after each block, whatever the blocks' sizes, is the
+    # swap loop's; need() takes blocks at least doubling, _solve any block
+    draws, n_items = case
+    want = reference_swaps(draws, n_items).tolist()
+    arrivals = crafted(draws, n_items)
+    for end in sorted(min(e, n_items) for e in ends):
+        if data.draw(st.booleans()):
+            arrivals.need(end)
+        elif end > arrivals.solved:
+            arrivals._solve(arrivals.solved, end)
+            arrivals.solved = end
+        k = arrivals.solved
+        assert k >= end and arrivals.perm[:k].tolist() == want[:k]
+    assert arrivals.need(n_items).tolist() == want
+
+
+@pytest.mark.parametrize("n_items", [2, 3, 1000, 65537])
+def test_prefix_blocks_sort_bounded_ranges_of_draws(n_items):
+    # the whole permutation goes in four ranges of draws of about n_items / 4
+    # steps each, a run's first block in one; every prefix is the bulk order's
+    arrivals = _Arrivals(n_items, 7)
+    ends = arrivals._draw_ranges(0, n_items)
+    assert ends[-1] == n_items and ends == sorted(set(ends))
+    if n_items > 4:
+        assert len(ends) == 4
+        sizes = np.diff(np.searchsorted(np.sort(_swap_draws(n_items, 7)), [0] + ends))
+        assert sizes.max() <= 1.1 * n_items / 4
+    assert arrivals._draw_ranges(0, n_items // 16 + 1) == [n_items // 16 + 1]
+    want = random_permutation(n_items, 7)
+    for k in (0, 1, n_items // 16, n_items // 5, n_items):
+        assert (process.arrival_prefix(n_items, 7, k) == want[:k]).all()
+    for k in (-1, n_items + 1):
+        with pytest.raises(ValueError, match="k must lie in"):
+            process.arrival_prefix(n_items, 7, k)
 
 
 @pytest.mark.parametrize("n_items, seed", [(2, 0), (1000, 5), (65537, U64 - 1), (384 * 384, 11)])
@@ -514,18 +563,24 @@ def reference_run(n, r, offs, perm):
     raise AssertionError("the last arrival always fills the torus")
 
 
+def solved(perm):
+    """An arrival order that is already solved, as run_once wraps an
+    injected permutation."""
+    return _Arrivals.given(np.asarray(perm, dtype=np.int64), 0.0)
+
+
 def run_alone(loop, n, r, offs, perm):
     """(tau, closure_before) of the arrival loop ``loop`` on ``perm``, as a
     chunk of one."""
-    ((tau, before, _),) = process._lockstep(n, r, offs, [np.asarray(perm, dtype=np.int64)], loop)
+    ((tau, before, _),) = process._lockstep(n, r, offs, [solved(perm)], loop)
     return tau, before
 
 
 def watched(loop, events):
     """``loop`` with each of its grow requests appended to ``events`` as
     (cap, reply, sites done before the request, sites done at the reply)."""
-    def spied(n, r, offs, perm, state):
-        gen = loop(n, r, offs, perm, state)
+    def spied(n, r, offs, arrivals, state):
+        gen = loop(n, r, offs, arrivals, state)
         reply = None
         while True:
             try:
@@ -775,10 +830,9 @@ def _lp_case(p, s):
 
 def _chunk_against_reference(nbhd, n, orders):
     offs = offsets_array(nbhd)
-    perms = [np.asarray(perm, dtype=np.int64) for perm in orders]
     want = [reference_run(n, nbhd.threshold, offs, perm) for perm in orders]
     for loop in (_run_python, _run_batched):
-        got = process._lockstep(n, nbhd.threshold, offs, perms, loop)
+        got = process._lockstep(n, nbhd.threshold, offs, [solved(perm) for perm in orders], loop)
         assert [(tau, before) for tau, before, _ in got] == want
 
 
@@ -842,8 +896,7 @@ def test_chunk_run_past_its_cap_waits_a_round_while_another_grows():
     want = [reference_run(n, nbhd.threshold, offs, o) for o in orders]
     events = []
     with generation_branch("dense"):
-        got = process._lockstep(n, nbhd.threshold, offs,
-                                [np.asarray(o, dtype=np.int64) for o in orders],
+        got = process._lockstep(n, nbhd.threshold, offs, [solved(o) for o in orders],
                                 watched(_run_batched, events))
         assert [(tau, before) for tau, before, _ in got] == want
         assert any(_waits(events, n))
@@ -854,6 +907,76 @@ def test_chunk_run_past_its_cap_waits_a_round_while_another_grows():
                          orders[0]) == want[0]
     over = [(cap, reply, before, after) for cap, reply, before, after in events if reply > cap]
     assert over and all(after == before + reply for _, reply, before, after in over)
+
+
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+def test_generation_fronts_come_in_increasing_order(monkeypatch, branch):
+    # _lockstep splits a round's front among the runs by one searchsorted
+    # over the block bounds, so next_generation must return sorted sites
+    fronts = []
+    step = process.next_generation
+
+    def spied(*args):
+        front = step(*args)
+        fronts.append(front)
+        return front
+
+    monkeypatch.setattr(process, "next_generation", spied)
+    monkeypatch.setattr(process, "_CHUNK_SITES", 1 << 40)
+    with generation_branch(branch) as rounds:
+        for name in ("square", "square4"):
+            nbhd = build_neighbourhood(NeighbourhoodSpec.named(name))
+            run_sweep([(name, nbhd)], [16], 4, master_seed=13, parallelism=1)
+    assert bool(rounds) == (branch == "dense")
+    assert sum(f.size > 1 for f in fronts) > 20
+    assert all((np.diff(f) > 0).all() for f in fronts)
+
+
+@pytest.mark.parametrize("n, most", [(64, 64 * 64 - 1), (384, 384 * 384 // 8)])
+def test_square_runs_solve_only_a_prefix_of_the_permutation(square, n, most):
+    for seed in (1, 2):
+        rec = run_once(square, n, seed)
+        assert rec.tau <= rec.arrivals_solved <= most
+    injected = run_once(square, 16, 0, permutation=row_major_permutation(16))
+    assert injected.arrivals_solved == 16 * 16
+
+
+def test_solves_inside_the_loop_count_as_permutation_time(square, monkeypatch):
+    # every solve is timed by the arrival order, not by the loop it runs in
+    solves = []
+    solve = _Arrivals._solve
+
+    def slow(self, lo, hi):
+        solve(self, lo, hi)
+        time.sleep(0.05)
+        solves.append(hi)
+
+    monkeypatch.setattr(_Arrivals, "_solve", slow)
+    monkeypatch.setattr(process, "_CHUNK_SITES", 1 << 40)
+    records, _ = run_sweep([("square", square)], [32], 3, master_seed=3, parallelism=1)
+    assert len(solves) >= 3
+    for rec in records:
+        assert rec.perm_ms >= 50 and rec.cascade_ms < 50
+        assert rec.perm_ms + rec.cascade_ms == pytest.approx(rec.wall_ms, rel=1e-9)
+
+
+def test_run_state_is_released_when_its_loop_returns(monkeypatch):
+    # a run's draws, succ and permutation go as soon as its loop returns,
+    # while the other runs of its chunk go on
+    nbhd = build_neighbourhood(NeighbourhoodSpec.named("square4"))
+    arrivals = [_Arrivals(16 * 16, seed) for seed in range(4)]
+    released = []
+    release = _Arrivals.release
+
+    def spied(self):
+        released.append(sum(a.perm is not None for a in arrivals))
+        release(self)
+
+    monkeypatch.setattr(_Arrivals, "release", spied)
+    records = process._run_chunk("square4", nbhd, 16, list(range(4)), arrivals)
+    assert released == [4, 3, 2, 1]
+    assert all(a.perm is None and a._draw is None for a in arrivals)
+    assert [r.arrivals_solved for r in records] == [a.solved for a in arrivals]
 
 
 def test_chunk_records_split_the_wall_time(square, monkeypatch):
@@ -1213,9 +1336,10 @@ def test_jsonl_round_trip(square):
     assert obj["tau"] == rec.tau
     assert obj["schema_version"] == 1
     assert set(obj) == set(CSV_COLUMNS) | {"perm_ms", "cascade_ms", "arrival_path",
-                                           "chunk_runs"}
+                                           "chunk_runs", "arrivals_solved"}
     assert obj["arrival_path"] == "scalar"
     assert obj["chunk_runs"] == 1
+    assert rec.tau <= obj["arrivals_solved"] <= 64
 
 
 def test_records_name_the_arrival_path(square):
