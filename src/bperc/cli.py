@@ -326,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tau", help="run the permutation process")
     _add_model_flags(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, nargs="+", required=True,
-                   help="seeds, each an integer in [0, 2^64)")
+    p.add_argument("--seed", type=int, nargs="+", action="extend", required=True,
+                   help="seeds, each an integer in [0, 2^64); the flag may repeat")
     p.add_argument("--audit", action="store_true",
                    help="cross-check tau against from-scratch closures")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")

@@ -181,21 +181,18 @@ def offsets_array(nbhd: Neighbourhood) -> np.ndarray:
 # branch: a dense round costs about _DENSE_CELL_COST per cell of the grid,
 # plus _DENSE_ROUND_COST for the numpy calls it makes beyond the sparse
 # round's, and runs when that is less than front * |K*|.  Both branches
-# were timed, twice, on the same 514 rounds of real runs (lp balls, square,
-# square4, boxtimes and diamond; n = 128 to 2048; BENCH_gather_tables.json,
-# "rounds"; 2-vCPU VM).  Up to n = 256 a sparse round with the gather
-# tables takes 10-16 ns per pushed target and a dense one 8-13 ns per cell.
-# A search over the constants puts the cell cost at 0.9; the dense round's
-# cost per front site and row run, which used to keep small neighbourhoods
-# sparse, made no case pick better and is gone.  The rounds the rule picks
-# take 3-4% longer in all than the faster branch of each and at most 1.9x
-# on one round, against 4-5% and 3.2x for the old rule (0.5 per cell, 2 per
-# front site and run).  The crossover falls with n: on batches of 2048
-# arrivals of lp p = 2, s = 16 at n = 2048 dense wins from about 0.4
-# targets per cell, and the picks take 9-12% longer than the faster branch.
-# The largest square4 fronts at n = 192 (690 sites over 60 seeds, where
-# dense starts at 843) stay sparse.
-_DENSE_CELL_COST = 0.9
+# were timed, twice, on the same 488 rounds of real runs (lp balls,
+# square4, boxtimes, square and diamond; n = 128 to 2048; at most 400
+# rounds of a run, those with front * |K*| >= 0.05 cells;
+# BENCH_one_state_array.json, "rounds"; 2-vCPU VM).  A search over the
+# constants puts the cell cost at 1.1: the rounds it picks take 0.1% longer
+# than the faster branch of each, averaged over the 22 cases, and at most
+# 1.24x on one round, against 2.2-3.4% and up to 2.1x with 0.9.  The
+# batches of 2048 arrivals of lp p = 2, s = 16 at n = 2048 (0.39 targets
+# per cell) run sparse in 0.5-0.7 of the dense time.  The largest square4
+# fronts at n = 192 (690 sites over 60 seeds, where dense starts at 1026)
+# stay sparse.
+_DENSE_CELL_COST = 1.1
 _DENSE_ROUND_COST = 512
 
 
@@ -332,44 +329,55 @@ def grid_targets(width: int, height: int, offs: np.ndarray, tori: int = 1) -> Ca
     return targets
 
 
-def next_generation(counts, done, front, r, targets):
-    """One round of the counter-push cascade: pushes ``front``, whose sites
-    are already done, and returns the sites whose count crosses r and that
-    are not done, in increasing order, without marking them.
+# A done site holds DONE: "done" is ``counts < 0``.  A site x is pushed
+# once by each of its |K*| pushers x + k, and once by itself in the dense
+# branch's row runs, so between two restores it gets at most |K*| + 1
+# pushes, and once done its count stays negative.
+DONE = -(1 << 30)
 
-    ``counts`` and ``done`` are flat arrays over the sites, updated in place;
+
+def next_generation(counts, front, r, targets):
+    """One round of the counter-push cascade: pushes ``front``, whose sites
+    are already done, and returns the sites whose count crosses r, in
+    strictly increasing order, without marking them done.
+
+    ``counts`` is a flat int32 array over the sites, updated in place, and
+    the only state: a done site holds DONE, so "done" is ``counts < 0``.
     ``targets`` comes from grid_targets.  The round has two branches with
     the same result, picked by cost.  The sparse one costs about
-    front * |K*| pushed targets: it lists each push, drops those onto done
-    sites, sorts the rest and adds the run lengths.  The dense one costs
-    about 0.9 targets per site of the grid and a fixed 512: it counts the
-    pushes per row run with a difference array and one cumulative sum, adds
-    them to every site, done or not, and takes the sites at r or more that
-    are not done.  The sparse branch reads and writes the flat arrays with
-    take, put and compress, each one call with less overhead than the fancy
-    indexing it replaces.
+    front * |K*| pushed targets: it lists each push, adds them all with one
+    np.add.at, takes the pushed sites now at r or more, and sorts only
+    those, to list each once.  The dense one costs about 1.1 targets per
+    site of the grid and a fixed 512: it counts the pushes per row run with
+    a difference array and one cumulative sum, and takes the sites at r or
+    more.  Both add pushes onto done sites too, which leave them below
+    zero (see DONE); dropping them first costs a take and a compress over
+    every push, and made square and square4 sweeps 5-7% slower.  The sparse
+    branch reads the flat array with take and compress, each one call with
+    less overhead than the fancy indexing it replaces.
 
     The round relies on one invariant: no site that is not done holds r or
     more counts, apart from those ``front`` pushes to r.  Each round keeps
     it for the next, because every site its pushes lift to r joins the
     next front.  So a site crosses r exactly when its count reaches r, and
     the dense branch's test of the whole grid finds the same sites as the
-    sparse branch's test of those pushed.  The counts of done sites go
-    stale (the sparse branch drops their pushes, the dense branch adds
-    them, and a pusher's own): nothing reads them again.
+    sparse branch's test of those pushed.
     """
     hit = targets(front, counts)
     if hit is None:
-        return np.flatnonzero((counts >= r) & (done == 0))
-    hit = hit.compress(done.take(hit) == 0)
-    hit.sort()
-    edge = np.ones(hit.size + 1, dtype=bool)  # a run of one site starts here
-    np.not_equal(hit[1:], hit[:-1], out=edge[1:-1])
-    bounds = edge.nonzero()[0]  # the run starts, then hit.size
-    sites = hit.take(bounds[:-1])
-    after = counts.take(sites) + (bounds[1:] - bounds[:-1])
-    counts.put(sites, after)
-    return sites.compress(after >= r)
+        return np.flatnonzero(counts >= r)
+    # np.int32, not 1: a Python int sends ufunc.at down its slow generic
+    # path, 13-15 times slower (44 against 3.5 us for 600 pushes, numpy
+    # 2.4.6; BENCH_one_state_array.json, "add_at")
+    np.add.at(counts, hit, np.int32(1))
+    new = hit.compress(counts.take(hit) >= r)
+    if new.size > 1:  # a site pushed to r more than once is listed once
+        new.sort()
+        first = np.empty(new.size, dtype=bool)
+        first[0] = True
+        np.not_equal(new[1:], new[:-1], out=first[1:])
+        new = new.compress(first)
+    return new
 
 
 def closure(
@@ -397,20 +405,22 @@ def closure(
         pts = np.array(list(sites), dtype=np.int64).reshape(-1, 2)
         return (pts[:, 0] + pad - xmin) * height + (pts[:, 1] + pad - ymin)
 
-    done = np.ones(width * height, dtype=np.uint8)  # the padding stays done
-    if allowed is None:
-        done.reshape(width, height)[pad:width - pad, pad:height - pad] = 0
+    if allowed is None and not pad:  # the whole torus
+        counts = np.zeros(width * height, dtype=np.int32)
     else:
-        done[index(allowed)] = 0
+        counts = np.full(width * height, DONE, dtype=np.int32)  # the padding stays done
+        if allowed is None:
+            counts.reshape(width, height)[pad:width - pad, pad:height - pad] = 0
+        else:
+            counts[index(allowed)] = 0
     front = index(cfg.infected)
-    done[front] = 1
-    counts = np.zeros(width * height, dtype=np.int32)
+    counts[front] = DONE
     targets = grid_targets(width, height, offs)
     new = []  # each round's newly infected sites
     while front.size:
-        front = next_generation(counts, done, front, nbhd.threshold, targets)
+        front = next_generation(counts, front, nbhd.threshold, targets)
         if front.size:
-            done.put(front, 1)
+            counts.put(front, DONE)
             new.append(front)
     if not new:
         return cfg

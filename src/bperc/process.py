@@ -15,7 +15,8 @@ checkpoint per batch and bisection of a batch that fills the torus
 arrivals being the closure of that prefix.
 
 Runs advance in chunks (``_lockstep``).  The tori of a chunk's runs lie side
-by side in one pair of flat arrays.  Both loops are generators that hand
+by side in one flat int32 array of counters, where a done site holds
+``dynamics.DONE``.  Both loops are generators that hand
 every cascade they need grown to one driver: the scalar loop's hand-off,
 each batch, each bisection probe and the final fill.  The driver advances
 all of them one generation round at a time, so a round's fixed cost of
@@ -81,7 +82,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import Domain, grid_targets, next_generation, offsets_array
+from .dynamics import DONE, Domain, grid_targets, next_generation, offsets_array
 from .geometry import Neighbourhood
 
 SCHEMA_VERSION = 1
@@ -526,27 +527,22 @@ def _arrival_path(offs) -> str:
 
 
 class _Torus:
-    """One run's counter-push state: ``counts`` and ``done`` are views of its
-    block of a chunk's flat arrays, and ``infected`` is a memoryview of the
-    bytes of ``done``, which the scalar loop indexes.  The checkpoint copies
-    are made on the first save(), so a run that never saves never holds
-    them."""
+    """One run's counter-push state: ``counts``, a view of its block of a
+    chunk's flat int32 array, where a done site holds dynamics.DONE.  The
+    checkpoint copy is made on the first save(), so a run that never saves
+    never holds it."""
 
-    def __init__(self, counts, infected):
+    def __init__(self, counts):
         self.counts = counts
-        self.infected = infected
-        self.done = np.frombuffer(infected, dtype=np.uint8)
         self.saved = None
 
     def save(self):
         if self.saved is None:
-            self.saved = (np.empty_like(self.counts), np.empty_like(self.done))
-        np.copyto(self.saved[0], self.counts)
-        np.copyto(self.saved[1], self.done)
+            self.saved = np.empty_like(self.counts)
+        np.copyto(self.saved, self.counts)
 
     def restore(self):
-        np.copyto(self.counts, self.saved[0])
-        np.copyto(self.done, self.saved[1])
+        np.copyto(self.counts, self.saved)
 
 
 def _run_python(n, r, offs, arrivals, state):
@@ -554,16 +550,18 @@ def _run_python(n, r, offs, arrivals, state):
     _lockstep; returns (tau, closure_before).  It reads ``arrivals`` (an
     _Arrivals) a solved block at a time.
 
-    Arrivals and small cascades run as scalar loops.  Once one arrival's
-    cascade has infected more than n sites, the loop hands the sites still
-    to infect to the generation step, which finishes the cascade on the
-    same state; the result is the same because the infected set after each
-    arrival is the closure of the arrivals so far, whatever order the
-    counter pushes run in.
+    Arrivals and small cascades run as scalar loops over a memoryview of
+    ``state.counts``.  A site is done once it holds DONE, and no push lifts
+    a done site to r, so ``c == r`` alone finds the sites to infect, and
+    each is stacked once.  Once one arrival's cascade has infected more
+    than n sites, the loop hands the sites still to infect to the
+    generation step, which finishes the cascade on the same state; the
+    result is the same because the infected set after each arrival is the
+    closure of the arrivals so far, whatever order the counter pushes run
+    in.
     """
     n2 = n * n
     counts = memoryview(state.counts)
-    infected = state.infected
     num = 0
     offsets = [(int(a), int(b)) for a, b in offs]
     deltas = [kx * n + ky for kx, ky in offsets]
@@ -574,27 +572,25 @@ def _run_python(n, r, offs, arrivals, state):
     stack = []  # each site at most once: it is pushed when its count reaches r
     push, pop = stack.append, stack.pop
     for t, s in enumerate(itertools.chain.from_iterable(arrivals.blocks())):
-        if infected[s]:
+        if counts[s] < 0:
             continue
         prev = num
         push(s)
         while stack:
             y = pop()
-            if infected[y]:
-                continue
             if num - prev > n:
                 push(y)
                 num += yield np.array(stack, dtype=np.int64), n2
                 stack.clear()
                 break
-            infected[y] = 1
+            counts[y] = DONE
             num += 1
             if interior[y]:
                 for d in deltas:
                     x = y - d
                     c = counts[x] + 1
                     counts[x] = c
-                    if c == r and not infected[x]:
+                    if c == r:
                         push(x)
             else:
                 yx, yy = divmod(y, n)
@@ -602,7 +598,7 @@ def _run_python(n, r, offs, arrivals, state):
                     x = (yx - kx) % n * n + (yy - ky) % n
                     c = counts[x] + 1
                     counts[x] = c
-                    if c == r and not infected[x]:
+                    if c == r:
                         push(x)
         if num == n2:
             return t + 1, prev
@@ -630,7 +626,7 @@ def _run_batched(n, r, offs, arrivals, state):
         hi = min(lo + n, n2)
         perm = arrivals.need(hi)
         batch = perm[lo:hi]
-        new = batch.size - int(np.count_nonzero(state.done.take(batch)))
+        new = int(np.count_nonzero(state.counts.take(batch) >= 0))
         cap = min(n + new, n2 - num - 1)
         state.save()
         added = yield batch, cap
@@ -681,17 +677,19 @@ def _lockstep(n, r, offs, arrivals, loop):
     its run's arrays are released.
 
     Every pending request advances in one round of next_generation over
-    all the tori at a time.  A request joins the front between rounds,
-    shifted to its torus's block, without the sites already done.  A run
-    leaves once its cascade ends or passes its cap, and its loop resumes
-    before the next round.  A run past its cap while others go on still has
-    sites in the front, though; its torus is marked done, so their pushes
-    reach no site that is not done, and its loop resumes, and restores the
-    torus, after one more round.  When no run goes on, the front is dropped
-    instead.  A round's new front is in increasing order, so one
-    searchsorted over the block bounds gives each run's share of it; the
-    rest of the bookkeeping is a Python pass over the runs in the front, and
-    there is none while one run is in the front.
+    all the tori at a time, in one int32 ``counts`` array.  A request joins
+    the front between rounds, shifted to its torus's block, without the
+    sites already done (``counts < 0``), and its sites are marked done by
+    writing DONE.  A run leaves once its cascade ends or passes its cap,
+    and its loop resumes before the next round.  A run past its cap while
+    others go on still has sites in the front, though; its whole block is
+    set to DONE, so their pushes reach no site that is not done, and its
+    loop resumes, and restores the torus's counts, after one more round.
+    When no run goes on, the front is dropped instead.  A round's new front
+    is in strictly increasing order, so one searchsorted over the block
+    bounds gives each run's share of it; the rest of the bookkeeping is a
+    Python pass over the runs in the front, and there is none while one
+    run is in the front.
 
     ``seconds`` is the time the run's own loop took plus its share of the
     set-up and of each round it was in, a round's time split evenly among
@@ -701,14 +699,9 @@ def _lockstep(n, r, offs, arrivals, loop):
     start = time.perf_counter()
     k, n2 = len(arrivals), n * n
     counts = np.zeros(k * n2, dtype=np.int32)
-    buf = bytearray(k * n2)
-    done = np.frombuffer(buf, dtype=np.uint8)
     targets = grid_targets(n, n, offs, k)
     bounds = np.arange(n2, (k + 1) * n2, n2)  # the end of each run's block
-    # a chunk of one keeps the bytearray, which the scalar loop indexes
-    # faster than a memoryview
-    blocks = [buf] if k == 1 else [memoryview(buf)[j * n2:(j + 1) * n2] for j in range(k)]
-    runs = [loop(n, r, offs, source, _Torus(counts[j * n2:(j + 1) * n2], blocks[j]))
+    runs = [loop(n, r, offs, source, _Torus(counts[j * n2:(j + 1) * n2]))
             for j, source in enumerate(arrivals)]
     out = [None] * k
     caps = [0] * k
@@ -732,7 +725,7 @@ def _lockstep(n, r, offs, arrivals, loop):
             while True:
                 sites, cap = runs[j].send(reply)
                 piece = sites + base if base else sites
-                piece = piece.compress(done.take(piece) == 0)
+                piece = piece.compress(counts.take(piece) >= 0)
                 if 0 < piece.size <= cap:
                     break
                 reply = piece.size  # nothing to push, or past the cap already
@@ -742,7 +735,7 @@ def _lockstep(n, r, offs, arrivals, loop):
             arrivals[j].release()
             piece = None
         else:
-            done.put(piece, 1)
+            counts.put(piece, DONE)
             caps[j] = cap
             room[j] = cap + 1 - piece.size
             entered[j] = clock
@@ -772,19 +765,19 @@ def _lockstep(n, r, offs, arrivals, loop):
             (j,) = active
             left = room[j]
             while True:
-                front = next_generation(counts, done, front, r, targets)
+                front = next_generation(counts, front, r, targets)
                 if not front.size:
                     break
-                done.put(front, 1)
+                counts.put(front, DONE)
                 left -= front.size
                 if left <= 0:
                     break
             room[j] = left
             leaving = [j]
         else:
-            front = next_generation(counts, done, front, r, targets)
+            front = next_generation(counts, front, r, targets)
             if front.size:
-                done.put(front, 1)
+                counts.put(front, DONE)
             wake, later = later, []
             ends = front.searchsorted(bounds).tolist()
             leaving = []
@@ -804,7 +797,7 @@ def _lockstep(n, r, offs, arrivals, loop):
             reply = caps[j] + 1 - room[j]
             seconds[j] += clock - entered[j]
             if over and active:
-                done[j * n2:(j + 1) * n2] = 1
+                counts[j * n2:(j + 1) * n2] = DONE
                 later.append((j, reply))
             else:
                 wake.append((j, reply))

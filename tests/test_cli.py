@@ -171,6 +171,13 @@ def test_tau_csv_header_and_determinism(capsys):
         assert a.rsplit(",", 1)[0] == b.rsplit(",", 1)[0]
 
 
+def test_tau_repeated_seed_flags_add_up(capsys):
+    code, out, _ = run_cli(capsys, "tau", "--model", "square", "--n", "8",
+                           "--seed", "3", "--seed", "4", "5", "--format", "jsonl")
+    assert code == 0
+    assert [json.loads(line)["seed"] for line in out.splitlines()] == [3, 4, 5]
+
+
 def test_tau_too_small_torus_exits_2(capsys):
     code, out, err = run_cli(capsys, "tau", "--model", "square4", "--n", "8", "--seed", "1")
     assert code == 2 and not out

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bperc import process
-from bperc.dynamics import Domain, closure, offsets_array
+from bperc import dynamics, process
+from bperc.dynamics import DONE, Domain, closure, offsets_array
 from bperc.geometry import NeighbourhoodSpec, build_neighbourhood
 from bperc.process import (
     CSV_COLUMNS,
@@ -587,9 +587,9 @@ def watched(loop, events):
                 sites, cap = gen.send(reply)
             except StopIteration as stop:
                 return stop.value
-            before = int(np.count_nonzero(state.done))
+            before = int(np.count_nonzero(state.counts < 0))
             reply = yield sites, cap
-            events.append((cap, reply, before, int(np.count_nonzero(state.done))))
+            events.append((cap, reply, before, int(np.count_nonzero(state.counts < 0))))
     return spied
 
 
@@ -809,7 +809,7 @@ def test_cost_rule_picks_dense_on_lp_balls_and_sparse_on_square_fills():
     assert rounds
     # the square fill runs about 2n rounds on fronts of about n sites, and
     # square4's fronts at n = 192 (at most about 690 sites) stay below the
-    # 843 where dense would start: both stay sparse
+    # 1026 where dense would start: both stay sparse
     with dense_rounds() as rounds:
         run_once(build_neighbourhood(NeighbourhoodSpec.named("square")), 384, 1)
         run_once(build_neighbourhood(NeighbourhoodSpec.named("square4")), 192, 1)
@@ -912,7 +912,9 @@ def test_chunk_run_past_its_cap_waits_a_round_while_another_grows():
 @pytest.mark.parametrize("branch", ["dense", "sparse"])
 def test_generation_fronts_come_in_increasing_order(monkeypatch, branch):
     # _lockstep splits a round's front among the runs by one searchsorted
-    # over the block bounds, so next_generation must return sorted sites
+    # over the block bounds, so next_generation must return sorted sites,
+    # each once: strictly increasing, though a sparse round lists a site
+    # once per push
     fronts = []
     step = process.next_generation
 
@@ -930,6 +932,65 @@ def test_generation_fronts_come_in_increasing_order(monkeypatch, branch):
     assert bool(rounds) == (branch == "dense")
     assert sum(f.size > 1 for f in fronts) > 20
     assert all((np.diff(f) > 0).all() for f in fronts)
+
+
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+@pytest.mark.parametrize("chunk", [1, 5])
+@pytest.mark.parametrize("name, loop", [("square", _run_python), ("square4", _run_batched)])
+def test_cascade_state_is_its_pushes_after_every_round_and_restore(monkeypatch, branch,
+                                                                    chunk, name, loop):
+    # the one state array against an oracle recounted from scratch: a round
+    # marks no site done and unmarks none, every site that is not done
+    # (counts >= 0) holds the pushes of its done neighbours, and the round
+    # returns exactly the sites that are not done at r or more; a restore
+    # brings back the done sites of its save, with the same invariant
+    nbhd = build_neighbourhood(NeighbourhoodSpec.named(name))
+    offs, r, n = offsets_array(nbhd), nbhd.threshold, 12
+    torus = Domain.torus(n)
+
+    def check(block):
+        done = block.reshape(n, n) < 0
+        pushed = dynamics._neighbour_counts(torus, nbhd, done)
+        assert np.array_equal(block.reshape(n, n)[~done], pushed[~done])
+        return done
+
+    step = process.next_generation
+    fronts = []
+
+    def checked(counts, front, r, targets):
+        before = counts < 0
+        new = step(counts, front, r, targets)
+        assert np.array_equal(counts < 0, before)
+        for block in counts.reshape(-1, n * n):
+            check(block)
+        assert np.array_equal(new, np.flatnonzero(counts >= r))
+        fronts.append(new.size)
+        return new
+
+    save, restore = process._Torus.save, process._Torus.restore
+    restores = []
+
+    def saved(self):
+        save(self)
+        self.oracle = self.counts < 0
+
+    def restored(self):
+        restore(self)
+        assert np.array_equal(check(self.counts), self.oracle.reshape(n, n))
+        restores.append(self)
+
+    monkeypatch.setattr(process, "next_generation", checked)
+    monkeypatch.setattr(process._Torus, "save", saved)
+    monkeypatch.setattr(process._Torus, "restore", restored)
+    orders = [_random_order(n, seed) for seed in range(10)]
+    with generation_branch(branch) as dense:
+        for at in range(0, len(orders), chunk):
+            part = orders[at:at + chunk]
+            got = process._lockstep(n, r, offs, [solved(o) for o in part], loop)
+            assert [(tau, before) for tau, before, _ in got] == [
+                reference_run(n, r, offs, o) for o in part]
+    assert bool(dense) == (branch == "dense") and sum(f > 1 for f in fronts) > 20
+    assert bool(restores) == (loop is _run_batched)
 
 
 @pytest.mark.parametrize("n, most", [(64, 64 * 64 - 1), (384, 384 * 384 // 8)])
@@ -1213,21 +1274,23 @@ def test_sweep_rejects_counts_that_are_not_integers(square, value):
     assert len(records) == 2
 
 
-def test_torus_state_shares_the_scalar_loops_bytes():
-    # run 1 of a chunk of two 8 x 8 tori: views of the second block
-    counts, buf = np.zeros(128, dtype=np.int32), bytearray(128)
-    state = process._Torus(counts[64:], memoryview(buf)[64:])
-    state.done[[3, 9]] = 1
-    assert state.infected[3] == state.infected[9] == 1 and sum(state.infected) == 2
-    assert buf[67] == buf[73] == 1 and sum(buf) == 2
-    assert state.saved is None  # no checkpoint copies before the first save
+def test_torus_state_saves_and_restores_its_block_of_the_chunk():
+    # run 1 of a chunk of two 8 x 8 tori: a view of the second block
+    counts = np.zeros(128, dtype=np.int32)
+    state = process._Torus(counts[64:])
+    state.counts[[3, 9]] = DONE
+    state.counts[5] = 2
+    assert counts[67] == counts[73] == DONE and np.count_nonzero(counts < 0) == 2
+    assert state.saved is None  # no checkpoint copy before the first save
     state.save()
-    state.infected[4] = 1
-    state.counts[4] = 7
-    assert counts[68] == 7
+    saved = counts.copy()
+    state.counts[4] = DONE
+    state.counts[5] = 7
+    state.counts[3] += 1  # a push onto a done site
+    assert counts[68] == DONE and counts[69] == 7
     state.restore()
-    assert state.infected[4] == 0 and state.counts[4] == 0 and state.infected[3] == 1
-    assert buf[68] == 0 and counts[68] == 0
+    assert np.array_equal(counts, saved)
+    assert state.counts[4] == 0 and state.counts[5] == 2 and state.counts[3] == DONE
 
 
 def test_scalar_runs_take_no_checkpoint(square, monkeypatch):
