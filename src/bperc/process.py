@@ -6,19 +6,20 @@ closure of the arrived set at every step).  tau is the first arrival count
 whose closure is the full torus; closure_before is the infected count just
 before that arrival.
 
-The cascade has two paths with the same result and one ``_Torus`` state.
-Small neighbourhoods run a scalar loop per arrival (``_run_python``); from
-_BATCHED_MIN_OFFSETS nonzero offsets on, arrivals go in batches of n as
-fronts of the generation step ``dynamics.next_generation``, with a
-checkpoint per batch and bisection of a batch that fills the torus
-(``_run_batched``).  Both rest on the state after any prefix of the
-arrivals being the closure of that prefix.
+The cascade has one arrival loop (``_run_batched``) on one ``_Torus``
+state: arrivals go in batches of n as fronts of the generation step
+``dynamics.next_generation``, with a checkpoint per batch, resting on the
+state after any prefix of the arrivals being the closure of that prefix.
+A batch that crosses its cap is undone and searched for the arrival that
+crosses it, in one of two ways with the same result: small neighbourhoods
+replay its arrivals one at a time as scalar cascades (``_replay``); from
+_BATCHED_MIN_OFFSETS nonzero offsets on, it is bisected (``_bisect``).
 
 Runs advance in chunks (``_lockstep``).  The tori of a chunk's runs lie side
 by side in one flat int32 array of counters, where a done site holds
-``dynamics.DONE``.  Both loops are generators that hand
-every cascade they need grown to one driver: the scalar loop's hand-off,
-each batch, each bisection probe and the final fill.  The driver advances
+``dynamics.DONE``.  The loop is a generator that hands every cascade it
+needs grown to one driver: each batch, each bisection probe, a replayed
+cascade that outgrows n sites and the final fill.  The driver advances
 all of them one generation round at a time, so a round's fixed cost of
 numpy calls is paid once for the chunk, not once per run (iteration-level
 batching; Yu et al., Orca, OSDI 2022).  ``run_once`` is a chunk of one;
@@ -69,7 +70,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import numbers
@@ -331,14 +331,13 @@ class _Arrivals:
     """One run's arrival order, the v1 permutation, solved on demand.
 
     ``perm[:solved]`` is solved; ``need(hi)`` extends it to hi or more, in
-    blocks that at least double (from n_items / 16), and ``blocks()`` yields
-    its solved stretches in order.  ``seconds`` is all the time spent
-    drawing and solving, and ``release()`` drops the arrays once the run is
-    over.  The solver state is the draws and succ, int32 each, plus perm,
-    as long as the solved prefix; solving adds work arrays for at most about
-    n_items / 4 sorted steps or n_items / 16 positions.  So a run at 1/16 of
-    n_items holds about as much as a whole permutation, and even the whole
-    solve peaks at about 18 bytes an entry, as the bulk solve did.
+    blocks that at least double (from n_items / 16).  ``seconds`` is all the
+    time spent drawing and solving, and ``release()`` drops the arrays once
+    the run is over.  The solver state is the draws and succ, int32 each,
+    plus perm, as long as the solved prefix; solving adds work arrays for at
+    most about n_items / 4 sorted steps or n_items / 16 positions.  So a run
+    at 1/16 of n_items holds about as much as a whole permutation, and even
+    the whole solve peaks at about 18 bytes an entry, as the bulk solve did.
     """
 
     def __init__(self, n_items: int, seed: int):
@@ -386,14 +385,6 @@ class _Arrivals:
             self.solved = top
             self.seconds += time.perf_counter() - start
         return self.perm
-
-    def blocks(self):
-        """The arrivals in order, as memoryviews of the solved blocks."""
-        lo = 0
-        while lo < self.n_items:
-            self.need(lo + 1)
-            yield memoryview(self.perm[lo:self.solved])
-            lo = self.solved
 
     def release(self) -> None:
         self.perm = self._draw = self._succ = None
@@ -494,43 +485,60 @@ def arrival_prefix(n_items: int, seed: int, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The arrival cascade: a scalar loop and batched arrivals
+# The arrival cascade: batches, replayed or bisected where they cross their cap
 # ---------------------------------------------------------------------------
 
-# |K*| from which the batched path is the faster one.  Time of the batched
-# path over the scalar loop's on the same permutations, each run through
-# _lockstep in the chunks a sweep makes of them (up to 16 runs; seeds 11 on,
-# best of 5, interleaved; 2-vCPU VM; BENCH_lockstep_runs.json, "crossover"):
+# |K*| from which a batch that crosses its cap is bisected (_bisect) rather
+# than replayed arrival by arrival (_replay).  The cascade's CPU time when
+# every crossing batch is replayed, over its time when every one is
+# bisected, on the same runs in the chunks a sweep makes of them (16, 16, 7
+# and 1 runs; medians of 4 alternating pairs, 8 for boxtimes; 2-vCPU VM;
+# BENCH_batch_replay.json, "search"):
 #
-#   |K*|  neighbourhood           n = 128    n = 256    n = 512   n = 1024
-#      4  square, diamond       1.15-1.24  1.14-1.15  1.20-1.27  1.15-1.29
-#      6  triangular                 1.11       1.00       0.99       0.96
-#      8  boxtimes; lp inf s = 2 0.71-0.79 0.83-0.85  0.81-0.93  0.83-0.93
-#     12  lp p = 1, 2; s = 2    0.83-0.85  0.84-0.85  0.87-0.90  0.82-0.83
-#     24  lp p = 1; s = 3            0.54       0.70       0.70       0.54
-#     40  square4                    0.36       0.47       0.55       0.61
+#   |K*|  neighbourhood        n = 128  n = 256  n = 512  n = 1024
+#      4  square                  0.82     0.74     0.64     0.75
+#      6  triangular              0.78     0.89     0.85     0.90
+#      8  boxtimes                0.97     1.04     0.89     0.89
+#     12  lp p = 1, s = 2         1.11     1.17     1.02     0.99
+#     24  lp p = 1, s = 3         1.25     1.07     1.16     1.00
+#     40  square4                 1.11     1.08     1.07     0.99
 #
-# (lp inf s = 2, |K*| = 24 and 40 best of 3; 16, 16, 7 and 1 runs a
-# chunk.)  Shared rounds favour the batched path,
-# whose batches at small n run many rounds of small fronts: the crossover
-# now lies between 6 and 8 at every n, where it used to fall from between
-# 12 and 24 at n = 128 to about 8 at n = 1024.  A run alone still finds
-# |K*| = 8 and 12 slower batched at n = 128 (1.28-1.41) and about even at
-# n = 256 (1.02-1.09), a few ms a run; sweeps of them gain 3-19% at
-# parallelism 2.
+# A replay costs Python time per arrival and per push, which grows with
+# |K*|; a bisection costs rounds, which a small neighbourhood's slow-growing
+# cascades make many.  At |K*| = 8 the two are about even up to n = 256,
+# and the replay about 11% faster from n = 512; that margin changes sign
+# with n, so boxtimes stays with the bisection.
 _BATCHED_MIN_OFFSETS = 8
+
+# A replaying batch's cap: this many times n sites beyond its new arrivals.
+# The cascade's CPU time over the former scalar loop's over every arrival
+# (medians of 6 alternating pairs in the chunks a sweep makes; square
+# n = 384 at 2, 4 and 8 from a rerun of 8 pairs on a quiet VM;
+# BENCH_batch_replay.json, "cap_multiple"):
+#
+#   multiple                      1      2      4      8
+#   square n = 128 (16 runs)   0.92   0.82   0.77   0.80
+#   square n = 384 (2 runs)    0.96   0.86   0.75   0.87
+#   square n = 1024 (1 run)    0.79   0.79   0.77   0.74
+#   diamond n = 255 (15 runs)  0.85   0.74   0.66   0.66
+#   triangular n = 256 (16)    0.73   0.65   0.57   0.60
+#
+# A small cap stops batches that a few mid-sized cascades push past it,
+# and each such stop is a restore and a replay; a large one lets the batch
+# that holds tau grow further before it is undone.
+_REPLAY_CAP_MULTIPLE = 4
 
 
 def _arrival_path(offs) -> str:
-    """The arrival loop for the nonzero offsets ``offs``: "batched" or "scalar"."""
+    """How a batch that crosses its cap is searched, for the nonzero offsets
+    ``offs``: "scalar" (replayed arrival by arrival) or "batched" (bisected)."""
     return "batched" if len(offs) >= _BATCHED_MIN_OFFSETS else "scalar"
 
 
 class _Torus:
     """One run's counter-push state: ``counts``, a view of its block of a
-    chunk's flat int32 array, where a done site holds dynamics.DONE.  The
-    checkpoint copy is made on the first save(), so a run that never saves
-    never holds it."""
+    chunk's flat int32 array, where a done site holds dynamics.DONE, and
+    ``saved``, the checkpoint copy of it, made on the first save()."""
 
     def __init__(self, counts):
         self.counts = counts
@@ -545,33 +553,88 @@ class _Torus:
         np.copyto(self.counts, self.saved)
 
 
-def _run_python(n, r, offs, arrivals, state):
-    """Arrival loop with incremental cascade on ``state``, a loop for
-    _lockstep; returns (tau, closure_before).  It reads ``arrivals`` (an
-    _Arrivals) a solved block at a time.
+def _run_batched(n, r, offs, arrivals, state):
+    """Arrivals in batches of n on ``state``, a loop for _lockstep; returns
+    (tau, closure_before).  Each batch asks ``arrivals`` (an _Arrivals) to
+    solve the permutation up to its end before it slices it.
 
-    Arrivals and small cascades run as scalar loops over a memoryview of
+    The infected set after any prefix of the arrivals is the closure of that
+    prefix, so a batch goes in as one front of the generation step, after a
+    checkpoint.  A batch whose cascade infects more sites than its cap
+    beyond its own new arrivals, or fills the torus, is undone from the
+    checkpoint and searched:
+
+    * below _BATCHED_MIN_OFFSETS nonzero offsets the cap is
+      _REPLAY_CAP_MULTIPLE * n, and _replay runs the batch's arrivals one at
+      a time, up to the first whose cascade outgrows n sites or fills the
+      torus;
+    * from there on the cap is n, and _bisect finds the first arrival t
+      whose prefix crosses it; t's cascade then runs to the end.
+
+    Either way tau is that arrival's index + 1 if it fills the torus, and
+    otherwise the batches go on from the arrival after it.  So a large
+    cascade runs in full once; a crossing batch or probe stops as soon as
+    it passes its cap.
+    """
+    n2 = n * n
+    replay = _arrival_path(offs) == "scalar"
+    multiple = _REPLAY_CAP_MULTIPLE if replay else 1
+    num = 0  # infected sites: the closure of perm[:lo]
+    lo = 0
+    while lo < n2:
+        hi = min(lo + n, n2)
+        perm = arrivals.need(hi)
+        batch = perm[lo:hi]
+        new = int(np.count_nonzero(state.counts.take(batch) >= 0))
+        cap = min(multiple * n + new, n2 - num - 1)
+        state.save()
+        added = yield batch, cap
+        if added <= cap:
+            num += added
+            lo = hi
+            continue
+        state.restore()
+        if replay:
+            lo, before, num = yield from _replay(n, r, offs, state, perm, lo, hi, num)
+        else:
+            t, added = yield from _bisect(state, perm, lo, hi, cap)
+            before = num + added
+            num = before + (yield perm[t:t + 1], n2)
+            lo = t + 1
+        if num == n2:
+            return lo, before
+    raise AssertionError(f"all {n2} arrivals infected only {num} sites")
+
+
+def _replay(n, r, offs, state, perm, lo, hi, num):
+    """The arrivals perm[lo:hi] one at a time on ``state``, the closure of
+    perm[:lo] with ``num`` sites; a search for _run_batched.  Returns (end,
+    before, num): the closure of perm[:end] is in place, with ``num``
+    sites, ``before`` of them before arrival end - 1.  It stops after the
+    first arrival whose cascade fills the torus or outgrows n sites, or at
+    hi.
+
+    Each cascade runs as a scalar loop over a memoryview of
     ``state.counts``.  A site is done once it holds DONE, and no push lifts
     a done site to r, so ``c == r`` alone finds the sites to infect, and
     each is stacked once.  Once one arrival's cascade has infected more
-    than n sites, the loop hands the sites still to infect to the
-    generation step, which finishes the cascade on the same state; the
+    than n sites, the sites still to infect are handed to the generation
+    step, with cap n^2, which finishes the cascade on the same state; the
     result is the same because the infected set after each arrival is the
     closure of the arrivals so far, whatever order the counter pushes run
     in.
     """
     n2 = n * n
     counts = memoryview(state.counts)
-    num = 0
     offsets = [(int(a), int(b)) for a, b in offs]
     deltas = [kx * n + ky for kx, ky in offsets]
     reach = int(np.abs(offs).max(initial=0))
     inner = np.zeros((n, n), dtype=np.uint8)  # sites whose neighbours never wrap
     inner[reach:n - reach, reach:n - reach] = 1
-    interior = bytearray(inner)
+    interior = inner.tobytes()
     stack = []  # each site at most once: it is pushed when its count reaches r
     push, pop = stack.append, stack.pop
-    for t, s in enumerate(itertools.chain.from_iterable(arrivals.blocks())):
+    for end, s in enumerate(perm[lo:hi].tolist(), lo + 1):
         if counts[s] < 0:
             continue
         prev = num
@@ -581,8 +644,7 @@ def _run_python(n, r, offs, arrivals, state):
             if num - prev > n:
                 push(y)
                 num += yield np.array(stack, dtype=np.int64), n2
-                stack.clear()
-                break
+                return end, prev, num
             counts[y] = DONE
             num += 1
             if interior[y]:
@@ -601,46 +663,8 @@ def _run_python(n, r, offs, arrivals, state):
                     if c == r:
                         push(x)
         if num == n2:
-            return t + 1, prev
-    return n2, num
-
-
-def _run_batched(n, r, offs, arrivals, state):
-    """Arrivals in batches of n on ``state``, a loop for _lockstep; returns
-    (tau, closure_before).  Each batch asks ``arrivals`` (an _Arrivals) to
-    solve the permutation up to its end before it slices it.
-
-    The infected set after any prefix of the arrivals is the closure of that
-    prefix, so a batch goes in as one front of the generation step.  A batch
-    whose cascade infects more than n sites beyond its own new arrivals, or
-    fills the torus, is undone from the checkpoint taken before it, and
-    _bisect finds the first arrival t whose prefix crosses that limit.  Its
-    cascade then runs to the end: tau is t + 1 if it fills the torus, and
-    otherwise the batches go on from t + 1.  So a large cascade runs in full
-    once; the probes stop as soon as they cross the limit.
-    """
-    n2 = n * n
-    num = 0  # infected sites: the closure of perm[:lo]
-    lo = 0
-    while lo < n2:
-        hi = min(lo + n, n2)
-        perm = arrivals.need(hi)
-        batch = perm[lo:hi]
-        new = int(np.count_nonzero(state.counts.take(batch) >= 0))
-        cap = min(n + new, n2 - num - 1)
-        state.save()
-        added = yield batch, cap
-        if added > cap:
-            state.restore()
-            lo, added = yield from _bisect(state, perm, lo, hi, cap)
-            num += added
-            hi = lo + 1
-            added = yield perm[lo:hi], n2
-            if num + added == n2:
-                return hi, num
-        num += added
-        lo = hi
-    raise AssertionError(f"all {n2} arrivals infected only {num} sites")
+            return end, prev, num
+    return hi, num, num
 
 
 def _bisect(state, perm, lo, hi, cap):
@@ -668,8 +692,8 @@ def _lockstep(n, r, offs, arrivals, loop):
     """Runs ``loop`` on each _Arrivals of ``arrivals``, on one stack of n x n
     tori; returns (tau, closure_before, seconds) for each.
 
-    ``loop(n, r, offs, arrivals, state)`` is a generator on its run's _Torus
-    (_run_python or _run_batched).  It yields grow requests (sites, cap):
+    ``loop(n, r, offs, arrivals, state)`` is a generator on its run's _Torus,
+    such as _run_batched.  It yields grow requests (sites, cap):
     infect ``sites``, torus indices each given once, and their cascade.
     The reply is the number of sites infected; once more than ``cap`` are,
     it is some number above cap, and the torus is left in a state only the
@@ -833,7 +857,7 @@ class ProcessRecord:
     perm_ms: float = 0.0  # drawing and solving (or checking an injected) permutation
     cascade_ms: float = 0.0  # the arrival loop and its share of shared rounds
     schema_version: int = SCHEMA_VERSION
-    arrival_path: str = "scalar"  # "scalar" or "batched": the loop that ran
+    arrival_path: str = "scalar"  # crossing batches "scalar": replayed, "batched": bisected
     chunk_runs: int = 1  # the runs whose generation rounds this one shared
     arrivals_solved: int = 0  # the prefix of the permutation solved (n^2 if injected)
 
@@ -879,10 +903,9 @@ def _run_chunk(model, nbhd, n, seeds, arrivals) -> list:
     advanced together by _lockstep."""
     offs = offsets_array(nbhd)
     path = _arrival_path(offs)
-    loop = _run_batched if path == "batched" else _run_python
     records = []
     for seed, source, (tau, before, cascade) in zip(
-            seeds, arrivals, _lockstep(n, nbhd.threshold, offs, arrivals, loop)):
+            seeds, arrivals, _lockstep(n, nbhd.threshold, offs, arrivals, _run_batched)):
         perm_ms, cascade_ms = source.seconds * 1000.0, cascade * 1000.0
         records.append(ProcessRecord(model, n, seed, int(tau), int(before),
                                      wall_ms=perm_ms + cascade_ms, perm_ms=perm_ms,
@@ -901,11 +924,12 @@ def run_once(
 ) -> ProcessRecord:
     """One arrival-process run; injecting ``permutation`` bypasses the PRNG.
 
-    ``seed`` must lie in [0, 2^64).  Neighbourhoods with at least
-    _BATCHED_MIN_OFFSETS nonzero offsets take the batched arrival path,
-    smaller ones the scalar loop; both give the same record.  The run is a
-    chunk of one: its rounds are its own.  A drawn permutation is solved
-    only as far as the loop reads it.
+    ``seed`` must lie in [0, 2^64).  The arrivals go in batches; a batch
+    that crosses its cap is bisected for neighbourhoods with at least
+    _BATCHED_MIN_OFFSETS nonzero offsets and replayed arrival by arrival
+    for smaller ones, which gives the same record.  The run is a chunk of
+    one: its rounds are its own.  A drawn permutation is solved only as far
+    as the loop reads it.
     """
     Domain.torus(n).validate_for(nbhd)
     seed = _seed64(seed, "seed")
@@ -999,13 +1023,15 @@ def summarise(records: Sequence[ProcessRecord],
 #   diamond n = 255      0.67   0.64   0.61   0.61   (7, 15, 31, 32 runs)
 #   square4 n = 192      0.95   1.03   1.08   1.00   (11, 23, 32, 32 runs)
 #
-# Chunks of one differ from each other by up to 18% (square n = 1024), so
-# only the scalar path's gain stands out: its final fills run many rounds
-# on small fronts, while the batched path pushes whole batches.  2^21 keeps
-# that gain at n = 512.  A chunk's peak, arrays and the runs' solver state
-# (draws and succ, 8 bytes a site, and the solved prefix), is about 30 MB
-# for 7 square runs at n = 512 and 44 MB for 27 square4 runs at n = 256
-# (tracemalloc; 28 and 43 MB when each run held its whole permutation).
+# (square and diamond then ran a scalar loop over every arrival.)  Chunks
+# of one differ from each other by up to 18% (square n = 1024), so only the
+# gain of square and diamond stands out: their final fills run many rounds
+# on small fronts, while square4 pushes whole batches.  2^21 keeps that gain
+# at n = 512.  A chunk's peak, arrays and the runs' solver state
+# (draws and succ, 8 bytes a site, and the solved prefix), is about 33 MB
+# for 7 square runs at n = 512, 7 MB of it their checkpoint copies of n^2
+# int32 (26 MB when square runs took no checkpoint), and 41 MB for 27
+# square4 runs at n = 256 (tracemalloc, after a warm-up run).
 _CHUNK_SITES = 1 << 21
 
 

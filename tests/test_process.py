@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -23,7 +24,6 @@ from bperc.process import (
     _lane_stream,
     _rejects,
     _run_batched,
-    _run_python,
     _swap_draws,
     derive_run_seed,
     jump_event_rate,
@@ -576,6 +576,49 @@ def run_alone(loop, n, r, offs, perm):
     return tau, before
 
 
+@contextlib.contextmanager
+def searched(path):
+    """Searches every batch that crosses its cap one way, whatever the
+    offsets: replayed arrival by arrival ("scalar") or bisected ("batched")."""
+    with mock.patch.object(process, "_BATCHED_MIN_OFFSETS",
+                           {"scalar": 1 << 30, "batched": 0}[path]):
+        yield
+
+
+SEARCHES = ("scalar", "batched")
+
+
+def searched_run(path, n, r, offs, perm):
+    """run_alone on _run_batched, each crossing batch searched by ``path``."""
+    with searched(path):
+        return run_alone(_run_batched, n, r, offs, perm)
+
+
+@contextlib.contextmanager
+def replays():
+    """Records each _replay as (lo, hi, end, handed off, filled): the
+    batch it replays, the arrivals it took in, whether it handed a cascade
+    to the rounds and whether the torus ended full."""
+    calls = []
+    replay = process._replay
+
+    def spy(n, r, offs, state, perm, lo, hi, num):
+        gen = replay(n, r, offs, state, perm, lo, hi, num)
+        handed, reply = False, None
+        while True:
+            try:
+                request = gen.send(reply)
+            except StopIteration as stop:
+                end, before, after = stop.value
+                calls.append((lo, hi, end, handed, after == n * n))
+                return stop.value
+            handed = True
+            reply = yield request
+
+    with mock.patch.object(process, "_replay", spy):
+        yield calls
+
+
 def watched(loop, events):
     """``loop`` with each of its grow requests appended to ``events`` as
     (cap, reply, sites done before the request, sites done at the reply)."""
@@ -606,13 +649,14 @@ SKEW = NeighbourhoodSpec.explicit([(0, 1), (1, 0), (2, 1), (-1, 2)], 3)
 QUADRANT = NeighbourhoodSpec.explicit(
     [(a, b) for a in range(5) for b in range(4) if (a, b) != (0, 0)], 8)
 
-# (spec, n, arrival order, whether some cascade outgrows the scalar loop and
-# is finished by the generation-by-generation expansion, the arrival path
-# run_once takes)
+# (spec, n, arrival order, whether some replayed cascade outgrows n sites
+# and is handed to the generation-by-generation expansion, the search
+# run_once takes for a crossing batch)
 ORACLE_CASES = [
     pytest.param(NeighbourhoodSpec.named("square"), 16, "random", True, "scalar", id="square"),
     pytest.param(NeighbourhoodSpec.named("square"), 12, "row-major", True, "scalar",
                  id="square-row-major"),
+    pytest.param(NeighbourhoodSpec.named("square"), 16, "rows", True, "scalar", id="square-rows"),
     pytest.param(NeighbourhoodSpec.named("square4"), 12, "random", True, "batched", id="square4"),
     pytest.param(NeighbourhoodSpec.named("diamond"), 15, "random", True, "scalar", id="diamond-odd"),
     pytest.param(NeighbourhoodSpec.named("diamond"), 16, "random", True, "scalar",
@@ -630,10 +674,22 @@ ORACLE_CASES = [
 ]
 
 
+def _rows_order(n):
+    """A square order whose first batch grows one rectangle a row at a
+    time: every other site of row 0's first n - 3 columns, which infect the
+    columns between them, then the first site of each next row, which
+    infects the rest of its row's n - 3 columns, up to row n - 3; the rest
+    in row-major order."""
+    grown = list(range(0, n - 3, 2)) + [x * n for x in range(1, n - 2)]
+    return grown + sorted(set(range(n * n)) - set(grown))
+
+
 def _oracle_orders(n, order):
     orders = [_random_order(n, seed) for seed in range(5)]
     if order == "row-major":
         orders.append(row_major_permutation(n))
+    elif order == "rows":
+        orders.append(_rows_order(n))
     return orders
 
 
@@ -648,21 +704,24 @@ def test_directed_cases_depend_on_the_push_direction(spec, n):
 
 @pytest.mark.parametrize("spec, n, order, handoff, path", ORACLE_CASES)
 def test_run_python_matches_reference_run(spec, n, order, handoff, path):
+    # the scalar Python cascade: every crossing batch replayed arrival by
+    # arrival, whatever the offsets
     nbhd = build_neighbourhood(spec)
     offs = offsets_array(nbhd)
-    expansions = []
-    for perm in _oracle_orders(n, order):
-        assert run_alone(watched(_run_python, expansions), n, nbhd.threshold, offs,
-                         perm) == reference_run(n, nbhd.threshold, offs, perm)
-    assert bool(expansions) == handoff
+    with replays() as calls:
+        for perm in _oracle_orders(n, order):
+            assert searched_run("scalar", n, nbhd.threshold, offs, perm) == reference_run(
+                n, nbhd.threshold, offs, perm)
+    assert calls and any(handed for *_, handed, _ in calls) == handoff
 
 
 @pytest.mark.parametrize("spec, n, order, handoff, path", ORACLE_CASES)
 def test_run_batched_matches_reference_run(spec, n, order, handoff, path):
+    # every crossing batch bisected, whatever the offsets
     nbhd = build_neighbourhood(spec)
     offs = offsets_array(nbhd)
     for perm in _oracle_orders(n, order):
-        assert run_alone(_run_batched, n, nbhd.threshold, offs, perm) == reference_run(
+        assert searched_run("batched", n, nbhd.threshold, offs, perm) == reference_run(
             n, nbhd.threshold, offs, perm)
 
 
@@ -674,8 +733,39 @@ def test_run_batched_matches_reference_run_on_lp_balls(p, s):
     n = 2 * nbhd.radius_ceil + 3
     for seed in range(3):
         perm = _random_order(n, seed)
-        assert run_alone(_run_batched, n, nbhd.threshold, offs, perm) == reference_run(
-            n, nbhd.threshold, offs, perm)
+        want = reference_run(n, nbhd.threshold, offs, perm)
+        for path in SEARCHES:
+            assert searched_run(path, n, nbhd.threshold, offs, perm) == want
+
+
+def test_replay_reaches_each_of_its_ends():
+    # across the oracle cases, every crossing batch replayed: some replays
+    # take in the whole batch with no hand-off, some hand a cascade to the
+    # rounds that does not fill the torus (the batches resume from the next
+    # arrival), and some fill it, by a hand-off or in the scalar loop
+    ends = {"whole batch": 0, "hand-off, batches resume": 0, "fill": 0,
+            "fill in the scalar loop": 0}
+    for case in ORACLE_CASES:
+        spec, n, order, _, _ = case.values
+        nbhd = build_neighbourhood(spec)
+        offs = offsets_array(nbhd)
+        for perm in _oracle_orders(n, order):
+            with replays() as calls:
+                got = searched_run("scalar", n, nbhd.threshold, offs, perm)
+            assert got == reference_run(n, nbhd.threshold, offs, perm)
+            tau = got[0]
+            for lo, hi, end, handed, filled in calls:
+                if filled:
+                    assert end == tau
+                    ends["fill"] += 1
+                    ends["fill in the scalar loop"] += not handed
+                elif handed:
+                    assert lo < end <= hi and end < tau
+                    ends["hand-off, batches resume"] += 1
+                else:
+                    assert end == hi < tau
+                    ends["whole batch"] += 1
+    assert all(ends.values()), ends
 
 
 @pytest.mark.parametrize("spec, n, order, handoff, path", ORACLE_CASES)
@@ -745,8 +835,8 @@ def test_run_once_matches_the_k_core_dual(spec, n):
 
 
 # The same oracles with every round of the generation step forced onto one
-# branch: the scalar loop's hand-offs, the batches and bisections of the
-# batched path, and the cascade that fills the torus.
+# branch: the batches, the replays' hand-offs, the bisections, and the
+# cascade that fills the torus.
 
 @pytest.mark.parametrize("spec, n, order, handoff, path", ORACLE_CASES)
 @pytest.mark.parametrize("branch", ["dense", "sparse"])
@@ -756,8 +846,8 @@ def test_each_branch_matches_reference_run(branch, spec, n, order, handoff, path
     with generation_branch(branch) as rounds:
         for perm in _oracle_orders(n, order):
             want = reference_run(n, nbhd.threshold, offs, perm)
-            assert run_alone(_run_python, n, nbhd.threshold, offs, perm) == want
-            assert run_alone(_run_batched, n, nbhd.threshold, offs, perm) == want
+            for path in SEARCHES:
+                assert searched_run(path, n, nbhd.threshold, offs, perm) == want
     assert bool(rounds) == (branch == "dense")
 
 
@@ -772,8 +862,8 @@ def test_each_branch_matches_reference_run_on_lp_balls(branch, p, s):
         for seed in range(3):
             perm = _random_order(n, seed)
             want = reference_run(n, nbhd.threshold, offs, perm)
-            assert run_alone(_run_python, n, nbhd.threshold, offs, perm) == want
-            assert run_alone(_run_batched, n, nbhd.threshold, offs, perm) == want
+            for path in SEARCHES:
+                assert searched_run(path, n, nbhd.threshold, offs, perm) == want
     assert bool(rounds) == (branch == "dense")
 
 
@@ -817,8 +907,8 @@ def test_cost_rule_picks_dense_on_lp_balls_and_sparse_on_square_fills():
 
 
 # Chunks: the runs of a sweep advance together on stacked tori.  The same
-# oracles, with all the orders of a case in one chunk, on both loops and
-# with every round forced onto each branch.
+# oracles, with all the orders of a case in one chunk, with both searches
+# and with every round forced onto each branch.
 
 LP_GRID = [pytest.param(p, s, id=f"lp{p}-s{s}") for p in ("1", "2", "inf") for s in ("2", "3", "4")]
 
@@ -831,8 +921,10 @@ def _lp_case(p, s):
 def _chunk_against_reference(nbhd, n, orders):
     offs = offsets_array(nbhd)
     want = [reference_run(n, nbhd.threshold, offs, perm) for perm in orders]
-    for loop in (_run_python, _run_batched):
-        got = process._lockstep(n, nbhd.threshold, offs, [solved(perm) for perm in orders], loop)
+    for path in SEARCHES:
+        with searched(path):
+            got = process._lockstep(n, nbhd.threshold, offs, [solved(perm) for perm in orders],
+                                    _run_batched)
         assert [(tau, before) for tau, before, _ in got] == want
 
 
@@ -936,14 +1028,15 @@ def test_generation_fronts_come_in_increasing_order(monkeypatch, branch):
 
 @pytest.mark.parametrize("branch", ["dense", "sparse"])
 @pytest.mark.parametrize("chunk", [1, 5])
-@pytest.mark.parametrize("name, loop", [("square", _run_python), ("square4", _run_batched)])
+@pytest.mark.parametrize("name, path", [("square", "scalar"), ("square4", "batched")])
 def test_cascade_state_is_its_pushes_after_every_round_and_restore(monkeypatch, branch,
-                                                                    chunk, name, loop):
+                                                                    chunk, name, path):
     # the one state array against an oracle recounted from scratch: a round
     # marks no site done and unmarks none, every site that is not done
     # (counts >= 0) holds the pushes of its done neighbours, and the round
     # returns exactly the sites that are not done at r or more; a restore
-    # brings back the done sites of its save, with the same invariant
+    # brings back the done sites of its save, and a replay leaves its
+    # scalar cascades, with the same invariant
     nbhd = build_neighbourhood(NeighbourhoodSpec.named(name))
     offs, r, n = offsets_array(nbhd), nbhd.threshold, 12
     torus = Domain.torus(n)
@@ -979,18 +1072,29 @@ def test_cascade_state_is_its_pushes_after_every_round_and_restore(monkeypatch, 
         assert np.array_equal(check(self.counts), self.oracle.reshape(n, n))
         restores.append(self)
 
+    replay = process._replay
+    replayed = []
+
+    def replay_checked(n, r, offs, state, perm, lo, hi, num):
+        out = yield from replay(n, r, offs, state, perm, lo, hi, num)
+        assert np.count_nonzero(check(state.counts)) == out[2]
+        replayed.append(out)
+        return out
+
     monkeypatch.setattr(process, "next_generation", checked)
     monkeypatch.setattr(process._Torus, "save", saved)
     monkeypatch.setattr(process._Torus, "restore", restored)
+    monkeypatch.setattr(process, "_replay", replay_checked)
     orders = [_random_order(n, seed) for seed in range(10)]
     with generation_branch(branch) as dense:
         for at in range(0, len(orders), chunk):
             part = orders[at:at + chunk]
-            got = process._lockstep(n, r, offs, [solved(o) for o in part], loop)
+            got = process._lockstep(n, r, offs, [solved(o) for o in part], _run_batched)
             assert [(tau, before) for tau, before, _ in got] == [
                 reference_run(n, r, offs, o) for o in part]
     assert bool(dense) == (branch == "dense") and sum(f > 1 for f in fronts) > 20
-    assert bool(restores) == (loop is _run_batched)
+    assert process._arrival_path(offs) == path
+    assert restores and bool(replayed) == (path == "scalar")
 
 
 @pytest.mark.parametrize("n, most", [(64, 64 * 64 - 1), (384, 384 * 384 // 8)])
@@ -1071,9 +1175,10 @@ def test_sweep_rejects_master_seeds_outside_64_bits(square, master):
     assert len(records) == 2
 
 
-# Hand-built orders for the batched path's edge cases.  The spy records each
-# bisection as (batch start, batch end, first arrival past the limit); the
-# batches hold n arrivals and restart after the arrival a bisection found.
+# Hand-built orders for the searches' edge cases, every crossing batch
+# bisected unless said otherwise.  The spy records each bisection as (batch
+# start, batch end, first arrival past the limit); the batches hold n
+# arrivals and restart after the arrival a bisection found.
 
 SQUARE = NeighbourhoodSpec.named("square")
 FOUR_OF_3 = NeighbourhoodSpec.explicit([(0, 1), (1, 0), (-1, 0), (0, -1)], 3)
@@ -1093,10 +1198,10 @@ def bisections(monkeypatch):
     return calls
 
 
-def _batched_against_reference(spec, n, perm):
+def _batched_against_reference(spec, n, perm, path="batched"):
     nbhd = build_neighbourhood(spec)
     offs = offsets_array(nbhd)
-    tau, before = run_alone(_run_batched, n, nbhd.threshold, offs, perm)
+    tau, before = searched_run(path, n, nbhd.threshold, offs, perm)
     assert (tau, before) == reference_run(n, nbhd.threshold, offs, perm)
     return tau, before
 
@@ -1156,6 +1261,58 @@ def test_batched_tau_in_a_short_last_batch(bisections):
         lo, hi, t = bisections[-1]
         short.append(hi == n * n and hi - lo < n)
     assert any(short)
+
+
+def test_replayed_tau_at_the_first_arrival_of_a_batch():
+    # the row-major square order through the replay: each row's batch adds
+    # the row; batch n - 2 fills the torus, and its replay hands its first
+    # arrival's cascade, more than n sites, to the rounds, which fill it
+    n = 8
+    with replays() as calls:
+        tau, before = _batched_against_reference(SQUARE, n, row_major_permutation(n), "scalar")
+    assert (tau, before) == ((n - 1) ** 2, n * (n - 2))
+    assert calls == [(n * (n - 2), n * (n - 1), tau, True, True)]
+
+
+def _cap_order(n, d, a, b, m):
+    """An order on the n x n square torus whose second batch crosses a cap
+    of c n plus its new arrivals, where (c + 1) n >= d^2 and c n + m < a b
+    <= (c + 1) n, but not a cap that counts every arrival of the batch as
+    new.  Batch 0 spans the d x d square at the origin: its diagonal and
+    n - d more of its sites.  Batch 1 holds n - m sites of that square, all
+    infected already, and m new arrivals that span an a x b rectangle two
+    rows below it: its diagonal, every other site of its last row on to
+    column b - 1, and sites inside it.  The rest follow in row-major order."""
+    square = [(i, i) for i in range(d)]
+    inside = [(x, y) for x in range(d) for y in range(d) if x != y]
+    top = d + 2
+    span = [(top + i, i) for i in range(a)] + [(top + a - 1, y) for y in range(a + 1, b, 2)]
+    span += [(x, y) for x in range(top, top + a) for y in range(b) if (x, y) not in span]
+    first = square + inside[:n - d]
+    second = inside[n - d:2 * n - d - m] + span[:m]
+    assert len(first) == len(second) == n and d * d - n >= n - m
+    order = [x * n + y for x, y in first + second]
+    return order + sorted(set(range(n * n)) - set(order))
+
+
+@pytest.mark.parametrize("path, n, d, a, b, m", [
+    pytest.param("scalar", 24, 10, 10, 12, 11, id="replay"),
+    pytest.param("batched", 16, 5, 4, 8, 7, id="bisect"),
+])
+def test_batch_caps_count_only_the_new_arrivals(monkeypatch, bisections, path, n, d, a, b, m):
+    # the cap of a batch is c n plus its arrivals not yet infected (c is
+    # _REPLAY_CAP_MULTIPLE for a replay, 1 for a bisection): the second
+    # batch of _cap_order adds a b sites with m new arrivals, past c n + m,
+    # so it is the first batch searched; counting all n arrivals as new, or
+    # a wrong multiple, searches another batch first
+    c = process._REPLAY_CAP_MULTIPLE if path == "scalar" else 1
+    assert d * d <= (c + 1) * n and c * n + m < a * b <= (c + 1) * n
+    order = _cap_order(n, d, a, b, m)
+    with replays() as calls:
+        _batched_against_reference(SQUARE, n, order, path)
+    searches = calls if path == "scalar" else bisections
+    assert searches and (calls if path == "batched" else bisections) == []
+    assert searches[0][:2] == (n, 2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -1293,17 +1450,44 @@ def test_torus_state_saves_and_restores_its_block_of_the_chunk():
     assert state.counts[4] == 0 and state.counts[5] == 2 and state.counts[3] == DONE
 
 
-def test_scalar_runs_take_no_checkpoint(square, monkeypatch):
-    states = []
-    init = process._Torus.__init__
+@pytest.mark.parametrize("chunk", [1, 6])
+def test_restore_after_a_crossing_batch_returns_the_saved_counts(square, monkeypatch, chunk):
+    # every square run checkpoints its batches; a batch past its cap has
+    # changed the counts (in a chunk, while another run grows, its whole
+    # block is marked done), and the restore brings back the exact counts
+    # of the save before it, from which the replay starts
+    checkpoints, restores, replays_started = {}, [], []
+    save, restore, replay = process._Torus.save, process._Torus.restore, process._replay
 
-    def kept(self, *args):
-        init(self, *args)
-        states.append(self)
+    def saved(self):
+        save(self)
+        checkpoints[id(self)] = self.counts.copy()
 
-    monkeypatch.setattr(process._Torus, "__init__", kept)
-    run_once(square, 24, 3)
-    assert len(states) == 1 and states[0].saved is None
+    def restored(self):
+        changed = not np.array_equal(self.counts, checkpoints[id(self)])
+        restore(self)
+        assert changed and np.array_equal(self.counts, checkpoints[id(self)])
+        restores.append(self)
+
+    def replay_spied(n, r, offs, state, perm, lo, hi, num):
+        assert np.array_equal(state.counts, checkpoints[id(state)])
+        assert np.count_nonzero(state.counts < 0) == num
+        replays_started.append(lo)
+        return (yield from replay(n, r, offs, state, perm, lo, hi, num))
+
+    monkeypatch.setattr(process._Torus, "save", saved)
+    monkeypatch.setattr(process._Torus, "restore", restored)
+    monkeypatch.setattr(process, "_replay", replay_spied)
+    monkeypatch.setattr(process, "_CHUNK_SITES", 1 << 40)
+    n = 24
+    offs = offsets_array(square)
+    records, _ = run_sweep([("square", square)], [n], chunk, master_seed=3, parallelism=1)
+    assert [r.chunk_runs for r in records] == [chunk] * chunk
+    for rec in records:
+        assert rec.arrival_path == "scalar"
+        perm = process.arrival_prefix(n * n, rec.seed, n * n).tolist()
+        assert (rec.tau, rec.closure_before) == reference_run(n, square.threshold, offs, perm)
+    assert len(restores) == len(replays_started) >= chunk
 
 
 @pytest.mark.parametrize("parallelism", [0, -1])
