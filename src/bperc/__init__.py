@@ -27,7 +27,6 @@ from .dynamics import (
     infection_graph,
     is_closed,
     parse_grid_text,
-    synchronous_step,
     to_grid_text,
 )
 from .droplets import (
@@ -50,7 +49,6 @@ from .quasidroplets import (
 from .process import (
     ProcessRecord,
     SweepSummary,
-    jump_event_rate,
     run_once,
     run_sweep,
     summarise,

@@ -472,17 +472,6 @@ def _ready(domain: Domain, nbhd: Neighbourhood, grid: np.ndarray) -> np.ndarray:
     return (_neighbour_counts(domain, nbhd, grid) >= nbhd.threshold) & ~grid
 
 
-def synchronous_step(cfg: Configuration, nbhd: Neighbourhood) -> Configuration:
-    """One parallel application of the rule; identity on closed configurations."""
-    cfg.domain.validate_for(nbhd)
-    added = _from_grid(cfg.domain, _ready(cfg.domain, nbhd, _to_grid(cfg.domain, cfg.infected)))
-    if not added:
-        return cfg
-    g = cfg.generation + 1
-    times = None if cfg.times is None else {**cfg.times, **dict.fromkeys(added, g)}
-    return Configuration(cfg.domain, cfg.infected | added, times, g)
-
-
 def closure_synchronous(
     domain: Domain,
     nbhd: Neighbourhood,

@@ -704,16 +704,15 @@ def _lockstep(n, r, offs, arrivals, loop):
     all the tori at a time, in one int32 ``counts`` array.  A request joins
     the front between rounds, shifted to its torus's block, without the
     sites already done (``counts < 0``), and its sites are marked done by
-    writing DONE.  A run leaves once its cascade ends or passes its cap,
-    and its loop resumes before the next round.  A run past its cap while
-    others go on still has sites in the front, though; its whole block is
-    set to DONE, so their pushes reach no site that is not done, and its
-    loop resumes, and restores the torus's counts, after one more round.
-    When no run goes on, the front is dropped instead.  A round's new front
-    is in strictly increasing order, so one searchsorted over the block
-    bounds gives each run's share of it; the rest of the bookkeeping is a
-    Python pass over the runs in the front, and there is none while one
-    run is in the front.
+    writing DONE.  A round's new front is in strictly increasing order, so
+    one searchsorted over the block bounds gives each run's slice of it.  A
+    run leaves the front once its cascade ends or passes its cap: a run past
+    its cap takes its slice with it, so those sites push nothing, and either
+    way its loop resumes before the next round.  Pushes stay in their own
+    block, so no other torus sees the one left behind, and the loop's
+    restore() mends it before it is pushed again.  The bookkeeping is a
+    Python pass over the runs in the front, and there is none while one run
+    is in the front.
 
     ``seconds`` is the time the run's own loop took plus its share of the
     set-up and of each round it was in, a round's time split evenly among
@@ -724,24 +723,21 @@ def _lockstep(n, r, offs, arrivals, loop):
     k, n2 = len(arrivals), n * n
     counts = np.zeros(k * n2, dtype=np.int32)
     targets = grid_targets(n, n, offs, k)
-    bounds = np.arange(n2, (k + 1) * n2, n2)  # the end of each run's block
+    bounds = np.arange(0, (k + 1) * n2, n2)  # run j's block: bounds[j] to bounds[j + 1]
     runs = [loop(n, r, offs, source, _Torus(counts[j * n2:(j + 1) * n2]))
             for j, source in enumerate(arrivals)]
     out = [None] * k
     caps = [0] * k
     room = [0] * k  # while in the front: cap + 1 - the sites added so far
     active = set()  # the runs with a request in the front
-    front = np.empty(0, dtype=np.int64)
-    wake = [(j, None) for j in range(k)]  # runs to resume now, with their replies
-    later = []  # runs past their cap, resumed after the next round
+    pieces = []  # the next front, in pieces
     seconds = [(time.perf_counter() - start) / k] * k
     clock = 0.0  # the rounds' time so far, each round's split among its runs
     entered = [0.0] * k  # the clock when the run's request joined
 
     def resume(j, reply):
         """Runs j's loop from ``reply`` to its next request that needs a
-        round, joined to the front; returns its sites, or None once the
-        loop has returned."""
+        round, and adds its sites to ``pieces``; or to its end."""
         begin = time.perf_counter()
         solving = arrivals[j].seconds
         base = j * n2
@@ -757,35 +753,23 @@ def _lockstep(n, r, offs, arrivals, loop):
             out[j] = stop.value
             runs[j] = None
             arrivals[j].release()
-            piece = None
         else:
             counts.put(piece, DONE)
             caps[j] = cap
             room[j] = cap + 1 - piece.size
             entered[j] = clock
             active.add(j)
+            pieces.append(piece)
         seconds[j] += time.perf_counter() - begin - (arrivals[j].seconds - solving)
-        return piece
 
-    mark = time.perf_counter()
-    while True:
-        if wake:
-            if active:
-                now = time.perf_counter()
-                clock += (now - mark) / len(active)
-            pieces = [front] if front.size else []
-            for j, reply in wake:
-                piece = resume(j, reply)
-                if piece is not None:
-                    pieces.append(piece)
-            wake = []
-            if pieces:
-                front = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-            mark = time.perf_counter()
-        if not active:
-            return [(*out[j], seconds[j]) for j in range(k)]
-        if len(active) == 1 and not later:
-            # one run in the front: its rounds run on until it leaves
+    for j in range(k):
+        resume(j, None)
+    while active:
+        mark = time.perf_counter()
+        front = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        if len(active) == 1:
+            # one run in the front: its rounds run on until it leaves, and
+            # the front, all its own, leaves with it
             (j,) = active
             left = room[j]
             while True:
@@ -797,36 +781,31 @@ def _lockstep(n, r, offs, arrivals, loop):
                 if left <= 0:
                     break
             room[j] = left
-            leaving = [j]
+            leaving, pieces = [j], []
         else:
-            front = next_generation(counts, front, r, targets)
-            if front.size:
-                counts.put(front, DONE)
-            wake, later = later, []
-            ends = front.searchsorted(bounds).tolist()
             leaving = []
-            for j in active:
-                size = ends[j] - ends[j - 1] if j else ends[0]
-                room[j] -= size
-                if not size or room[j] <= 0:
-                    leaving.append(j)
-            if not leaving:
-                continue
-        now = time.perf_counter()
-        clock += (now - mark) / len(active)
-        mark = now
+            while not leaving:
+                front = next_generation(counts, front, r, targets)
+                if front.size:
+                    counts.put(front, DONE)
+                ends = front.searchsorted(bounds).tolist()
+                for j in active:
+                    size = ends[j + 1] - ends[j]
+                    room[j] -= size
+                    if not size or room[j] <= 0:
+                        leaving.append(j)
+            leaving.sort()
+            pieces, at = [], 0
+            for j in leaving:  # each takes its slice, empty unless past its cap
+                pieces.append(front[at:ends[j]])
+                at = ends[j + 1]
+            pieces.append(front[at:])
+        clock += (time.perf_counter() - mark) / len(active)
         active.difference_update(leaving)
         for j in leaving:
-            over = room[j] <= 0
-            reply = caps[j] + 1 - room[j]
             seconds[j] += clock - entered[j]
-            if over and active:
-                counts[j * n2:(j + 1) * n2] = DONE
-                later.append((j, reply))
-            else:
-                wake.append((j, reply))
-        if not active:
-            front = front[:0]  # only the sites of runs past their cap are left
+            resume(j, caps[j] + 1 - room[j])
+    return [(*out[j], seconds[j]) for j in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -1091,18 +1070,6 @@ def run_sweep(
             parts = list(pool.map(_sweep_chunk, *zip(*jobs)))
     records = [rec for part in parts for rec in part]
     return records, summarise(records)
-
-
-def jump_event_rate(records: Sequence[ProcessRecord], c: float) -> float:
-    """Fraction of records with closure_before >= tau * (1 + c/ln n)."""
-    if not records:
-        raise ValueError("no records")
-    ns = {r.n for r in records}
-    if len(ns) != 1:
-        raise ValueError(f"records mix torus sizes {sorted(ns)}")
-    n = ns.pop()
-    bar = 1 + c / math.log(n)
-    return sum(1 for r in records if r.closure_before >= r.tau * bar) / len(records)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,10 @@ class Scenario:
         return obj
 
 
+# the assertion fields the schema types as integers
+_INTEGER_FIELDS = frozenset({"size", "width", "length"})
+
+
 def scenario_from_json(obj: dict, source: str = "<inline>") -> Scenario:
     from jsonschema.exceptions import best_match
 
@@ -121,18 +125,20 @@ def scenario_from_json(obj: dict, source: str = "<inline>") -> Scenario:
         path = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ScenarioError(f"{source}: schema violation at {path}: {e.message}")
 
+    # an integral float passes the schema (draft-07 types 8.0 as an
+    # integer), so sizes are made int before anything indexes with them
     dom_obj = obj["domain"]
     kind = dom_obj["kind"]
     frozen = [tuple(s) for s in obj.get("frozen", [])]
     if kind == "torus":
         if "n" not in dom_obj:
             raise ScenarioError(f"{source}: torus domain needs 'n'")
-        domain = Domain.torus(dom_obj["n"])
+        domain = Domain.torus(int(dom_obj["n"]))
     else:
         if "bounds" in dom_obj:
-            x0, y0, x1, y1 = dom_obj["bounds"]
+            x0, y0, x1, y1 = map(int, dom_obj["bounds"])
         elif "d" in dom_obj:
-            d = dom_obj["d"]
+            d = int(dom_obj["d"])
             x0, y0, x1, y1 = -d, -d, d, d
         else:
             raise ScenarioError(f"{source}: {kind} domain needs 'd' or 'bounds'")
@@ -176,7 +182,8 @@ def scenario_from_json(obj: dict, source: str = "<inline>") -> Scenario:
                 raise ScenarioError(
                     f"{source}: assertion {a['type']} lists out-of-domain site {s}"
                 )
-    assertions = tuple(dict(a) for a in obj["assertions"])
+    assertions = tuple({k: int(v) if k in _INTEGER_FIELDS else v for k, v in a.items()}
+                       for a in obj["assertions"])
     return Scenario(obj["name"], domain, spec, tuple(infected), assertions,
                     obj.get("notes", ""))
 

@@ -16,7 +16,6 @@ from bperc.dynamics import (
     is_closed,
     offsets_array,
     parse_grid_text,
-    synchronous_step,
     to_grid_text,
 )
 from bperc.geometry import Direction, NeighbourhoodSpec, build_neighbourhood
@@ -90,15 +89,6 @@ def test_full_domain_fixed_point(square):
 def test_single_site_inert(square):
     cfg = closure(Domain.box(4), square, [(0, 0)])
     assert cfg.infected == frozenset({(0, 0)})
-
-
-def test_synchronous_step_adds_exactly_one_generation(square):
-    cfg = Configuration.initial(Domain.box(5), [(0, 0), (1, 1)])
-    step = synchronous_step(cfg, square)
-    assert step.infected - cfg.infected == {(0, 1), (1, 0)}
-    assert step.generation == 1
-    closed = synchronous_step(step, square)
-    assert closed.infected == step.infected  # idempotent on closed configs
 
 
 def test_is_closed(square):

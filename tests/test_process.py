@@ -26,7 +26,6 @@ from bperc.process import (
     _run_batched,
     _swap_draws,
     derive_run_seed,
-    jump_event_rate,
     random_permutation,
     records_to_csv,
     records_to_jsonl,
@@ -619,9 +618,11 @@ def replays():
         yield calls
 
 
-def watched(loop, events):
+def watched(loop, events, rounds):
     """``loop`` with each of its grow requests appended to ``events`` as
-    (cap, reply, sites done before the request, sites done at the reply)."""
+    (cap, reply, sites done before the request, sites done at the reply,
+    len(rounds) at the request, len(rounds) at the reply), ``rounds`` being
+    a list that grows by one each round (see counted_rounds)."""
     def spied(n, r, offs, arrivals, state):
         gen = loop(n, r, offs, arrivals, state)
         reply = None
@@ -630,10 +631,26 @@ def watched(loop, events):
                 sites, cap = gen.send(reply)
             except StopIteration as stop:
                 return stop.value
-            before = int(np.count_nonzero(state.counts < 0))
+            before, asked = int(np.count_nonzero(state.counts < 0)), len(rounds)
             reply = yield sites, cap
-            events.append((cap, reply, before, int(np.count_nonzero(state.counts < 0))))
+            events.append((cap, reply, before, int(np.count_nonzero(state.counts < 0)),
+                           asked, len(rounds)))
     return spied
+
+
+@contextlib.contextmanager
+def counted_rounds():
+    """Appends the size of each round's new front to the list it yields."""
+    rounds = []
+    step = process.next_generation
+
+    def counted(*args):
+        front = step(*args)
+        rounds.append(front.size)
+        return front
+
+    with mock.patch.object(process, "next_generation", counted):
+        yield rounds
 
 
 def _random_order(n, seed):
@@ -969,36 +986,37 @@ def test_sweep_chunks_match_chunks_of_one(monkeypatch, branch, spec, n):
     assert len(set(map(tuple, runs.values()))) == 1
 
 
-def _waits(events, n):
-    """For each request of ``events`` that passed its cap, whether the driver
-    had marked its whole torus done, other than by filling it."""
-    return [after == n * n and before + reply < n * n
-            for cap, reply, before, after in events if reply > cap]
+def _leaves_while_another_stays(events):
+    """For each request of ``events`` that passed its cap in a round,
+    whether another request was in that round and stayed in the front."""
+    return [any(a < answered < b for _, _, _, _, a, b in events)
+            for cap, reply, _, _, asked, answered in events if reply > cap and answered > asked]
 
 
-def test_chunk_run_past_its_cap_waits_a_round_while_another_grows():
-    # batched square4 runs in one chunk on the dense branch: a probe or batch
-    # that passes its cap while another run's cascade goes on has its torus
-    # marked done, so the one round its sites still take part in infects
-    # nothing there; its loop then gets the reply and restores the torus
+@pytest.mark.parametrize("path", SEARCHES)
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+def test_chunk_run_past_its_cap_leaves_the_front_in_that_round(branch, path):
+    # square4 runs in one chunk: a batch or probe that passes its cap while
+    # another run's request goes on leaves the front in that round, and its
+    # loop gets the reply with the torus as the cascade left it, the sites
+    # done before and exactly ``reply`` more, as a run alone does; the other
+    # tori are not touched, so each run still matches the oracle
     nbhd = build_neighbourhood(NeighbourhoodSpec.named("square4"))
-    offs = offsets_array(nbhd)
-    n = 12
+    offs, r, n = offsets_array(nbhd), nbhd.threshold, 12
     orders = [_random_order(n, seed) for seed in range(8)]
-    want = [reference_run(n, nbhd.threshold, offs, o) for o in orders]
-    events = []
-    with generation_branch("dense"):
-        got = process._lockstep(n, nbhd.threshold, offs, [solved(o) for o in orders],
-                                watched(_run_batched, events))
+    want = [reference_run(n, r, offs, o) for o in orders]
+    chunked, alone = [], []
+    with generation_branch(branch) as dense, searched(path), counted_rounds() as rounds:
+        got = process._lockstep(n, r, offs, [solved(o) for o in orders],
+                                watched(_run_batched, chunked, rounds))
         assert [(tau, before) for tau, before, _ in got] == want
-        assert any(_waits(events, n))
-        # alone, a run past its cap is replied to at once, its torus as the
-        # cascade left it: the sites done before and those it infected
-        events.clear()
-        assert run_alone(watched(_run_batched, events), n, nbhd.threshold, offs,
-                         orders[0]) == want[0]
-    over = [(cap, reply, before, after) for cap, reply, before, after in events if reply > cap]
-    assert over and all(after == before + reply for _, reply, before, after in over)
+        for o, run in zip(orders, want):
+            assert run_alone(watched(_run_batched, alone, rounds), n, r, offs, o) == run
+    assert bool(dense) == (branch == "dense")
+    assert any(_leaves_while_another_stays(chunked))
+    for events in (chunked, alone):
+        over = [event for event in events if event[1] > event[0]]
+        assert over and all(after == before + reply for _, reply, before, after, _, _ in over)
 
 
 @pytest.mark.parametrize("branch", ["dense", "sparse"])
@@ -1036,7 +1054,9 @@ def test_cascade_state_is_its_pushes_after_every_round_and_restore(monkeypatch, 
     # (counts >= 0) holds the pushes of its done neighbours, and the round
     # returns exactly the sites that are not done at r or more; a restore
     # brings back the done sites of its save, and a replay leaves its
-    # scalar cascades, with the same invariant
+    # scalar cascades, with the same invariant.  In chunks of 5 some run
+    # leaves the front past its cap while another stays: the rounds after
+    # it still find every block, the staying runs' too, in that state
     nbhd = build_neighbourhood(NeighbourhoodSpec.named(name))
     offs, r, n = offsets_array(nbhd), nbhd.threshold, 12
     torus = Domain.torus(n)
@@ -1086,13 +1106,16 @@ def test_cascade_state_is_its_pushes_after_every_round_and_restore(monkeypatch, 
     monkeypatch.setattr(process._Torus, "restore", restored)
     monkeypatch.setattr(process, "_replay", replay_checked)
     orders = [_random_order(n, seed) for seed in range(10)]
+    events = []
     with generation_branch(branch) as dense:
         for at in range(0, len(orders), chunk):
             part = orders[at:at + chunk]
-            got = process._lockstep(n, r, offs, [solved(o) for o in part], _run_batched)
+            got = process._lockstep(n, r, offs, [solved(o) for o in part],
+                                    watched(_run_batched, events, fronts))
             assert [(tau, before) for tau, before, _ in got] == [
                 reference_run(n, r, offs, o) for o in part]
     assert bool(dense) == (branch == "dense") and sum(f > 1 for f in fronts) > 20
+    assert any(_leaves_while_another_stays(events)) == (chunk > 1)
     assert process._arrival_path(offs) == path
     assert restores and bool(replayed) == (path == "scalar")
 
@@ -1453,8 +1476,8 @@ def test_torus_state_saves_and_restores_its_block_of_the_chunk():
 @pytest.mark.parametrize("chunk", [1, 6])
 def test_restore_after_a_crossing_batch_returns_the_saved_counts(square, monkeypatch, chunk):
     # every square run checkpoints its batches; a batch past its cap has
-    # changed the counts (in a chunk, while another run grows, its whole
-    # block is marked done), and the restore brings back the exact counts
+    # changed the counts (in a chunk, it leaves the front with sites marked
+    # done that never pushed), and the restore brings back the exact counts
     # of the save before it, from which the replay starts
     checkpoints, restores, replays_started = {}, [], []
     save, restore, replay = process._Torus.save, process._Torus.restore, process._replay
@@ -1530,23 +1553,6 @@ def test_summary_closure_before_fraction_on_hand_built_records():
     # a summary field only: the v1 CSV row keeps its columns
     header = records_to_csv(records).splitlines()[0]
     assert header.split(",") == list(CSV_COLUMNS)
-
-
-def test_jump_event_rate_extremes(square):
-    rec = run_once(square, 8, 0, permutation=row_major_permutation(8))
-    # closure_before/tau = 48/49; the c=0 bar is tau itself
-    assert jump_event_rate([rec], 0.0) == 0.0
-    # a hugely negative c makes the bar trivial
-    assert jump_event_rate([rec], -10.0) == 1.0
-
-
-def test_jump_event_rate_rejects_mixed_sizes(square):
-    a = run_once(square, 8, 0)
-    b = run_once(square, 16, 0)
-    with pytest.raises(ValueError):
-        jump_event_rate([a, b], 1.0)
-    with pytest.raises(ValueError):
-        jump_event_rate([], 1.0)
 
 
 def test_record_derived_fields(square):

@@ -196,6 +196,28 @@ def test_integral_float_sites_still_load():
     assert all(r.passed for r in run_scenario(sc))
 
 
+@pytest.mark.parametrize("domain", [
+    {"kind": "torus", "n": 8.0},
+    {"kind": "box", "d": 4.0},
+    {"kind": "box", "bounds": [-4.0, -4, 4, 4.0]},
+    {"kind": "framed_box", "d": 4.0},
+], ids=["torus-n", "box-d", "box-bounds", "framed-d"])
+def test_integral_float_sizes_load_and_run(domain):
+    import jsonschema
+
+    # the schema types 8.0 as an integer, so sizes and rectangle sides may
+    # come as integral floats; the closure and the rectangle window need ints
+    rect = {"type": "contains_rectangle", "width": 2.0, "length": 2.0, "direction": [1, 0]}
+    obj = minimal_scenario(domain=domain, assertions=[{"type": "closure_size", "size": 4.0}, rect])
+    jsonschema.validate(obj, scenario_schema())
+    sc = scenario_from_json(obj)
+    assert all(type(v) is int for v in sc.domain.bounds)
+    assert [type(v) for a in sc.assertions for k, v in a.items()
+            if k in ("size", "width", "length")] == [int] * 3
+    assert [(r.kind, r.passed) for r in run_scenario(sc)] == [
+        ("closure_size", True), ("contains_rectangle", True)]
+
+
 def test_corpus_site_arrays_skip_the_stock_items_keyword(monkeypatch):
     from jsonschema.validators import validator_for
 
