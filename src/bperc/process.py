@@ -63,7 +63,7 @@ square torus.  The steps that draw below a prefix's end, sorted by (draw,
 step), give each of its positions the last step to move a value there, and
 the value follows from a table of the first step to draw each value (the
 order drawn lazily, as Newman & Ziff, PRL 85, 4104, 2000, draw theirs).
-``random_permutation`` is the same solver run to the end.
+``random_permutation`` walks the runs' blocks (n^2/16, then doubling) to the end.
 """
 from __future__ import annotations
 
@@ -331,13 +331,14 @@ class _Arrivals:
     """One run's arrival order, the v1 permutation, solved on demand.
 
     ``perm[:solved]`` is solved; ``need(hi)`` extends it to hi or more, in
-    blocks that at least double (from n_items / 16).  ``seconds`` is all the
-    time spent drawing and solving, and ``release()`` drops the arrays once
-    the run is over.  The solver state is the draws and succ, int32 each,
-    plus perm, as long as the solved prefix; solving adds work arrays for at
-    most about n_items / 4 sorted steps or n_items / 16 positions.  So a run
-    at 1/16 of n_items holds about as much as a whole permutation, and even
-    the whole solve peaks at about 18 bytes an entry, as the bulk solve did.
+    blocks that double (from n_items / 16).  ``seconds`` is all the time
+    spent drawing and solving, and ``release()`` drops the arrays once the
+    run is over.  The state is the draws and succ, int32 each, plus perm, as
+    long as the solved prefix; a block adds work arrays for its steps, at
+    most about n_items / 4 (for [n_items / 4, n_items / 2)), or for
+    n_items / 16 positions.  So a run at 1/16 of n_items holds about as
+    much as a whole permutation; the whole solve peaks at 20 bytes an entry:
+    draws, succ and the last two perms.
     """
 
     def __init__(self, n_items: int, seed: int):
@@ -376,80 +377,51 @@ class _Arrivals:
         return self
 
     def need(self, hi: int) -> np.ndarray:
-        """perm, solved at least up to min(hi, n_items)."""
+        """perm, solved at least up to min(hi, n_items) in the one schedule of
+        blocks: [0, max(1, n_items // 16)), then doubling, cut at n_items."""
+        hi = min(hi, self.n_items)
         if hi > self.solved:
             start = time.perf_counter()
-            lo = self.solved
-            top = min(self.n_items, max(hi, 2 * lo, self.n_items // 16))
-            self._solve(lo, top)
-            self.solved = top
+            while self.solved < hi:
+                top = min(self.n_items, max(1, self.n_items // 16, 2 * self.solved))
+                self._solve(self.solved, top)
+                self.solved = top
             self.seconds += time.perf_counter() - start
         return self.perm
 
     def release(self) -> None:
         self.perm = self._draw = self._succ = None
 
-    def _draw_ranges(self, lo: int, hi: int) -> list:
-        """The ends of the ranges of draws [lo, e_1), [e_1, e_2), ...,
-        [., hi) that _solve sorts at a time: about equal shares of the steps
-        expected to draw in [lo, hi), each at most about n_items / 4.
-
-        Step j draws below v with chance min(1, v / (j + 1)), so about
-        F(v) = v (1 + ln(n_items / v)) steps draw below v."""
-        n_items = self.n_items
-
-        def below(v):
-            return v * (1 + math.log(n_items / v)) if v else 0.0
-
-        share = (below(hi) - below(lo)) / math.ceil(4 * (below(hi) - below(lo)) / n_items)
-        ends, start = [], lo
-        while below(hi) - below(start) > 1.5 * share:
-            a, b = start, hi  # the first v with below(v) >= below(start) + share
-            while b - a > 1:
-                mid = (a + b) // 2
-                if below(mid) - below(start) < share:
-                    a = mid
-                else:
-                    b = mid
-            if b == hi:
-                break
-            ends.append(b)
-            start = b
-        return ends + [hi]
-
     def _solve(self, lo: int, hi: int) -> None:
         """Solves perm[lo:hi], perm[:lo] being solved; perm, as long as the
         solved prefix, moves to a new array of hi entries.
 
-        The steps that draw in [lo, hi) are taken a range of draws at a
-        time, packed as draw << bits | step in an int64 and sorted: each
-        draw's steps then follow in increasing order.  A step with a next
-        one, its nw, gets -1 - nw in place of its draw, which no later range
-        selects.  Then position i holds -1 - nw(i) or d_i, so the solved
-        block is a slice of the draws, reversed, with the chains followed
-        from the nw, n_items / 16 positions at a time."""
+        The steps that draw in [lo, hi) are packed as draw << bits | step in
+        an int64 and sorted: each draw's steps then follow in increasing
+        order.  A step with a next one, its nw, gets -1 - nw in place of its
+        draw, which no later block selects.  Then position i holds
+        -1 - nw(i) or d_i, so the solved block is a slice of the draws,
+        reversed, with the chains followed from the nw, n_items / 16
+        positions at a time."""
         m = self.n_items - 1
         bits = m.bit_length()
         draw = self._draw
         steps = draw[:self.n_items - lo]  # only steps from lo up draw from lo up
-        a = lo
-        for b in self._draw_ranges(lo, hi):
-            key = np.flatnonzero((steps >= a) & (steps < b) if a else steps < b)
-            step = m - key.astype(np.int32)
-            np.left_shift(steps.take(key), bits, out=key, dtype=np.int64)
-            key |= step
-            key.sort()
-            np.bitwise_and(key, (1 << bits) - 1, out=step, casting="unsafe")
-            key >>= bits
-            nw = key[1:] == key[:-1]  # the entry's draw has a next step
-            del key
-            at, nxt = step[:-1].compress(nw), step[1:].compress(nw)
-            del step, nw
-            np.subtract(m, at, out=at)
-            np.subtract(-1, nxt, out=nxt)
-            draw[at] = nxt
-            del at, nxt
-            a = b
+        key = np.flatnonzero((steps >= lo) & (steps < hi) if lo else steps < hi)
+        step = m - key.astype(np.int32)
+        np.left_shift(steps.take(key), bits, out=key, dtype=np.int64)
+        key |= step
+        key.sort()
+        np.bitwise_and(key, (1 << bits) - 1, out=step, casting="unsafe")
+        key >>= bits
+        nw = key[1:] == key[:-1]  # the entry's draw has a next step
+        del key
+        at, nxt = step[:-1].compress(nw), step[1:].compress(nw)
+        del step, nw
+        np.subtract(m, at, out=at)
+        np.subtract(-1, nxt, out=nxt)
+        draw[at] = nxt
+        del at, nxt
         perm = np.empty(hi, dtype=np.int64)
         perm[:lo] = self.perm
         self.perm = perm
@@ -470,15 +442,15 @@ def random_permutation(n_items: int, seed: int) -> np.ndarray:
 
     Same result as the scalar loop the module docstring defines: the raw
     stream comes from jump-ahead lanes, the draws are mapped as vectors and
-    the swaps are solved by the runs' own solver, _Arrivals, to the end.
+    the swaps are solved in the runs' blocks by their solver, _Arrivals.
     n_items must be below 2^31 (a torus side up to 46340).
     """
     return _Arrivals(n_items, seed).need(n_items)
 
 
 def arrival_prefix(n_items: int, seed: int, k: int) -> np.ndarray:
-    """The first k entries of random_permutation(n_items, seed), solved
-    only as far as they need (a copy; 0 <= k <= n_items)."""
+    """The first k entries of random_permutation(n_items, seed), solved only
+    up to the end of the runs' block that holds them (a copy; 0 <= k <= n_items)."""
     if not 0 <= k <= n_items:
         raise ValueError(f"k must lie in [0, {n_items}], got {k}")
     return _Arrivals(n_items, seed).need(k)[:k].copy()

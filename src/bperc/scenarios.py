@@ -112,8 +112,13 @@ class Scenario:
         return obj
 
 
-# the assertion fields the schema types as integers
-_INTEGER_FIELDS = frozenset({"size", "width", "length"})
+# the assertion fields the schema types as integers or sites
+_INTEGER_FIELDS = frozenset({"size", "width", "length", "sites", "direction"})
+
+
+def _ints(value):
+    """A schema integer, or a list of them at any depth, as int."""
+    return [_ints(v) for v in value] if isinstance(value, list) else int(value)
 
 
 def scenario_from_json(obj: dict, source: str = "<inline>") -> Scenario:
@@ -126,10 +131,11 @@ def scenario_from_json(obj: dict, source: str = "<inline>") -> Scenario:
         raise ScenarioError(f"{source}: schema violation at {path}: {e.message}")
 
     # an integral float passes the schema (draft-07 types 8.0 as an
-    # integer), so sizes are made int before anything indexes with them
+    # integer), so sizes and sites are made int before anything indexes
+    # with them or writes them back
     dom_obj = obj["domain"]
     kind = dom_obj["kind"]
-    frozen = [tuple(s) for s in obj.get("frozen", [])]
+    frozen = [tuple(s) for s in _ints(obj.get("frozen", []))]
     if kind == "torus":
         if "n" not in dom_obj:
             raise ScenarioError(f"{source}: torus domain needs 'n'")
@@ -158,10 +164,10 @@ def scenario_from_json(obj: dict, source: str = "<inline>") -> Scenario:
     except ValueError as e:
         raise ScenarioError(f"{source}: bad neighbourhood: {e}") from None
 
-    infected = [tuple(s) for s in obj.get("infected", [])]
+    infected = [tuple(s) for s in _ints(obj.get("infected", []))]
     if "infected_grid" in obj:
         grid = obj["infected_grid"]
-        origin = tuple(grid.get("origin", (0, 0)))
+        origin = tuple(_ints(grid.get("origin", [0, 0])))
         try:
             grid_infected, grid_frozen = parse_grid_text(grid["text"], origin)
         except ValueError as e:
@@ -182,7 +188,7 @@ def scenario_from_json(obj: dict, source: str = "<inline>") -> Scenario:
                 raise ScenarioError(
                     f"{source}: assertion {a['type']} lists out-of-domain site {s}"
                 )
-    assertions = tuple({k: int(v) if k in _INTEGER_FIELDS else v for k, v in a.items()}
+    assertions = tuple({k: _ints(v) if k in _INTEGER_FIELDS else v for k, v in a.items()}
                        for a in obj["assertions"])
     return Scenario(obj["name"], domain, spec, tuple(infected), assertions,
                     obj.get("notes", ""))

@@ -415,7 +415,7 @@ def test_swap_solver_is_a_bijection_from_draws(n_items):
 @given(swap_draws(), st.lists(st.integers(1, 400), max_size=8), st.data())
 def test_prefix_solver_matches_swap_loop_in_any_blocks(case, ends, data):
     # the solved prefix after each block, whatever the blocks' sizes, is the
-    # swap loop's; need() takes blocks at least doubling, _solve any block
+    # swap loop's; need() walks the runs' blocks, _solve takes any block
     draws, n_items = case
     want = reference_swaps(draws, n_items).tolist()
     arrivals = crafted(draws, n_items)
@@ -430,24 +430,54 @@ def test_prefix_solver_matches_swap_loop_in_any_blocks(case, ends, data):
     assert arrivals.need(n_items).tolist() == want
 
 
+def runs_blocks(n_items):
+    """The blocks a run solves: [0, n_items // 16), at least one entry,
+    then blocks that double, the last cut at n_items."""
+    ends = [max(1, n_items // 16)]
+    while ends[-1] < n_items:
+        ends.append(min(2 * ends[-1], n_items))
+    return list(zip([0] + ends[:-1], ends))
+
+
 @pytest.mark.parametrize("n_items", [2, 3, 1000, 65537])
-def test_prefix_blocks_sort_bounded_ranges_of_draws(n_items):
-    # the whole permutation goes in four ranges of draws of about n_items / 4
-    # steps each, a run's first block in one; every prefix is the bulk order's
-    arrivals = _Arrivals(n_items, 7)
-    ends = arrivals._draw_ranges(0, n_items)
-    assert ends[-1] == n_items and ends == sorted(set(ends))
-    if n_items > 4:
-        assert len(ends) == 4
-        sizes = np.diff(np.searchsorted(np.sort(_swap_draws(n_items, 7)), [0] + ends))
-        assert sizes.max() <= 1.1 * n_items / 4
-    assert arrivals._draw_ranges(0, n_items // 16 + 1) == [n_items // 16 + 1]
+def test_every_solve_walks_the_runs_blocks(square, monkeypatch, n_items):
+    # the whole order, any prefix of it and a run's arrivals are solved in
+    # the same blocks, each sorting at most about n_items / 4 steps; every
+    # prefix is the whole order's
+    solves = []
+    solve = _Arrivals._solve
+
+    def spied(self, lo, hi):
+        solves.append((lo, hi))
+        solve(self, lo, hi)
+
+    def check_blocks(size, seed):
+        # the solves so far, of an order of ``size`` entries
+        assert solves == runs_blocks(size)[:len(solves)]
+        if size > 4:
+            draws = np.sort(_swap_draws(size, seed))
+            for lo, hi in solves:
+                steps = np.searchsorted(draws, hi) - np.searchsorted(draws, lo)
+                assert steps <= 1.1 * size / 4
+
+    monkeypatch.setattr(_Arrivals, "_solve", spied)
     want = random_permutation(n_items, 7)
+    assert solves == runs_blocks(n_items)
+    check_blocks(n_items, 7)
     for k in (0, 1, n_items // 16, n_items // 5, n_items):
+        solves.clear()
         assert (process.arrival_prefix(n_items, 7, k) == want[:k]).all()
+        assert solves == [b for b in runs_blocks(n_items) if b[0] < k]
     for k in (-1, n_items + 1):
         with pytest.raises(ValueError, match="k must lie in"):
             process.arrival_prefix(n_items, 7, k)
+    if n_items > 4:
+        side = math.isqrt(n_items)  # 31 and 256
+        for seed in (1, 2):
+            solves.clear()
+            run_once(square, side, seed)
+            assert solves
+            check_blocks(side * side, seed)
 
 
 @pytest.mark.parametrize("n_items, seed", [(2, 0), (1000, 5), (65537, U64 - 1), (384 * 384, 11)])
@@ -457,15 +487,18 @@ def test_swap_loop_on_the_drawn_stream(n_items, seed):
 
 
 def test_permutation_memory_stays_within_three_arrays():
+    # the whole order and a prefix that needs its last block
     n_items = 384 * 384
     random_permutation(n_items, 1)  # builds the jump-ahead tables
-    tracemalloc.start()
-    try:
-        random_permutation(n_items, 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * n_items * 8
+    for solve in (lambda: random_permutation(n_items, 2),
+                  lambda: process.arrival_prefix(n_items, 2, n_items // 2 + 1)):
+        tracemalloc.start()
+        try:
+            solve()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n_items * 8
 
 
 def test_lane_stream_scrambles_without_a_second_stream():

@@ -184,16 +184,35 @@ def test_schema_is_checked_against_its_meta_schema_once(monkeypatch):
     assert checked == [scenario_schema()]
 
 
+def _float_sites_scenario(one, zero):
+    """A framed-box scenario with every kind of site written with ``one``
+    and ``zero``, ints or integral floats."""
+    rect = {"type": "contains_rectangle", "width": 2, "length": 2, "direction": [one, 0]}
+    return minimal_scenario(
+        domain={"kind": "framed_box", "d": 4},
+        infected=[[one, 1]],
+        infected_grid={"text": "#.\n.#", "origin": [zero, zero]},
+        frozen=[[3 * one, 3 * one]],
+        assertions=[{"type": "closure_contains", "sites": [[0, one], [1, zero]]}, rect])
+
+
 def test_integral_float_sites_still_load():
     import jsonschema
 
-    # JSON Schema counts 1.0 as an integer, so these sites are valid
-    obj = minimal_scenario(infected=[[0, 0], [1.0, 1]])
-    obj["assertions"] = [{"type": "closure_contains", "sites": [[0, 1.0], [1, 0]]}]
+    # JSON Schema counts 1.0 as an integer, so these sites are valid; they
+    # load, run and are written back as ints
+    obj = _float_sites_scenario(1.0, 0.0)
     jsonschema.validate(obj, scenario_schema())
     sc = scenario_from_json(obj)
-    assert sc.infected == ((0, 0), (1, 1))
+    assert sc.infected == ((0, 1), (1, 0), (1, 1))
+    assert sc.domain.frozen == {(3, 3)}
+    sites = [*sc.infected, *sc.domain.frozen, sc.assertions[1]["direction"],
+             *sc.assertions[0]["sites"]]
+    assert all(type(v) is int for site in sites for v in site)
     assert all(r.passed for r in run_scenario(sc))
+    written = json.dumps(scenario_from_json(_float_sites_scenario(1, 0)).to_json())
+    assert json.dumps(sc.to_json()) == written
+    assert json.dumps(scenario_from_json(sc.to_json()).to_json()) == written
 
 
 @pytest.mark.parametrize("domain", [
