@@ -3,16 +3,16 @@
 Two engines compute the same thing:
 
 * ``closure``, the primary implementation: a counter push on flat index
-  arrays, one synchronous generation at a time by ``next_generation``,
-  the round the arrival process in ``bperc.process`` shares (its driver
-  advances every cascade of a chunk of runs, on stacked tori, one round
-  at a time).  Each round takes the cheaper of two branches with the
-  same result: a sparse one that lists every push, gathered from two
-  cached per-axis tables of wrapped row and column indices in a fixed
-  number of numpy calls, and a dense one that counts the pushes per row
-  run of the offsets with a difference array and one cumulative sum,
-  whose cost hardly grows with |K*| (``grid_targets`` picks by the cost
-  rule), and
+  arrays, one synchronous generation at a time by the round
+  ``grid_step`` builds, which the arrival process in ``bperc.process``
+  shares (its driver advances every cascade of a chunk of runs, on
+  stacked tori, one round at a time).  Each round takes the cheaper of
+  two branches with the same result, by a cost rule: a sparse one that
+  lists every push, gathered from two cached per-axis tables of wrapped
+  row and column indices in a fixed number of numpy calls, and a dense
+  one that counts the pushes per row run of the offsets with a
+  difference array and one cumulative sum, whose cost hardly grows with
+  |K*|, and
 * ``closure_synchronous``, iterated whole-grid neighbour counts (numpy
   shifts): the independent oracle the tests check ``closure`` against.
 
@@ -108,11 +108,15 @@ class Domain:
                 yield (x, y)
 
     def validate_for(self, nbhd: Neighbourhood) -> None:
-        if self.kind == "torus" and self.n < 2 * nbhd.radius_ceil + 1:
+        """A torus must keep distinct offsets distinct and off the origin:
+        n >= 2 reach + 1, reach the largest |kx| or |ky| of an offset, so two
+        offsets differ by at most 2 reach < n along each axis."""
+        if self.kind == "torus" and self.n < 2 * nbhd.reach + 1:
             raise ValueError(
-                f"torus side {self.n} too small for neighbourhood radius "
-                f"{nbhd.radius:.3f}: need n >= {2 * nbhd.radius_ceil + 1} so "
-                "distinct offsets stay distinct on the torus"
+                f"torus side {self.n} too small for neighbourhood reach "
+                f"{nbhd.reach} (the largest |kx| or |ky| of an offset): need "
+                f"n >= {2 * nbhd.reach + 1} so distinct offsets stay distinct "
+                "on the torus"
             )
 
     def wrap(self, x: int, y: int) -> Optional[Site]:
@@ -293,20 +297,48 @@ _small_gather_tables = functools.lru_cache(maxsize=32)(_gather_tables)
 _large_gather_tables = functools.lru_cache(maxsize=1)(_gather_tables)
 
 
-def grid_targets(width: int, height: int, offs: np.ndarray, tori: int = 1) -> Callable:
-    """``targets`` for next_generation on ``tori`` width x height tori
-    stacked along x, with site (x, y) of torus t at index
-    (t * width + x) * height + y, where each front site y pushes y - k for
-    each offset k, wrapped within its own torus.
+# A done site holds DONE: "done" is ``counts < 0``.  A site x is pushed
+# once by each of its |K*| pushers x + k, and once by itself in the dense
+# branch's row runs, so between two restores it gets at most |K*| + 1
+# pushes, and once done its count stays negative.
+DONE = -(1 << 30)
 
-    ``targets(front, counts)`` picks the cheaper branch for the round by the
-    cost rule above, over the cells of all the tori.  The sparse branch
-    returns the pushed sites, one per push, as int32 while the indices fit:
-    two row gathers from the per-axis tables of _gather_tables and one sum,
-    whatever |K*|.  The dense branch adds the pushes into ``counts`` itself
-    and returns None; its row runs are fetched on the first round that
-    takes it, so a call whose fronts stay small pays only one product and
-    comparison of integers per round.
+
+def grid_step(width: int, height: int, offs: np.ndarray, r: int, tori: int = 1) -> Callable:
+    """One round of the counter-push cascade of threshold ``r`` on ``tori``
+    width x height tori stacked along x, with site (x, y) of torus t at
+    index (t * width + x) * height + y, where each front site y pushes
+    y - k for each offset k, wrapped within its own torus.
+
+    ``step(counts, front)`` pushes ``front``, whose sites are already done,
+    and returns the sites whose count crosses r, in strictly increasing
+    order, without marking them done.  ``counts`` is a flat int32 array over
+    the sites, updated in place, and the only state: a done site holds DONE,
+    so "done" is ``counts < 0``.
+
+    Each round takes the cheaper of two branches with the same result, by
+    the cost rule above, over the cells of all the tori.  The sparse one
+    costs about front * |K*| pushed targets: it lists each push, as int32
+    while the indices fit, by two row gathers from the per-axis tables of
+    _gather_tables and one sum, whatever |K*|; adds them all with one
+    np.add.at; takes the pushed sites now at r or more; and sorts only
+    those, to list each once.  It reads the flat array with take and
+    compress, each one call with less overhead than the fancy indexing it
+    replaces.  The dense one costs about 1.1 targets per site of the grid
+    and a fixed 512: it counts the pushes per row run with a difference
+    array and one cumulative sum, and takes the sites at r or more.  Its
+    row runs are fetched on the first round that takes it, so a call whose
+    fronts stay small pays only one product and comparison of integers per
+    round.  Both add pushes onto done sites too, which leave them below
+    zero (see DONE); dropping them first costs a take and a compress over
+    every push, and made square and square4 sweeps 5-7% slower.
+
+    The round relies on one invariant: no site that is not done holds r or
+    more counts, apart from those ``front`` pushes to r.  Each round keeps
+    it for the next, because every site its pushes lift to r joins the
+    next front.  So a site crosses r exactly when its count reaches r, and
+    the dense branch's test of the whole grid finds the same sites as the
+    sparse branch's test of those pushed.
     """
     key = np.ascontiguousarray(offs, dtype=np.int64).tobytes()
     nk = len(offs)
@@ -316,68 +348,29 @@ def grid_targets(width: int, height: int, offs: np.ndarray, tori: int = 1) -> Ca
     dense_at = int(_DENSE_CELL_COST * tori * width * height) + _DENSE_ROUND_COST
     dense = None
 
-    def targets(front, counts):
+    def step(counts, front):
         nonlocal dense
         if front.size * nk > dense_at:
             if dense is None:
                 dense = _row_run_push(width, height, offs, tori)
             dense(front, counts)
-            return None
+            return np.flatnonzero(counts >= r)
         fx, fy = np.divmod(front, height)
-        return (rowtab.take(fx, axis=0) + coltab.take(fy, axis=0)).ravel()
+        hit = (rowtab.take(fx, axis=0) + coltab.take(fy, axis=0)).ravel()
+        # np.int32, not 1: a Python int sends ufunc.at down its slow generic
+        # path, 13-15 times slower (44 against 3.5 us for 600 pushes, numpy
+        # 2.4.6; BENCH_one_state_array.json, "add_at")
+        np.add.at(counts, hit, np.int32(1))
+        new = hit.compress(counts.take(hit) >= r)
+        if new.size > 1:  # a site pushed to r more than once is listed once
+            new.sort()
+            first = np.empty(new.size, dtype=bool)
+            first[0] = True
+            np.not_equal(new[1:], new[:-1], out=first[1:])
+            new = new.compress(first)
+        return new
 
-    return targets
-
-
-# A done site holds DONE: "done" is ``counts < 0``.  A site x is pushed
-# once by each of its |K*| pushers x + k, and once by itself in the dense
-# branch's row runs, so between two restores it gets at most |K*| + 1
-# pushes, and once done its count stays negative.
-DONE = -(1 << 30)
-
-
-def next_generation(counts, front, r, targets):
-    """One round of the counter-push cascade: pushes ``front``, whose sites
-    are already done, and returns the sites whose count crosses r, in
-    strictly increasing order, without marking them done.
-
-    ``counts`` is a flat int32 array over the sites, updated in place, and
-    the only state: a done site holds DONE, so "done" is ``counts < 0``.
-    ``targets`` comes from grid_targets.  The round has two branches with
-    the same result, picked by cost.  The sparse one costs about
-    front * |K*| pushed targets: it lists each push, adds them all with one
-    np.add.at, takes the pushed sites now at r or more, and sorts only
-    those, to list each once.  The dense one costs about 1.1 targets per
-    site of the grid and a fixed 512: it counts the pushes per row run with
-    a difference array and one cumulative sum, and takes the sites at r or
-    more.  Both add pushes onto done sites too, which leave them below
-    zero (see DONE); dropping them first costs a take and a compress over
-    every push, and made square and square4 sweeps 5-7% slower.  The sparse
-    branch reads the flat array with take and compress, each one call with
-    less overhead than the fancy indexing it replaces.
-
-    The round relies on one invariant: no site that is not done holds r or
-    more counts, apart from those ``front`` pushes to r.  Each round keeps
-    it for the next, because every site its pushes lift to r joins the
-    next front.  So a site crosses r exactly when its count reaches r, and
-    the dense branch's test of the whole grid finds the same sites as the
-    sparse branch's test of those pushed.
-    """
-    hit = targets(front, counts)
-    if hit is None:
-        return np.flatnonzero(counts >= r)
-    # np.int32, not 1: a Python int sends ufunc.at down its slow generic
-    # path, 13-15 times slower (44 against 3.5 us for 600 pushes, numpy
-    # 2.4.6; BENCH_one_state_array.json, "add_at")
-    np.add.at(counts, hit, np.int32(1))
-    new = hit.compress(counts.take(hit) >= r)
-    if new.size > 1:  # a site pushed to r more than once is listed once
-        new.sort()
-        first = np.empty(new.size, dtype=bool)
-        first[0] = True
-        np.not_equal(new[1:], new[:-1], out=first[1:])
-        new = new.compress(first)
-    return new
+    return step
 
 
 def closure(
@@ -398,7 +391,7 @@ def closure(
     allowed = None if region is None else _inside(domain, region, "region")
     offs = offsets_array(nbhd)
     xmin, ymin, xmax, ymax = domain.bounds
-    pad = 0 if domain.kind == "torus" else int(np.abs(offs).max(initial=0))
+    pad = 0 if domain.kind == "torus" else nbhd.reach
     width, height = xmax - xmin + 1 + 2 * pad, ymax - ymin + 1 + 2 * pad
 
     def index(sites):
@@ -415,10 +408,10 @@ def closure(
             counts[index(allowed)] = 0
     front = index(cfg.infected)
     counts[front] = DONE
-    targets = grid_targets(width, height, offs)
+    step = grid_step(width, height, offs, nbhd.threshold)
     new = []  # each round's newly infected sites
     while front.size:
-        front = next_generation(counts, front, nbhd.threshold, targets)
+        front = step(counts, front)
         if front.size:
             counts.put(front, DONE)
             new.append(front)

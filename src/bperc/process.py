@@ -7,9 +7,9 @@ whose closure is the full torus; closure_before is the infected count just
 before that arrival.
 
 The cascade has one arrival loop (``_run_batched``) on one ``_Torus``
-state: arrivals go in batches of n as fronts of the generation step
-``dynamics.next_generation``, with a checkpoint per batch, resting on the
-state after any prefix of the arrivals being the closure of that prefix.
+state: arrivals go in batches of n as fronts of the generation round
+that ``dynamics.grid_step`` builds, with a checkpoint per batch, resting on
+the state after any prefix of the arrivals being the closure of that prefix.
 A batch that crosses its cap is undone and searched for the arrival that
 crosses it, in one of two ways with the same result: small neighbourhoods
 replay its arrivals one at a time as scalar cascades (``_replay``); from
@@ -82,12 +82,42 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import DONE, Domain, grid_targets, next_generation, offsets_array
+from .dynamics import DONE, Domain, grid_step, offsets_array
 from .geometry import Neighbourhood
 
 SCHEMA_VERSION = 1
 
 _MASK = (1 << 64) - 1
+
+
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer; bool and float are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _seed64(value, name: str) -> int:
+    """``value`` as a 64-bit seed: an integer in [0, 2^64), else ValueError."""
+    if _integer(value) and 0 <= value <= _MASK:
+        return int(value)
+    raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
+
+
+def _items(value) -> int:
+    """``value`` as a permutation size: an integer in [0, 2^31), the indices
+    the solver's int32 arrays hold, else ValueError."""
+    if _integer(value) and 0 <= value < 1 << 31:
+        return int(value)
+    raise ValueError(f"n_items must be a nonnegative integer below 2^31, got {value!r}")
+
+
+def _side(value, nbhd: Neighbourhood) -> int:
+    """``value`` as the side n of a torus for ``nbhd``: an integer with
+    n^2 < 2^31 (n <= 46340) that Domain.validate_for accepts, else
+    ValueError."""
+    if not _integer(value) or value * value >= 1 << 31:
+        raise ValueError(f"n must be an integer in [1, 46340], got {value!r}")
+    Domain.torus(value).validate_for(nbhd)
+    return int(value)
 
 
 def _rejects(r: int, b: int) -> bool:
@@ -342,8 +372,7 @@ class _Arrivals:
     """
 
     def __init__(self, n_items: int, seed: int):
-        if n_items >= 1 << 31:
-            raise ValueError(f"n_items must be below 2^31, got {n_items}")
+        n_items = _items(n_items)
         start = time.perf_counter()
         self.n_items = n_items
         if n_items < 2:
@@ -443,16 +472,19 @@ def random_permutation(n_items: int, seed: int) -> np.ndarray:
     Same result as the scalar loop the module docstring defines: the raw
     stream comes from jump-ahead lanes, the draws are mapped as vectors and
     the swaps are solved in the runs' blocks by their solver, _Arrivals.
-    n_items must be below 2^31 (a torus side up to 46340).
+    n_items must be an integer in [0, 2^31) (a torus side up to 46340), and
+    seed one in [0, 2^64).
     """
-    return _Arrivals(n_items, seed).need(n_items)
+    return _Arrivals(n_items, _seed64(seed, "seed")).need(n_items)
 
 
 def arrival_prefix(n_items: int, seed: int, k: int) -> np.ndarray:
     """The first k entries of random_permutation(n_items, seed), solved only
-    up to the end of the runs' block that holds them (a copy; 0 <= k <= n_items)."""
-    if not 0 <= k <= n_items:
-        raise ValueError(f"k must lie in [0, {n_items}], got {k}")
+    up to the end of the runs' block that holds them (a copy; k an integer
+    in [0, n_items], n_items and seed as random_permutation takes them)."""
+    n_items, seed = _items(n_items), _seed64(seed, "seed")
+    if not (_integer(k) and 0 <= k <= n_items):
+        raise ValueError(f"k must lie in [0, {n_items}] and be an integer, got {k!r}")
     return _Arrivals(n_items, seed).need(k)[:k].copy()
 
 
@@ -672,19 +704,20 @@ def _lockstep(n, r, offs, arrivals, loop):
     loop's restore() mends.  The loop returns (tau, closure_before), and
     its run's arrays are released.
 
-    Every pending request advances in one round of next_generation over
-    all the tori at a time, in one int32 ``counts`` array.  A request joins
-    the front between rounds, shifted to its torus's block, without the
-    sites already done (``counts < 0``), and its sites are marked done by
-    writing DONE.  A round's new front is in strictly increasing order, so
-    one searchsorted over the block bounds gives each run's slice of it.  A
-    run leaves the front once its cascade ends or passes its cap: a run past
-    its cap takes its slice with it, so those sites push nothing, and either
-    way its loop resumes before the next round.  Pushes stay in their own
-    block, so no other torus sees the one left behind, and the loop's
-    restore() mends it before it is pushed again.  The bookkeeping is a
-    Python pass over the runs in the front, and there is none while one run
-    is in the front.
+    Every pending request advances in one round of the chunk's step, one
+    dynamics.grid_step over all the tori, in one int32 ``counts`` array.  A
+    request joins the front between rounds, shifted to its torus's block,
+    without the sites already done (``counts < 0``), and its sites are
+    marked done by writing DONE, as is each round's new front: the step
+    leaves that to its callers.  A round's new front is in strictly
+    increasing order, so one searchsorted over the block bounds gives each
+    run's slice of it.  A run leaves the front once its cascade ends or
+    passes its cap: a run past its cap takes its slice with it, so those
+    sites push nothing, and either way its loop resumes before the next
+    round.  Pushes stay in their own block, so no other torus sees the one
+    left behind, and the loop's restore() mends it before it is pushed
+    again.  The bookkeeping is a Python pass over the runs in the front,
+    and there is none while one run is in the front.
 
     ``seconds`` is the time the run's own loop took plus its share of the
     set-up and of each round it was in, a round's time split evenly among
@@ -694,7 +727,7 @@ def _lockstep(n, r, offs, arrivals, loop):
     start = time.perf_counter()
     k, n2 = len(arrivals), n * n
     counts = np.zeros(k * n2, dtype=np.int32)
-    targets = grid_targets(n, n, offs, k)
+    step = grid_step(n, n, offs, r, k)
     bounds = np.arange(0, (k + 1) * n2, n2)  # run j's block: bounds[j] to bounds[j + 1]
     runs = [loop(n, r, offs, source, _Torus(counts[j * n2:(j + 1) * n2]))
             for j, source in enumerate(arrivals)]
@@ -745,7 +778,7 @@ def _lockstep(n, r, offs, arrivals, loop):
             (j,) = active
             left = room[j]
             while True:
-                front = next_generation(counts, front, r, targets)
+                front = step(counts, front)
                 if not front.size:
                     break
                 counts.put(front, DONE)
@@ -757,7 +790,7 @@ def _lockstep(n, r, offs, arrivals, loop):
         else:
             leaving = []
             while not leaving:
-                front = next_generation(counts, front, r, targets)
+                front = step(counts, front)
                 if front.size:
                     counts.put(front, DONE)
                 ends = front.searchsorted(bounds).tolist()
@@ -837,18 +870,6 @@ class ProcessRecord:
         return {**asdict(self), "jump_ratio": self.jump_ratio, "tau_scaled": self.tau_scaled}
 
 
-def _integer(value) -> bool:
-    """Whether ``value`` is an integer; bool and float are not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _seed64(value, name: str) -> int:
-    """``value`` as a 64-bit seed: an integer in [0, 2^64), else ValueError."""
-    if _integer(value) and 0 <= value <= _MASK:
-        return int(value)
-    raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
-
-
 def _run_chunk(model, nbhd, n, seeds, arrivals) -> list:
     """The records of runs on the arrival orders ``arrivals`` (_Arrivals),
     advanced together by _lockstep."""
@@ -875,14 +896,15 @@ def run_once(
 ) -> ProcessRecord:
     """One arrival-process run; injecting ``permutation`` bypasses the PRNG.
 
-    ``seed`` must lie in [0, 2^64).  The arrivals go in batches; a batch
+    ``n`` must be an integer from 2 reach + 1 (Domain.validate_for) to 46340,
+    and ``seed`` must lie in [0, 2^64).  The arrivals go in batches; a batch
     that crosses its cap is bisected for neighbourhoods with at least
     _BATCHED_MIN_OFFSETS nonzero offsets and replayed arrival by arrival
     for smaller ones, which gives the same record.  The run is a chunk of
     one: its rounds are its own.  A drawn permutation is solved only as far
     as the loop reads it.
     """
-    Domain.torus(n).validate_for(nbhd)
+    n = _side(n, nbhd)
     seed = _seed64(seed, "seed")
     n2 = n * n
     start = time.perf_counter()
@@ -1010,7 +1032,8 @@ def run_sweep(
     (default: the CPU count), never more than there are chunks; with one
     worker they run in this process, so a sweep that fits one chunk starts
     no process.  ``n_seeds`` and ``parallelism`` must be positive integers,
-    and ``engine`` must be "python", the only arrival engine."""
+    each n a torus side that run_once takes, and ``engine`` must be
+    "python", the only arrival engine."""
     if not _integer(n_seeds):
         raise ValueError(f"n_seeds must be an integer, got {n_seeds!r}")
     if n_seeds < 1:
@@ -1025,7 +1048,7 @@ def run_sweep(
     for name, nbhd in models:
         offs = offsets_array(nbhd)
         for n in ns:
-            Domain.torus(n).validate_for(nbhd)
+            n = _side(n, nbhd)
             size = max(1, _CHUNK_SITES // (n * n + n * len(offs)))
             for first in range(idx, idx + n_seeds, size):
                 seeds = [derive_run_seed(master_seed, i)

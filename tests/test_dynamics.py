@@ -11,7 +11,7 @@ from bperc.dynamics import (
     Domain,
     closure,
     closure_synchronous,
-    grid_targets,
+    grid_step,
     infection_graph,
     is_closed,
     offsets_array,
@@ -298,29 +298,50 @@ def test_gather_tables_are_read_only():
         assert rowtab.dtype == coltab.dtype == np.int32
 
 
+def _one_step(width, height, offs, r, front, tori=1):
+    """One step on ``tori`` fresh tori whose only done sites are ``front``:
+    returns (the counts before, the counts after, the new front)."""
+    counts = np.zeros(tori * width * height, np.int32)
+    counts[front] = dynamics.DONE
+    before = counts.copy()
+    new = grid_step(width, height, offs, r, tori)(counts, np.asarray(front))
+    return before, counts, new
+
+
 @pytest.mark.parametrize("nbhd", _DIRECTED + [
     build_neighbourhood(NeighbourhoodSpec.lp_ball("2", "24"))], ids=["skew", "quadrant", "lp2-24"])
 def test_sparse_gather_lists_every_push(nbhd):
-    # one sparse round on a width != height torus, against the literal
-    # ((x - kx) mod w) * h + (y - ky) mod h for every front site and offset
+    # one sparse step on a width != height torus: each site gains one count
+    # per push of the literal ((x - kx) mod w) * h + (y - ky) mod h over
+    # every front site and offset, and the step returns the sites that are
+    # not done at r or more, each once, in increasing order (at r = 1 every
+    # site pushed more than once would be listed again without the dedupe)
     offs = offsets_array(nbhd)
     width, height = (11, 7) if len(offs) < 100 else (97, 83)
     rng = random.Random(len(offs))
     front = sorted(rng.sample(range(width * height), 5))
-    with generation_branch("sparse"):
-        hit = grid_targets(width, height, offs)(np.array(front), np.zeros(width * height, np.int32))
-    want = [((s // height - kx) % width) * height + (s % height - ky) % height
-            for s in front for kx, ky in offs.tolist()]
-    assert sorted(hit.tolist()) == sorted(want)
+    want = np.zeros(width * height, np.int64)
+    for s in front:
+        for kx, ky in offs.tolist():
+            want[((s // height - kx) % width) * height + (s % height - ky) % height] += 1
+    assert (want > 1).any()
+    for r in (1, 2):
+        with generation_branch("sparse") as rounds:
+            before, counts, new = _one_step(width, height, offs, r, front)
+        assert rounds == []
+        assert counts.tolist() == (before + want).tolist()
+        assert new.tolist() == np.flatnonzero(counts >= r).tolist()
+        assert new.size and (np.diff(new) > 0).all()
 
 
 @pytest.mark.parametrize("nbhd", _DIRECTED + [
     build_neighbourhood(NeighbourhoodSpec.lp_ball("2", "4"))], ids=["skew", "quadrant", "lp2-4"])
 @pytest.mark.parametrize("branch", ["dense", "sparse"])
 def test_stacked_tori_push_within_their_own_torus(branch, nbhd):
-    # one round on three width != height tori stacked along x, against the
+    # one step on three width != height tori stacked along x, against the
     # literal t*w*h + ((x - kx) mod w) * h + (y - ky) mod h per push, so a
-    # push never wraps into the torus before or after
+    # push never wraps into the torus before or after; the new front is
+    # every site that is not done at r or more, some of them at exactly r
     offs = offsets_array(nbhd)
     width, height, tori = 11, 9, 3
     cells = width * height
@@ -331,15 +352,17 @@ def test_stacked_tori_push_within_their_own_torus(branch, nbhd):
         t, x, y = s // cells, s % cells // height, s % height
         for kx, ky in offs.tolist():
             want[t * cells + (x - kx) % width * height + (y - ky) % height] += 1
-    counts = np.zeros(tori * cells, np.int32)
+    r = 2
     with generation_branch(branch) as rounds:
-        hit = grid_targets(width, height, offs, tori)(front, counts)
+        before, counts, new = _one_step(width, height, offs, r, front, tori)
     if branch == "dense":
-        assert hit is None and rounds == [front.size]
+        assert rounds == [front.size]
         want[front] += 1  # the runs' push onto the pusher itself, which nothing reads
     else:
-        counts += np.bincount(hit, minlength=tori * cells).astype(np.int32)
-    assert counts.tolist() == want.tolist()
+        assert rounds == []
+    assert counts.tolist() == (before + want).tolist()
+    assert new.tolist() == np.flatnonzero(counts >= r).tolist()
+    assert (counts == r).any() and (np.diff(new) > 0).all()
 
 
 def test_large_gather_tables_keep_one_grid():
@@ -347,7 +370,7 @@ def test_large_gather_tables_keep_one_grid():
     offs = offsets_array(build_neighbourhood(NeighbourhoodSpec.lp_ball("2", "24")))
     for n in (80, 96, 112):
         assert 2 * n * len(offs) > dynamics._SMALL_GATHER_ENTRIES
-        grid_targets(n, n, offs)
+        grid_step(n, n, offs, 2)
         assert dynamics._large_gather_tables.cache_info().currsize == 1
         assert dynamics._large_gather_tables(n, n, offs.tobytes())[0].shape == (n, len(offs))
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bperc import dynamics, process
-from bperc.dynamics import DONE, Domain, closure, offsets_array
+from bperc.dynamics import DONE, Domain, closure, closure_synchronous, offsets_array
 from bperc.geometry import NeighbourhoodSpec, build_neighbourhood
 from bperc.process import (
     CSV_COLUMNS,
@@ -671,18 +671,25 @@ def watched(loop, events, rounds):
     return spied
 
 
+def wrapping_steps(wrap):
+    """process.grid_step, with ``wrap(step)`` in place of each step it builds."""
+    build = process.grid_step
+    return lambda *args: wrap(build(*args))
+
+
 @contextlib.contextmanager
 def counted_rounds():
     """Appends the size of each round's new front to the list it yields."""
     rounds = []
-    step = process.next_generation
 
-    def counted(*args):
-        front = step(*args)
-        rounds.append(front.size)
-        return front
+    def wrap(step):
+        def counted(counts, front):
+            front = step(counts, front)
+            rounds.append(front.size)
+            return front
+        return counted
 
-    with mock.patch.object(process, "next_generation", counted):
+    with mock.patch.object(process, "grid_step", wrapping_steps(wrap)):
         yield rounds
 
 
@@ -1055,18 +1062,19 @@ def test_chunk_run_past_its_cap_leaves_the_front_in_that_round(branch, path):
 @pytest.mark.parametrize("branch", ["dense", "sparse"])
 def test_generation_fronts_come_in_increasing_order(monkeypatch, branch):
     # _lockstep splits a round's front among the runs by one searchsorted
-    # over the block bounds, so next_generation must return sorted sites,
-    # each once: strictly increasing, though a sparse round lists a site
-    # once per push
+    # over the block bounds, so the step must return sorted sites, each
+    # once: strictly increasing, though a sparse round lists a site once
+    # per push
     fronts = []
-    step = process.next_generation
 
-    def spied(*args):
-        front = step(*args)
-        fronts.append(front)
-        return front
+    def wrap(step):
+        def spied(counts, front):
+            front = step(counts, front)
+            fronts.append(front)
+            return front
+        return spied
 
-    monkeypatch.setattr(process, "next_generation", spied)
+    monkeypatch.setattr(process, "grid_step", wrapping_steps(wrap))
     monkeypatch.setattr(process, "_CHUNK_SITES", 1 << 40)
     with generation_branch(branch) as rounds:
         for name in ("square", "square4"):
@@ -1100,18 +1108,19 @@ def test_cascade_state_is_its_pushes_after_every_round_and_restore(monkeypatch, 
         assert np.array_equal(block.reshape(n, n)[~done], pushed[~done])
         return done
 
-    step = process.next_generation
     fronts = []
 
-    def checked(counts, front, r, targets):
-        before = counts < 0
-        new = step(counts, front, r, targets)
-        assert np.array_equal(counts < 0, before)
-        for block in counts.reshape(-1, n * n):
-            check(block)
-        assert np.array_equal(new, np.flatnonzero(counts >= r))
-        fronts.append(new.size)
-        return new
+    def wrap(step):
+        def checked(counts, front):
+            before = counts < 0
+            new = step(counts, front)
+            assert np.array_equal(counts < 0, before)
+            for block in counts.reshape(-1, n * n):
+                check(block)
+            assert np.array_equal(new, np.flatnonzero(counts >= r))
+            fronts.append(new.size)
+            return new
+        return checked
 
     save, restore = process._Torus.save, process._Torus.restore
     restores = []
@@ -1134,7 +1143,7 @@ def test_cascade_state_is_its_pushes_after_every_round_and_restore(monkeypatch, 
         replayed.append(out)
         return out
 
-    monkeypatch.setattr(process, "next_generation", checked)
+    monkeypatch.setattr(process, "grid_step", wrapping_steps(wrap))
     monkeypatch.setattr(process._Torus, "save", saved)
     monkeypatch.setattr(process._Torus, "restore", restored)
     monkeypatch.setattr(process, "_replay", replay_checked)
@@ -1377,7 +1386,7 @@ def test_batch_caps_count_only_the_new_arrivals(monkeypatch, bisections, path, n
 
 
 def test_run_once_rejects_small_torus(square):
-    # the torus-size rule of Domain.validate_for: n >= 2 R + 1
+    # the torus-size rule of Domain.validate_for: n >= 2 reach + 1
     with pytest.raises(ValueError, match="need n >= 3"):
         run_once(square, 2, 0)
     square4 = build_neighbourhood(NeighbourhoodSpec.named("square4"))
@@ -1386,6 +1395,103 @@ def test_run_once_rejects_small_torus(square):
     with pytest.raises(ValueError, match="torus side must be positive"):
         run_once(square, 0, 0)
     assert run_once(square4, 9, 0).n == 9
+
+
+MINIMUM_TORI = [pytest.param(NeighbourhoodSpec.named(name), id=name) for name in
+                ("square", "triangular", "boxtimes", "diamond", "square4")] + [
+    pytest.param(NeighbourhoodSpec.lp_ball(p, s), id=f"lp{p}-s{s}")
+    for p in ("1", "2", "inf") for s in ("2", "4", "6")]
+
+
+@pytest.mark.parametrize("spec", MINIMUM_TORI)
+def test_torus_minimum_is_twice_the_reach_plus_one(spec):
+    # distinct offsets stay distinct on the torus once n >= 2 reach + 1,
+    # reach the largest |kx| or |ky|, whatever the Euclidean radius:
+    # triangular, boxtimes and diamond (radius above 1) run at n = 3
+    nbhd = build_neighbourhood(spec)
+    offs = offsets_array(nbhd)
+    reach = nbhd.reach
+    assert reach == int(np.abs(offs).max())
+    least = 2 * reach + 1
+    for n in (least - 1, 1):
+        with pytest.raises(ValueError, match=f"torus side {n} too small .* need n >= {least}"):
+            run_once(nbhd, n, 0)
+        with pytest.raises(ValueError, match=f"need n >= {least}"):
+            run_sweep([("case", nbhd)], [n], 1, parallelism=1)
+        with pytest.raises(ValueError, match=f"need n >= {least}"):
+            closure(Domain.torus(n), nbhd, [(0, 0)])
+    wrapped = {(kx % least, ky % least) for kx, ky in offs.tolist()}
+    assert len(wrapped) == len(offs) and (0, 0) not in wrapped  # distinct, off the origin
+    assert run_once(nbhd, least, 0).n == least
+    assert run_sweep([("case", nbhd)], [least], 1, parallelism=1)[0][0].n == least
+
+
+@pytest.mark.parametrize("spec", MINIMUM_TORI)
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+def test_minimum_tori_match_their_oracles(branch, spec):
+    # at n = 2 reach + 1 and the next size up, with each branch forced:
+    # runs against the scalar reference loop (drawn and injected orders,
+    # both searches) and closures against the synchronous engine
+    nbhd = build_neighbourhood(spec)
+    offs, r = offsets_array(nbhd), nbhd.threshold
+    rng = random.Random(len(offs))
+    with generation_branch(branch) as rounds:
+        for n in (2 * nbhd.reach + 1, 2 * nbhd.reach + 2):
+            for seed in range(3):
+                rec = run_once(nbhd, n, seed)
+                perm = reference_permutation(n * n, seed)
+                assert (rec.tau, rec.closure_before) == reference_run(n, r, offs, perm)
+                perm = _random_order(n, seed)
+                want = reference_run(n, r, offs, perm)
+                for path in SEARCHES:
+                    assert searched_run(path, n, r, offs, perm) == want
+            dom = Domain.torus(n)
+            for density in (0.05, 0.2, 0.4):
+                sites = [p for p in dom.sites() if rng.random() < density]
+                a, b = closure(dom, nbhd, sites), closure_synchronous(dom, nbhd, sites)
+                assert a.infected == b.infected and a.times == b.times
+    assert bool(rounds) == (branch == "dense")
+
+
+def _square_run(n):
+    return run_once(build_neighbourhood(NeighbourhoodSpec.named("square")), n, 1)
+
+
+def _square_sweep(n):
+    return run_sweep([("square", build_neighbourhood(NeighbourhoodSpec.named("square")))],
+                     [n], 1, parallelism=1)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: random_permutation(10, 1 << 64), "seed", id="perm-seed-2^64"),
+    pytest.param(lambda: random_permutation(10, -1), "seed", id="perm-seed-minus-1"),
+    pytest.param(lambda: random_permutation(10, 3.0), "seed", id="perm-seed-float"),
+    pytest.param(lambda: random_permutation(-5, 3), "n_items", id="perm-size-minus-5"),
+    pytest.param(lambda: random_permutation(10.0, 3), "n_items", id="perm-size-float"),
+    pytest.param(lambda: random_permutation(True, 3), "n_items", id="perm-size-bool"),
+    pytest.param(lambda: process.arrival_prefix(10, 1 << 64, 3), "seed", id="prefix-seed-2^64"),
+    pytest.param(lambda: process.arrival_prefix(10, -1, 3), "seed", id="prefix-seed-minus-1"),
+    pytest.param(lambda: process.arrival_prefix(-5, 3, 0), "n_items", id="prefix-size-minus-5"),
+    pytest.param(lambda: process.arrival_prefix(10, 3, 2.0), "k", id="prefix-k-float"),
+    pytest.param(lambda: process.arrival_prefix(10, 3, 11), "k", id="prefix-k-past-the-end"),
+    pytest.param(lambda: _square_run(16.0), "n", id="run-side-float"),
+    pytest.param(lambda: _square_run(46341), "n", id="run-side-past-int32"),
+    pytest.param(lambda: _square_sweep(16.0), "n", id="sweep-side-float"),
+])
+def test_permutation_helpers_reject_bad_arguments(call, name):
+    # each used to wrap, truncate or fail deep inside the solver: seeds mod
+    # 2^64, a negative size as an empty order, a float k or n in a slice
+    with pytest.raises(ValueError, match=rf"^{name} must "):
+        call()
+
+
+def test_permutation_helpers_take_integers_of_any_kind():
+    want = random_permutation(10, 3)
+    assert (random_permutation(np.int64(10), np.uint64(3)) == want).all()
+    assert (process.arrival_prefix(10, (1 << 64) - 1, np.int32(4))
+            == random_permutation(10, (1 << 64) - 1)[:4]).all()
+    assert random_permutation(0, 0).size == 0
+    assert run_once(build_neighbourhood(NeighbourhoodSpec.named("square")), np.int64(8), 1).n == 8
 
 
 def test_run_once_rejects_bad_permutation(square):
