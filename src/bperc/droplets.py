@@ -195,7 +195,7 @@ def single_site_growth_check(d: Droplet, site: Site, nbhd: Neighbourhood) -> boo
     seed = d.points() | {tuple(site)}
     dom = _bounding_domain(target.points() | seed, 2 * nbhd.radius_ceil + 2)
     cfg = closure(dom, nbhd, seed)
-    return cfg.infected == frozenset(target.points())
+    return cfg.times.keys() == target.points()
 
 
 def internally_filled(d: Droplet, A: Iterable[Site], nbhd: Neighbourhood) -> bool:
@@ -210,7 +210,7 @@ def internally_filled(d: Droplet, A: Iterable[Site], nbhd: Neighbourhood) -> boo
         return False
     dom = _bounding_domain(dpts, 2 * nbhd.radius_ceil + 2)
     cfg = closure(dom, nbhd, seed)
-    return cfg.infected == frozenset(dpts)
+    return cfg.times.keys() == dpts
 
 
 def droplet_algorithm(A: Iterable[Site], model: str, strategy: str = "scan",

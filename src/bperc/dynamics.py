@@ -18,12 +18,15 @@ Two engines compute the same thing:
 
 Both report per-site generation times with synchronous-round semantics: a
 site's time is the first parallel round at which it has >= r infected
-neighbours, never "1 + max over chosen parents".
+neighbours, never "1 + max over chosen parents".  A result, a
+``Configuration``, stores only these times; its infected set and its number
+of generations are derived from them on first use.
 """
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -35,6 +38,24 @@ from .geometry import Neighbourhood, Site
 # ---------------------------------------------------------------------------
 # Domains
 # ---------------------------------------------------------------------------
+
+
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer, Python or numpy; bool and float are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _int(value, what: str) -> int:
+    """``value`` as an int if it is an integer, else ValueError naming ``what``."""
+    if _integer(value):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _bounds(x0, y0, x1, y1) -> tuple[int, int, int, int]:
+    """A rectangle's inclusive bounds as ints (see _int)."""
+    return tuple(_int(v, f"rectangle bound {name}")
+                 for v, name in zip((x0, y0, x1, y1), ("x0", "y0", "x1", "y1")))
 
 
 @dataclass(frozen=True)
@@ -53,28 +74,33 @@ class Domain:
 
     @staticmethod
     def torus(n: int) -> "Domain":
+        n = _int(n, "torus side n")
         if n < 1:
             raise ValueError("torus side must be positive")
         return Domain("torus", n=n)
 
     @staticmethod
     def box(d: int) -> "Domain":
+        d = _int(d, "box half-width d")
         if d < 0:
             raise ValueError("box half-width must be nonnegative")
         return Domain("box", x0=-d, y0=-d, x1=d, y1=d)
 
     @staticmethod
     def rect(x0: int, y0: int, x1: int, y1: int) -> "Domain":
+        x0, y0, x1, y1 = _bounds(x0, y0, x1, y1)
         if x0 > x1 or y0 > y1:
             raise ValueError("empty rectangle")
         return Domain("box", x0=x0, y0=y0, x1=x1, y1=y1)
 
     @staticmethod
     def framed_box(d: int, frozen: Iterable[Site]) -> "Domain":
+        d = _int(d, "box half-width d")
         return Domain.framed_rect(-d, -d, d, d, frozen)
 
     @staticmethod
     def framed_rect(x0, y0, x1, y1, frozen: Iterable[Site]) -> "Domain":
+        x0, y0, x1, y1 = _bounds(x0, y0, x1, y1)
         frozen = frozenset(map(tuple, frozen))
         dom = Domain("framed_box", x0=x0, y0=y0, x1=x1, y1=y1, frozen=frozen)
         bad = [s for s in frozen if not dom.contains(s)]
@@ -135,29 +161,37 @@ class Domain:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Infected-site snapshot with (optional) per-site generation times.
-
-    ``generation`` counts synchronous rounds applied so far; frozen sites are
-    infected with time 0 but excluded from closure-size statistics.
+    """Infected sites with their generation times: ``times`` maps each
+    infected site to the synchronous round that infected it, 0 for the
+    initial and frozen sites.  It is the one stored fact; ``infected`` (its
+    sites) and ``generation`` (the rounds applied, its largest time) are
+    derived on first use and cached.  Frozen sites are infected with time 0
+    but excluded from closure-size statistics.
     """
 
     domain: Domain
-    infected: frozenset
-    times: Optional[dict] = None
-    generation: int = 0
+    times: dict
+
+    @functools.cached_property
+    def infected(self) -> frozenset:
+        return frozenset(self.times)
+
+    @functools.cached_property
+    def generation(self) -> int:
+        return max(self.times.values(), default=0)
 
     @property
     def size(self) -> int:
         """Number of infected sites, frozen frame excluded."""
-        return len(self.infected) - len(self.domain.frozen & self.infected)
+        return len(self.times) - len(self.domain.frozen & self.times.keys())
 
     def is_full(self) -> bool:
-        return len(self.infected) == self.domain.size
+        return len(self.times) == self.domain.size
 
     @staticmethod
     def initial(domain: Domain, initial: Iterable[Site]) -> "Configuration":
         infected = _inside(domain, initial, "initial") | domain.frozen
-        return Configuration(domain, infected, dict.fromkeys(infected, 0), 0)
+        return Configuration(domain, dict.fromkeys(infected, 0))
 
 
 def _inside(domain: Domain, sites: Iterable[Site], what: str) -> frozenset:
@@ -406,7 +440,7 @@ def closure(
             counts.reshape(width, height)[pad:width - pad, pad:height - pad] = 0
         else:
             counts[index(allowed)] = 0
-    front = index(cfg.infected)
+    front = index(cfg.times)
     counts[front] = DONE
     step = grid_step(width, height, offs, nbhd.threshold)
     new = []  # each round's newly infected sites
@@ -422,7 +456,7 @@ def closure(
     gens = np.repeat(np.arange(1, len(new) + 1), [f.size for f in new]).tolist()
     times = dict(cfg.times)
     times.update(zip(sites, gens))
-    return Configuration(domain, frozenset(times), times, len(new))
+    return Configuration(domain, times)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +508,7 @@ def closure_synchronous(
     """Iterated synchronous fixed point; vectorised, same contract as closure()."""
     domain.validate_for(nbhd)
     cfg = Configuration.initial(domain, initial)
-    grid = _to_grid(domain, cfg.infected)
+    grid = _to_grid(domain, cfg.times)
     allowed = None if region is None else _inside(domain, region, "region")
     mask = None if allowed is None else _to_grid(domain, allowed)
     times = dict(cfg.times)
@@ -488,11 +522,11 @@ def closure_synchronous(
         g += 1
         times.update(dict.fromkeys(_from_grid(domain, new), g))
         grid |= new
-    return Configuration(domain, _from_grid(domain, grid), times, g)
+    return Configuration(domain, times)
 
 
 def is_closed(cfg: Configuration, nbhd: Neighbourhood) -> bool:
-    return not _ready(cfg.domain, nbhd, _to_grid(cfg.domain, cfg.infected)).any()
+    return not _ready(cfg.domain, nbhd, _to_grid(cfg.domain, cfg.times)).any()
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +560,6 @@ def infection_graph(
     generation, then lexicographically smaller offset.  rule "random": a
     seeded uniform choice of r of them.
     """
-    if cfg.times is None:
-        raise ValueError("configuration lacks generation times")
     if not is_closed(cfg, nbhd):
         raise ValueError("configuration is not closed")
     if rule not in ("lex", "random"):
@@ -583,7 +615,7 @@ def to_grid_text(cfg: Configuration) -> str:
             s = (x, y)
             if s in cfg.domain.frozen:
                 row.append("F")
-            elif s in cfg.infected:
+            elif s in cfg.times:
                 row.append("#")
             else:
                 row.append(".")

@@ -72,7 +72,6 @@ import functools
 import io
 import json
 import math
-import numbers
 import os
 import statistics
 import time
@@ -82,17 +81,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import DONE, Domain, grid_step, offsets_array
+from .dynamics import DONE, Domain, _integer, grid_step, offsets_array
 from .geometry import Neighbourhood
 
 SCHEMA_VERSION = 1
 
 _MASK = (1 << 64) - 1
-
-
-def _integer(value) -> bool:
-    """Whether ``value`` is an integer; bool and float are not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _seed64(value, name: str) -> int:

@@ -180,7 +180,11 @@ class QuasiDroplet:
         items = {}
         for u, m in (constraints.items() if isinstance(constraints, dict) else constraints):
             if not isinstance(u, Direction):
-                u = Direction.of(*u)
+                ux, uy = u
+                if math.gcd(ux, uy) != 1:  # a multiple of a normal would rescale its level
+                    raise ValueError(f"quasi-droplet normal ({ux}, {uy}) of level {m!r} "
+                                     "is not a primitive integer vector")
+                u = Direction(int(ux), int(uy))
             if not isinstance(m, Integral) or isinstance(m, bool):
                 raise ValueError(f"quasi-droplet level of {u} is not an integer: {m!r}")
             m = int(m)

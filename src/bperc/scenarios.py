@@ -237,7 +237,7 @@ def _contains_rectangle(cfg: Configuration, width: int, length: int,
     xmin, ymin, xmax, ymax = cfg.domain.bounds
     W, H = xmax - xmin + 1, ymax - ymin + 1
     grid = np.zeros((W, H), dtype=np.int32)
-    for (x, y) in cfg.infected:
+    for (x, y) in cfg.times:
         grid[x - xmin, y - ymin] = 1
     if cfg.domain.kind == "torus":
         grid = np.tile(grid, (2, 2))[: W + wx - 1, : H + wy - 1]
@@ -258,11 +258,11 @@ def evaluate_assertion(sc: Scenario, cfg: Configuration, a: dict) -> AssertionRe
     kind = a["type"]
     initial = frozenset(sc.infected) | sc.domain.frozen
     if kind == "closure_equals_domain":
-        missing = next((s for s in sc.domain.sites() if s not in cfg.infected), None)
+        missing = next((s for s in sc.domain.sites() if s not in cfg.times), None)
         return AssertionResult(kind, missing is None,
                                "" if missing is None else f"site {missing} stays healthy")
     if kind == "no_growth":
-        grown = cfg.infected - initial
+        grown = cfg.times.keys() - initial
         return AssertionResult(kind, not grown,
                                "" if not grown else f"site {sorted(grown)[0]} got infected")
     if kind == "closure_size":
@@ -270,11 +270,11 @@ def evaluate_assertion(sc: Scenario, cfg: Configuration, a: dict) -> AssertionRe
             kind, cfg.size == a["size"],
             "" if cfg.size == a["size"] else f"closure size {cfg.size} != {a['size']}")
     if kind == "closure_contains":
-        missing = [tuple(s) for s in a["sites"] if tuple(s) not in cfg.infected]
+        missing = [tuple(s) for s in a["sites"] if tuple(s) not in cfg.times]
         return AssertionResult(kind, not missing,
                                "" if not missing else f"missing {missing[:5]}")
     if kind == "closure_excludes":
-        hit = [tuple(s) for s in a["sites"] if tuple(s) in cfg.infected]
+        hit = [tuple(s) for s in a["sites"] if tuple(s) in cfg.times]
         return AssertionResult(kind, not hit,
                                "" if not hit else f"infected {hit[:5]}")
     if kind == "contains_rectangle":

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from bperc import dynamics
+from bperc import cli, droplets, dynamics, scenarios
 from bperc.geometry import NeighbourhoodSpec, build_neighbourhood
 from bperc.process import run_sweep
 
@@ -38,6 +38,30 @@ def generation_branch(branch):
     with dense_rounds() as rounds, mock.patch.multiple(
             dynamics, _DENSE_CELL_COST=cell, _DENSE_ROUND_COST=0):
         yield rounds
+
+
+@contextlib.contextmanager
+def closure_results():
+    """Records every result of ``closure`` while it runs, whichever module
+    of bperc calls it: each binds the name at import."""
+    results = []
+    closure = dynamics.closure
+
+    def caught(*args, **kwargs):
+        cfg = closure(*args, **kwargs)
+        results.append(cfg)
+        return cfg
+
+    with contextlib.ExitStack() as stack:
+        for module in (dynamics, cli, droplets, scenarios):
+            stack.enter_context(mock.patch.object(module, "closure", caught))
+        yield results
+
+
+def lazy(results) -> bool:
+    """Whether no result in ``results`` has built its ``infected`` set;
+    there must be some."""
+    return bool(results) and all("infected" not in cfg.__dict__ for cfg in results)
 
 
 # acceptance-criterion pass/fail lines, replayed in the terminal summary

@@ -12,6 +12,7 @@ from bperc.cli import main
 from bperc.geometry import Direction, NeighbourhoodSpec, build_neighbourhood
 from bperc.quasidroplets import ExtensionParams, QuasiDroplet
 from bperc.scenarios import corpus_dir
+from conftest import closure_results, lazy
 from test_quasidroplets import bar_steps, edge_walk_droplet, reference_count
 
 
@@ -117,6 +118,19 @@ def test_closure_json_with_times(capsys):
     assert obj["config"]["model"] == "square"  # run config is echoed back
 
 
+def test_closure_output_reads_the_times_only(capsys):
+    outputs = []
+    with closure_results() as results:
+        for fmt in (["--format", "grid"], ["--format", "json", "--times"]):
+            code, out, _ = run_cli(capsys, "closure", "--model", "square", "--torus", "8",
+                                   "--infected", "(0,0),(1,1),(5,5)", *fmt)
+            assert code == 0
+            outputs.append(out)
+    assert len(results) == 2 and lazy(results)
+    assert outputs[0].endswith("# infected=5 generations=1 domain=64\n")
+    assert json.loads(outputs[1])["infected"] == [[0, 0], [0, 1], [1, 0], [1, 1], [5, 5]]
+
+
 def test_closure_from_grid_file(capsys, tmp_path):
     p = tmp_path / "seeds.txt"
     p.write_text("#.\n.#\n")
@@ -190,6 +204,13 @@ def test_tau_audit_passes(capsys):
     assert code == 0
     rec = json.loads(out.splitlines()[0])
     assert rec["tau"] <= 64
+
+
+def test_tau_audit_reads_the_times_only(capsys):
+    with closure_results() as results:
+        code, _, _ = run_cli(capsys, "tau", "--model", "square", "--n", "8", "--seed", "7", "8",
+                             "--audit", "--format", "jsonl")
+    assert code == 0 and len(results) == 4 and lazy(results)
 
 
 def test_tau_audit_reads_only_the_first_tau_arrivals(capsys, monkeypatch):
@@ -369,8 +390,10 @@ def test_extend_trace_output(capsys, tmp_path):
     (OCTAGON, {"x": 1}, "--a-prime is not a JSON list of [x, y] integer pairs"),
     (OCTAGON, [[21, 0, 1]], "--a-prime is not a JSON list of [x, y] integer pairs"),
     (OCTAGON, [[21, 0.5]], "--a-prime is not a JSON list of [x, y] integer pairs"),
+    ({"constraints": [[2, 0, 3], [0, 1, 1], [-1, 0, 0], [0, -1, 0]]}, [],
+     "normal (2, 0) of level 3 is not a primitive integer vector"),
 ], ids=["no-constraints", "short-constraint", "a-prime-object", "a-prime-triple",
-        "a-prime-float"])
+        "a-prime-float", "non-primitive-normal"])
 def test_extend_bad_input_exits_2(capsys, tmp_path, droplet, a_prime, message):
     droplet_path, a_prime_path = tmp_path / "droplet.json", tmp_path / "aprime.json"
     droplet_path.write_text(json.dumps(droplet))

@@ -20,6 +20,7 @@ from bperc.droplets import (
     smallest_containing,
 )
 from bperc.dynamics import Domain, closure
+from conftest import closure_results, lazy
 
 
 DIRS = {"square": SQUARE_DIRS, "triangular": TRIANGULAR_DIRS}
@@ -272,6 +273,18 @@ def test_growth_random_pairs(model):
             continue
         assert single_site_growth_check(d, x, nb), (model, d.radii, x)
         checked += 1
+
+
+def test_growth_and_filling_checks_read_the_times_only():
+    nb = model_neighbourhood("square")
+    two = canonical_radii("square", (1, 1, 0, 0))
+    with closure_results() as results:
+        assert single_site_growth_check(canonical_radii("square", (3, 2, 0, 0)), (1, 3), nb)
+        assert single_site_growth_check(Droplet.singleton("triangular", (0, 0)), (1, 0),
+                                        model_neighbourhood("triangular"))
+        assert internally_filled(two, [(0, 1), (1, 0)], nb)
+        assert not internally_filled(two, [(0, 0), (5, 5)], nb)
+    assert len(results) == 4 and lazy(results)
 
 
 def test_growth_check_rejects_other_models():

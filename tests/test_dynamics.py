@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -19,7 +20,7 @@ from bperc.dynamics import (
     to_grid_text,
 )
 from bperc.geometry import Direction, NeighbourhoodSpec, build_neighbourhood
-from conftest import NAMED, generation_branch, random_instances
+from conftest import NAMED, generation_branch, lazy, random_instances
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,32 @@ def test_frozen_sites_not_counted_in_size(square):
     assert cfg.size == 1  # the frozen column is excluded from statistics
 
 
+@pytest.mark.parametrize("build, what", [
+    (lambda: Domain.torus(16.0), "torus side n"),
+    (lambda: Domain.torus(True), "torus side n"),
+    (lambda: Domain.box(3.0), "box half-width d"),
+    (lambda: Domain.rect(0, 0, 3.0, 3), "rectangle bound x1"),
+    (lambda: Domain.rect("0", 0, 3, 3), "rectangle bound x0"),
+    (lambda: Domain.framed_box(3.0, []), "box half-width d"),
+    (lambda: Domain.framed_rect(0, 0.5, 3, 3, []), "rectangle bound y0"),
+], ids=["torus-float", "torus-bool", "box-float", "rect-float", "rect-str", "framed-box-float",
+        "framed-rect-float"])
+def test_domains_reject_non_integer_sizes(build, what):
+    with pytest.raises(ValueError, match=f"{what} must be an integer"):
+        build()
+
+
+def test_domains_store_numpy_integers_as_int(square):
+    doms = [Domain.torus(np.int64(8)), Domain.box(np.int32(3)),
+            Domain.rect(*map(np.int64, (0, -1, 4, 5))), Domain.framed_box(np.int64(2), [(2, 2)]),
+            Domain.framed_rect(*map(np.int16, (0, 0, 3, 3)), [])]
+    assert doms == [Domain.torus(8), Domain.box(3), Domain.rect(0, -1, 4, 5),
+                    Domain.framed_box(2, [(2, 2)]), Domain.framed_rect(0, 0, 3, 3, [])]
+    for dom in doms:
+        assert all(type(v) is int for v in (dom.n, dom.x0, dom.y0, dom.x1, dom.y1))
+    assert closure(doms[0], square, [(0, 0), (1, 1)]).size == 4
+
+
 # ---------------------------------------------------------------------------
 # Closure basics
 # ---------------------------------------------------------------------------
@@ -96,6 +123,72 @@ def test_is_closed(square):
     assert is_closed(Configuration.initial(dom, []), square)
     assert is_closed(Configuration.initial(dom, list(dom.sites())), square)
     assert not is_closed(Configuration.initial(dom, [(0, 0), (1, 1)]), square)
+
+
+# ---------------------------------------------------------------------------
+# Closure results: the generation times, and what is derived from them
+# ---------------------------------------------------------------------------
+
+
+def test_configuration_stores_only_domain_and_times():
+    assert [f.name for f in dataclasses.fields(Configuration)] == ["domain", "times"]
+
+
+def test_results_derive_infected_and_generation_on_first_use(square):
+    dom = Domain.framed_box(4, [(-4, 0)])
+    initial = [(0, 0), (1, 1)]
+    made = [closure(dom, square, initial), closure_synchronous(dom, square, initial),
+            Configuration.initial(dom, initial)]
+    assert lazy(made) and not any("generation" in cfg.__dict__ for cfg in made)
+    assert [is_closed(cfg, square) for cfg in made] == [True, True, False]
+    assert [to_grid_text(cfg).count("#") for cfg in made] == [4, 4, 2]
+    assert lazy(made)
+    for cfg in made:
+        infected = cfg.infected
+        assert infected == frozenset(cfg.times) and cfg.infected is infected
+        assert cfg.size == len(infected) - 1
+    assert [cfg.generation for cfg in made] == [1, 1, 0]
+    assert all("generation" in cfg.__dict__ for cfg in made)
+
+
+def _literal_rounds(dom, nbhd, initial):
+    """The number of nonempty synchronous rounds of the threshold rule from
+    ``initial`` and the frozen sites, by a literal loop over the sites that
+    the last round's sites push."""
+    infected = set(map(tuple, initial)) | dom.frozen
+    offsets = [k for k in nbhd.offsets if k != (0, 0)]
+    last, rounds = set(infected), 0
+    while True:
+        pushed = {dom.wrap(x - kx, y - ky) for x, y in last for kx, ky in offsets}
+        new = set()
+        for x, y in pushed - infected - {None}:
+            hits = sum(dom.wrap(x + kx, y + ky) in infected for kx, ky in offsets)
+            if hits >= nbhd.threshold:
+                new.add((x, y))
+        if not new:
+            return rounds
+        infected |= new
+        last = new
+        rounds += 1
+
+
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+def test_generation_and_size_match_a_literal_loop(branch):
+    cases = []
+    for i, (nbhd, n, sites, on_torus) in enumerate(random_instances(17, 40, max_n=24)):
+        if on_torus:
+            dom = Domain.torus(n)
+        elif i % 2:
+            dom = Domain.rect(0, 0, n - 1, n - 1)
+        else:
+            dom = Domain.framed_rect(0, 0, n - 1, n - 1, [(0, y) for y in range(0, n, 2)])
+        cases.append((dom, nbhd, sites, _literal_rounds(dom, nbhd, sites)))
+    assert any(dom.frozen for dom, *_ in cases) and max(r for *_, r in cases) > 1
+    with generation_branch(branch):
+        for dom, nbhd, sites, rounds in cases:
+            for cfg in (closure(dom, nbhd, sites), closure_synchronous(dom, nbhd, sites)):
+                assert cfg.generation == rounds
+                assert cfg.size == len(cfg.infected) - len(dom.frozen)
 
 
 # ---------------------------------------------------------------------------

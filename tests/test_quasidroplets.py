@@ -291,6 +291,18 @@ def test_of_rejects_non_integer_levels(level):
         QuasiDroplet.of(cons)
 
 
+@pytest.mark.parametrize("normal", [(2, 0), (0, -3), (2, 4), (0, 0)])
+def test_of_rejects_non_primitive_normals(normal):
+    # (2, 0) at level 3 is 2x <= 3: reduced to (1, 0) it would keep level 3
+    cons = {(1, 0): 5, (0, 1): 5, (-1, 0): 0, (0, -1): 0}
+    cons[normal] = 3
+    message = rf"normal \({normal[0]}, {normal[1]}\) of level 3 is not a primitive"
+    with pytest.raises(ValueError, match=message):
+        QuasiDroplet.of(cons)
+    with pytest.raises(ValueError, match=message):
+        QuasiDroplet.from_json({"constraints": [[ux, uy, m] for (ux, uy), m in cons.items()]})
+
+
 def test_of_takes_numpy_integer_levels():
     qd = QuasiDroplet.of({(1, 0): np.int64(5), (0, 1): 5, (-1, 0): 0, (0, -1): 0})
     assert type(qd.level(Direction(1, 0))) is int

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from bperc.dynamics import Domain, closure, closure_synchronous
+from bperc.geometry import NeighbourhoodSpec
 from bperc.scenarios import (
+    Scenario,
     ScenarioError,
     _scenario_validator,
     corpus_paths,
@@ -15,6 +18,7 @@ from bperc.scenarios import (
     scenario_from_json,
     scenario_schema,
 )
+from conftest import closure_results, lazy
 
 
 def minimal_scenario(**overrides):
@@ -48,6 +52,15 @@ def test_corpus_all_assertions_pass():
             assert res.passed, (path.name, res.kind, res.detail)
 
 
+def test_corpus_checks_read_the_times_only():
+    # every assertion kind runs, and none builds the closure's infected set
+    kinds = set()
+    with closure_results() as results:
+        for path in corpus_paths():
+            kinds.update(res.kind for res in run_scenario(load_corpus_scenario(path.name)))
+    assert len(kinds) == 6 and lazy(results)
+
+
 def test_corpus_passes_under_synchronous_engine():
     # the assertions hold for the closure itself, however it is computed
     for path in corpus_paths():
@@ -55,6 +68,14 @@ def test_corpus_passes_under_synchronous_engine():
         cfg = closure_synchronous(sc.domain, sc.neighbourhood, sc.infected)
         for a in sc.assertions:
             assert evaluate_assertion(sc, cfg, a).passed, (path.name, a)
+
+
+def test_scenario_on_a_numpy_sized_domain_writes_json():
+    sc = Scenario("numpy-side", Domain.torus(np.int64(8)), NeighbourhoodSpec.named("square"),
+                  ((0, 0), (1, 1)), ({"type": "closure_size", "size": 4},))
+    text = json.dumps(sc.to_json())
+    assert json.loads(text)["domain"] == {"kind": "torus", "n": 8}
+    assert all(res.passed for res in run_scenario(scenario_from_json(json.loads(text))))
 
 
 def test_corpus_round_trips():
