@@ -428,9 +428,14 @@ def closure(
     pad = 0 if domain.kind == "torus" else nbhd.reach
     width, height = xmax - xmin + 1 + 2 * pad, ymax - ymin + 1 + 2 * pad
 
-    def index(sites):
-        pts = np.array(list(sites), dtype=np.int64).reshape(-1, 2)
-        return (pts[:, 0] + pad - xmin) * height + (pts[:, 1] + pad - ymin)
+    def index(sites, what):
+        # numpy infers the dtype of the flat coordinates (an empty set's is float64)
+        xy = np.array([c for site in sites for c in site])
+        if xy.size and xy.dtype.kind not in "iu":
+            bad = [s for s in sites if not (_integer(s[0]) and _integer(s[1]))]
+            raise ValueError(f"{what} sites must be integers, got {bad[:5]}")
+        xy = xy.astype(np.int64, copy=False)
+        return (xy[0::2] + pad - xmin) * height + (xy[1::2] + pad - ymin)
 
     if allowed is None and not pad:  # the whole torus
         counts = np.zeros(width * height, dtype=np.int32)
@@ -439,8 +444,8 @@ def closure(
         if allowed is None:
             counts.reshape(width, height)[pad:width - pad, pad:height - pad] = 0
         else:
-            counts[index(allowed)] = 0
-    front = index(cfg.times)
+            counts[index(allowed, "region")] = 0
+    front = index(cfg.times, "initial and frozen")
     counts[front] = DONE
     step = grid_step(width, height, offs, nbhd.threshold)
     new = []  # each round's newly infected sites
@@ -464,11 +469,12 @@ def closure(
 # ---------------------------------------------------------------------------
 
 
-def _to_grid(domain: Domain, sites: Iterable[Site]) -> np.ndarray:
+def _to_grid(domain: Domain, sites: Iterable[Site], what: str) -> np.ndarray:
     xmin, ymin, xmax, ymax = domain.bounds
     g = np.zeros((xmax - xmin + 1, ymax - ymin + 1), dtype=bool)
+    what = f"{what} site coordinate"
     for (x, y) in sites:
-        g[x - xmin, y - ymin] = True
+        g[_int(x, what) - xmin, _int(y, what) - ymin] = True
     return g
 
 
@@ -508,9 +514,9 @@ def closure_synchronous(
     """Iterated synchronous fixed point; vectorised, same contract as closure()."""
     domain.validate_for(nbhd)
     cfg = Configuration.initial(domain, initial)
-    grid = _to_grid(domain, cfg.times)
+    grid = _to_grid(domain, cfg.times, "initial and frozen")
     allowed = None if region is None else _inside(domain, region, "region")
-    mask = None if allowed is None else _to_grid(domain, allowed)
+    mask = None if allowed is None else _to_grid(domain, allowed, "region")
     times = dict(cfg.times)
     g = 0
     while True:
@@ -526,7 +532,7 @@ def closure_synchronous(
 
 
 def is_closed(cfg: Configuration, nbhd: Neighbourhood) -> bool:
-    return not _ready(cfg.domain, nbhd, _to_grid(cfg.domain, cfg.times)).any()
+    return not _ready(cfg.domain, nbhd, _to_grid(cfg.domain, cfg.times, "infected")).any()
 
 
 # ---------------------------------------------------------------------------

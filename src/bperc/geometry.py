@@ -424,85 +424,79 @@ class SweepEntry:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Exact partition of S^1 into stable and unstable parts."""
+    """Exact partition of S^1 into stable and unstable parts, stored as the
+    angular sweep it came from: the breakpoints in angular order and, for
+    each, (count at it, count on the open arc after it).  A direction is
+    stable iff its count is below the threshold.  ``entries`` spells the
+    sweep out as SweepEntry pieces on first use."""
 
     threshold: int
-    entries: tuple  # cyclic sequence of SweepEntry, alternating point/arc
+    breakpoints: tuple  # Directions in angular order
+    counts: tuple  # (count at, count on the arc after) per breakpoint
+
+    @functools.cached_property
+    def entries(self) -> tuple:
+        """Cyclic sequence of SweepEntry, alternating point/arc; without
+        breakpoints, one arc from (1, 0) round the whole circle."""
+        r, bps = self.threshold, self.breakpoints
+        if not bps:
+            d = Direction(1, 0)
+            return (SweepEntry("arc", d, d, 0, 0 < r),)
+        out = []
+        for d, nxt, (c, c_arc) in zip(bps, bps[1:] + bps[:1], self.counts):
+            out.append(SweepEntry("point", d, d, c, c < r))
+            out.append(SweepEntry("arc", d, nxt, c_arc, c_arc < r))
+        return tuple(out)
 
     @property
     def stable_points(self) -> frozenset:
         """Breakpoints that are stable while both adjacent arcs are unstable."""
-        pts = []
-        n = len(self.entries)
-        for i, e in enumerate(self.entries):
-            if e.kind != "point" or not e.stable:
-                continue
-            prev_arc = self.entries[(i - 1) % n]
-            next_arc = self.entries[(i + 1) % n]
-            if not prev_arc.stable and not next_arc.stable:
-                pts.append(e.start)
-        return frozenset(pts)
+        r, counts = self.threshold, self.counts
+        return frozenset(b for b, (c, after), (_, before)
+                         in zip(self.breakpoints, counts, counts[-1:] + counts[:-1])
+                         if c < r <= min(before, after))
 
     @property
     def stable_arcs(self) -> tuple:
         """Maximal stable runs containing at least one arc.
 
-        Each run is (start, start_inclusive, end, end_inclusive) in angular order.
+        Each run is (start, start_inclusive, end, end_inclusive) in angular
+        order, from the first unstable entry on.
         """
-        n = len(self.entries)
-        if n == 0:
-            return ()
-        if all(e.stable for e in self.entries):
-            d = self.entries[0].start
+        entries = self.entries
+        first = next((i for i, e in enumerate(entries) if not e.stable), None)
+        if first is None:
+            d = entries[0].start
             return ((d, True, d, True),)  # whole circle
         runs = []
-        i = 0
-        # rotate so index 0 is unstable
-        first_unstable = next(i for i, e in enumerate(self.entries) if not e.stable)
-        order = [self.entries[(first_unstable + k) % n] for k in range(n)]
-        while i < n:
-            if not order[i].stable:
-                i += 1
-                continue
-            j = i
-            while j < n and order[j].stable:
-                j += 1
-            run = order[i:j]
-            if any(e.kind == "arc" for e in run):
-                start, end = run[0], run[-1]
-                runs.append(
-                    (start.start, start.kind == "point", end.end, end.kind == "point")
-                )
-            i = j
+        rotated = entries[first:] + entries[:first]
+        for stable, group in itertools.groupby(rotated, key=lambda e: e.stable):
+            run = list(group)
+            if stable and any(e.kind == "arc" for e in run):
+                runs.append((run[0].start, run[0].kind == "point", run[-1].end,
+                             run[-1].kind == "point"))
         return tuple(runs)
 
     def count_at(self, u: Direction) -> int:
         """The count at u: its breakpoint's, or that of the arc it lies on,
         the arc after the last breakpoint at or before u (before the first
         one, the arc that wraps past (1,0))."""
+        bps = self.breakpoints
+        if not bps:  # only the origin: no direction sees a negative side
+            return 0
         key = functools.cmp_to_key(angular_cmp)
-        points = self.entries[0::2]  # without breakpoints, the one arc
-        i = bisect.bisect_right(points, key(u), key=lambda e: key(e.start))
-        if i and points[i - 1].start == u:
-            return points[i - 1].count
-        return self.entries[(2 * i - 1) % len(self.entries)].count
+        i = bisect.bisect_right(bps, key(u), key=key)
+        if i and bps[i - 1] == u:
+            return self.counts[i - 1][0]
+        return self.counts[i - 1][1]
 
     def is_stable(self, u: Direction) -> bool:
         return self.count_at(u) < self.threshold
 
 
 def stability_report(nbhd: Neighbourhood) -> StabilityReport:
-    r = nbhd.threshold
     bps, sweep = nbhd.__dict__.get("_sweep") or _critical(list(nbhd.offsets))[1]
-    if not bps:
-        d = Direction(1, 0)
-        return StabilityReport(r, (SweepEntry("arc", d, d, 0, 0 < r),))
-    entries = []
-    for i, (c, c_arc) in enumerate(sweep):
-        d, nxt = bps[i], bps[(i + 1) % len(bps)]
-        entries.append(SweepEntry("point", d, d, c, c < r))
-        entries.append(SweepEntry("arc", d, nxt, c_arc, c_arc < r))
-    return StabilityReport(r, tuple(entries))
+    return StabilityReport(nbhd.threshold, tuple(bps), tuple(sweep))
 
 
 # ---------------------------------------------------------------------------

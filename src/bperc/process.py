@@ -943,8 +943,7 @@ def _quantile(sorted_vals, q):
     return sorted_vals[lo] * (1 - frac) + sorted_vals[hi] * frac
 
 
-def summarise(records: Sequence[ProcessRecord],
-              jump_thresholds: Sequence[float] = (1.5, 2.0)) -> SweepSummary:
+def summarise(records: Sequence[ProcessRecord]) -> SweepSummary:
     if not records:
         raise ValueError("cannot summarise zero runs")
     groups = {}
@@ -970,7 +969,7 @@ def summarise(records: Sequence[ProcessRecord],
             "jump_ratio_mean": statistics.fmean(js),
             "closure_before_frac_median": _quantile(fs, 0.5),
         }
-        for thr in jump_thresholds:
+        for thr in (1.5, 2.0):
             frac = sum(1 for r in recs if r.closure_before >= thr * r.tau) / len(recs)
             stats[f"frac_jump_ge_{thr:g}"] = frac
         groups[key] = stats

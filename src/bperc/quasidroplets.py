@@ -31,9 +31,10 @@ levels an extension added.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 from typing import Callable, Iterable, NamedTuple, Optional, Union
@@ -215,31 +216,28 @@ class QuasiDroplet:
 
     # -- continuum polygon -------------------------------------------------
 
-    def _shape(self) -> _Polygon:
-        shape = self.__dict__.get("_polygon")
-        if shape is None:
-            shape = _intersect(self.constraints)
-            object.__setattr__(self, "_polygon", shape)
-        return shape
+    @functools.cached_property
+    def _polygon(self) -> _Polygon:
+        return _intersect(self.constraints)
 
     def polygon(self) -> list:
         """CCW Fraction vertex list of the continuum polygon (possibly empty
         or lower-dimensional); raises on unbounded constraint sets."""
-        return list(self._shape().vertices)
+        return list(self._polygon.vertices)
 
     def is_empty_continuum(self) -> bool:
-        return not self._shape().vertices
+        return not self._polygon.vertices
 
     def support(self, u: Direction) -> Fraction:
         """max <x, u> over the continuum polygon (may be below the m_u level)."""
-        poly = self._shape().vertices
+        poly = self._polygon.vertices
         if not poly:
             raise DegenerateDropletError("empty droplet has no support value")
         return max(u.x * x + u.y * y for x, y in poly)
 
     def side_vertices(self, u: Direction) -> list:
         """Vertices of the u-side: the face where <x, u> is maximal."""
-        shape = self._shape()
+        shape = self._polygon
         if u in shape.faces:
             return list(shape.faces[u])
         if not shape.vertices:
@@ -263,7 +261,7 @@ class QuasiDroplet:
         return span
 
     def y_range(self) -> Optional[tuple[int, int]]:
-        poly = self._shape().vertices
+        poly = self._polygon.vertices
         if not poly:
             return None
         ys = [y for _, y in poly]
@@ -291,7 +289,7 @@ class QuasiDroplet:
         sum.  The top row, when its height is an integer, is counted from
         its vertices.
         """
-        shape = self._shape()
+        shape = self._polygon
         if not shape.vertices:
             return 0
         ys = [y for _, y in shape.vertices]
@@ -353,7 +351,6 @@ class ExtensionParams:
 
     nbhd: Neighbourhood
     big_C: int
-    stable: frozenset = field(default=None)
 
     def __post_init__(self):
         if self.big_C < 1:
@@ -364,10 +361,11 @@ class ExtensionParams:
                 f"C={self.big_C} too small: need C^(1/3) >= neighbourhood radius "
                 f"(C^2 >= {self.nbhd.radius_sq ** 3})"
             )
-        if self.stable is None:
-            object.__setattr__(
-                self, "stable", stability_report(self.nbhd).stable_points
-            )
+
+    @functools.cached_property
+    def stable(self) -> frozenset:
+        """The neighbourhood's stable directions."""
+        return stability_report(self.nbhd).stable_points
 
     def is_stable(self, u: Direction) -> bool:
         return u in self.stable

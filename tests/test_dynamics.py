@@ -90,6 +90,24 @@ def test_domains_store_numpy_integers_as_int(square):
     assert closure(doms[0], square, [(0, 0), (1, 1)]).size == 4
 
 
+@pytest.mark.parametrize("engine", [closure, closure_synchronous])
+def test_closure_rejects_non_integer_sites(engine, square):
+    # the cascade used to truncate (0.5, 0) to (0, 0) and keep the float site
+    with pytest.raises(ValueError, match="initial"):
+        engine(Domain.box(3), square, [(0.5, 0), (1, 1)])
+    with pytest.raises(ValueError, match="initial"):
+        engine(Domain.torus(8), square, [(0, 0), (1, 1.0)])
+    with pytest.raises(ValueError, match="region"):
+        engine(Domain.box(3), square, [(0, 0), (1, 1)], region=[(0, 1), (1.5, 0)])
+    with pytest.raises(ValueError, match="frozen"):
+        engine(Domain.framed_box(3, [(-3, 0.5)]), square, [(0, 0)])
+    # integers of any type, and empty sets, go through
+    sites = np.array([(0, 0), (1, 1)], dtype=np.int32)
+    assert engine(Domain.box(3), square, sites, region=sites.astype(np.uint8)).size == 2
+    assert engine(Domain.box(3), square, [], region=[]).size == 0
+    assert engine(Domain.torus(8), square, []).size == 0
+
+
 # ---------------------------------------------------------------------------
 # Closure basics
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import pickle
@@ -75,23 +76,54 @@ def _mid(a, b):
     return Direction.of(*s) if s != (0, 0) else a.rot90()
 
 
-def reference_stability_report(nbhd):
-    """The O(|K| m) report: every breakpoint and arc midpoint counted directly."""
+def reference_sweep(nbhd):
+    """(breakpoints, counts) in O(|K| m): every breakpoint and arc midpoint
+    counted directly."""
     offsets = list(nbhd.offsets)
-    r = nbhd.threshold
     bps = breakpoint_directions(offsets)
+    counts = tuple((negative_count(offsets, d), negative_count(offsets, _mid(d, nxt)))
+                   for d, nxt in zip(bps, bps[1:] + bps[:1]))
+    return tuple(bps), counts
+
+
+def reference_entries(nbhd):
+    """The pieces of the circle in angular order, point and arc alternating;
+    without breakpoints, one arc from (1, 0) round the whole circle."""
+    r = nbhd.threshold
+    bps, counts = reference_sweep(nbhd)
     if not bps:
         d = Direction(1, 0)
-        return StabilityReport(r, (SweepEntry("arc", d, d, 0, 0 < r),))
-    entries = []
-    m = len(bps)
-    for i, d in enumerate(bps):
-        c = negative_count(offsets, d)
-        entries.append(SweepEntry("point", d, d, c, c < r))
-        nxt = bps[(i + 1) % m]
-        c_arc = negative_count(offsets, _mid(d, nxt))
-        entries.append(SweepEntry("arc", d, nxt, c_arc, c_arc < r))
-    return StabilityReport(r, tuple(entries))
+        return (SweepEntry("arc", d, d, 0, 0 < r),)
+    out = []
+    for d, nxt, (c, c_arc) in zip(bps, bps[1:] + bps[:1], counts):
+        out += [SweepEntry("point", d, d, c, c < r), SweepEntry("arc", d, nxt, c_arc, c_arc < r)]
+    return tuple(out)
+
+
+def reference_stability_report(nbhd):
+    return StabilityReport(nbhd.threshold, *reference_sweep(nbhd))
+
+
+def reference_stable_arcs(nbhd):
+    """The maximal stable runs that hold an arc, walked piece by piece from
+    the first unstable piece once round the circle."""
+    pieces = reference_entries(nbhd)
+    if all(e.stable for e in pieces):
+        d = pieces[0].start
+        return ((d, True, d, True),)
+    n = len(pieces)
+    first = next(i for i, e in enumerate(pieces) if not e.stable)
+    runs, run = [], []
+    for k in range(1, n + 1):
+        e = pieces[(first + k) % n]
+        if e.stable:
+            run.append(e)
+            continue
+        if any(p.kind == "arc" for p in run):
+            runs.append((run[0].start, run[0].kind == "point", run[-1].end,
+                         run[-1].kind == "point"))
+        run = []
+    return tuple(runs)
 
 
 def lp_member(p, s, x, y):
@@ -331,7 +363,8 @@ def test_stability_partition_property(named_models):
 
 def _check_sweep(offsets, r):
     nb = Neighbourhood(frozenset(offsets), r)
-    assert stability_report(nb).entries == reference_stability_report(nb).entries
+    assert stability_report(nb) == reference_stability_report(nb)
+    assert stability_report(nb).entries == reference_entries(nb)
     bps = breakpoint_directions(offsets)
     assert critical_threshold(offsets) == 1 + min(
         (negative_count(offsets, d) for d in bps), default=0
@@ -353,7 +386,7 @@ def test_stability_report_reuses_the_critical_sweep(spec):
     fresh = Neighbourhood(cached.offsets, cached.threshold, cached.name)
     assert "_sweep" not in fresh.__dict__
     assert stability_report(cached) == stability_report(fresh)
-    assert stability_report(cached).entries == reference_stability_report(fresh).entries
+    assert stability_report(cached).entries == reference_entries(fresh)
     # the cache is not part of the value
     assert cached == fresh and hash(cached) == hash(fresh)
     assert repr(cached) == repr(fresh)
@@ -402,6 +435,40 @@ def test_sweep_matches_reference(offsets, r):
 def test_sweep_matches_reference_on_lp_balls(p, s):
     nb = build_neighbourhood(NeighbourhoodSpec.lp_ball(p, s))
     _check_sweep(nb.offsets, nb.threshold)
+
+
+@settings(max_examples=400, deadline=None)
+@given(offsets=_offset_sets, r=st.integers(0, 20))
+@example(offsets=[(0, 0)], r=1)  # no breakpoint: the whole circle
+@example(offsets=[(0, 0)], r=0)
+@example(offsets=[(1, 0)], r=1)  # one run through the wrap past (1, 0)
+@example(offsets=[(1, 0), (0, 1), (-1, 0), (0, -1)], r=2)  # isolated points only
+@example(offsets=[(1, 0), (2, 1), (0, 3), (-1, 1), (3, -2)], r=2)
+@example(offsets=[(1, 0), (0, 1), (-1, 0), (0, -1)], r=9)
+def test_stable_arcs_match_a_literal_loop(offsets, r):
+    nb = Neighbourhood(frozenset(offsets), r)
+    assert stability_report(nb).stable_arcs == reference_stable_arcs(nb)
+
+
+def test_report_stores_the_sweep_and_builds_entries_on_first_use(named_models):
+    assert [f.name for f in dataclasses.fields(StabilityReport)] == [
+        "threshold", "breakpoints", "counts"]
+    for nb in named_models.values():
+        rep = stability_report(nb)
+        # the readers of the sweep build no entries
+        stable = rep.stable_points
+        for u in rep.breakpoints + (Direction(2, 1),):
+            assert rep.count_at(u) == negative_count(nb.offsets, u)
+            assert rep.is_stable(u) == (rep.count_at(u) < nb.threshold)
+        assert "entries" not in vars(rep)
+        entries = rep.entries
+        assert entries == reference_entries(nb) and "entries" in vars(rep)
+        # a stable point between two unstable arcs
+        n = len(entries)
+        assert stable == {e.start for i, e in enumerate(entries) if e.kind == "point"
+                          and e.stable and not entries[i - 1].stable
+                          and not entries[(i + 1) % n].stable}
+        assert rep == stability_report(nb)  # the cache is not part of the value
 
 
 def test_stability_rotation_invariance():

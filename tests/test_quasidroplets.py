@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import random
@@ -363,6 +364,32 @@ def test_polygon_and_counts_match_reference(qd):
     assert_matches_reference(qd)
 
 
+_any_direction = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any).map(
+    lambda v: Direction.of(*v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(qd=constraint_subsets(), u=_any_direction)
+@example(qd=_qd(BOX), u=Direction(1, 1))  # a corner of the box
+@example(qd=_qd(BOX), u=Direction(3, -2))
+@example(qd=_qd({(1, 0): -1, (-1, 0): 0, (0, 1): 5, (0, -1): 0}), u=Direction(1, 1))  # empty
+@example(qd=_qd({(1, 0): 0, (-1, 0): 0, (0, 1): 5, (0, -1): 0}), u=Direction(2, 1))  # a segment
+def test_support_and_other_sides_match_reference_vertices(qd, u):
+    # u is not a constraint direction, so the polygon records no face for it
+    assume(u not in qd.directions)
+    try:
+        ref = reference_polygon(qd)
+    except DegenerateDropletError:
+        assume(False)
+    if not ref:
+        with pytest.raises(DegenerateDropletError, match="empty droplet"):
+            qd.support(u)
+        assert qd.side_vertices(u) == []
+        return
+    assert qd.support(u) == max(u.x * x + u.y * y for x, y in ref)
+    assert sorted(qd.side_vertices(u)) == sorted(reference_side_vertices(ref, u))
+
+
 def test_degenerate_shapes_and_counts():
     seg = _qd({(1, 2): 1, (-1, -2): -1, (1, 0): 3, (-1, 0): 0})
     assert sorted(seg.polygon()) == [(0, Fraction(1, 2)), (3, -1)]
@@ -453,6 +480,19 @@ def test_side_bar_boundary_cases_exact():
     assert not side_ge_cbrt(Fraction(4) - Fraction(1, 10 ** 12), 8)
     assert side_ge_sqrt(Fraction(9), 9)
     assert not side_ge_sqrt(Fraction(9) - Fraction(1, 10 ** 12), 9)
+
+
+def test_extension_params_derive_the_stable_set():
+    nb = build_neighbourhood(NeighbourhoodSpec.named("triangular"))
+    params = ExtensionParams(nb, 27)
+    assert [f.name for f in dataclasses.fields(ExtensionParams)] == ["nbhd", "big_C"]
+    assert "stable" not in vars(params)
+    assert params.stable == {Direction(1, 0), Direction(0, 1), Direction(-1, 0),
+                             Direction(0, -1), Direction(1, 1), Direction(-1, -1)}
+    assert params.is_stable(Direction(1, 1)) and not params.is_stable(Direction(1, -1))
+    assert params == ExtensionParams(nb, 27)
+    with pytest.raises(TypeError):
+        ExtensionParams(nb, 27, frozenset())
 
 
 def test_extension_params_require_big_enough_C():

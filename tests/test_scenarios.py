@@ -349,6 +349,30 @@ def test_frozen_only_on_framed_domains():
         scenario_from_json(bad)
 
 
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"domain": {"kind": "torus"}}, "torus domain needs 'n'", id="torus-no-n"),
+    pytest.param({"domain": {"kind": "box"}}, "box domain needs 'd' or 'bounds'",
+                 id="box-no-size"),
+    pytest.param({"domain": {"kind": "framed_box", "d": 4}, "frozen": [[9, 9]]},
+                 "frozen sites outside box: [(9, 9)]", id="frozen-outside"),
+    pytest.param({"neighbourhood": {"kind": "explicit", "offsets": [[1, 0], [0, 1], [1, 1]],
+                                    "threshold": "critical"}},
+                 "bad neighbourhood: critical threshold requires offsets symmetric under "
+                 "negation and quarter turn; give an explicit threshold instead",
+                 id="asymmetric-critical"),
+    pytest.param({"infected_grid": {"text": "#x\n"}},
+                 "bad infected_grid: unexpected grid character 'x'", id="grid-character"),
+    pytest.param({"infected_grid": {"text": "F#\n"}},
+                 "frozen sites belong in the 'frozen' field, not the grid", id="grid-frozen"),
+])
+def test_loader_errors_past_the_schema_name_the_source(change, message):
+    # each passes the schema and is refused by the loader itself
+    _scenario_validator().validate(minimal_scenario(**change))
+    with pytest.raises(ScenarioError) as e:
+        scenario_from_json(minimal_scenario(**change), source="unit.json")
+    assert str(e.value) == f"unit.json: {message}"
+
+
 def test_infected_grid_merges_with_site_list():
     obj = minimal_scenario()
     obj["infected"] = [[1, 1]]
