@@ -52,12 +52,6 @@ def _int(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def _bounds(x0, y0, x1, y1) -> tuple[int, int, int, int]:
-    """A rectangle's inclusive bounds as ints (see _int)."""
-    return tuple(_int(v, f"rectangle bound {name}")
-                 for v, name in zip((x0, y0, x1, y1), ("x0", "y0", "x1", "y1")))
-
-
 @dataclass(frozen=True)
 class Domain:
     """Finite playing field: torus(n), a box of lattice sites (the centred
@@ -72,12 +66,23 @@ class Domain:
     y1: int = 0
     frozen: frozenset = frozenset()
 
+    def __post_init__(self):
+        """Checks the kind and that the side and bounds are integers, which
+        it stores as ints; ValueError names the field."""
+        if self.kind not in ("torus", "box", "framed_box"):
+            raise ValueError(f"unknown domain kind {self.kind!r}")
+        for name in ("n", "x0", "y0", "x1", "y1"):
+            value = getattr(self, name)
+            if type(value) is not int:  # other integer types become ints
+                what = "torus side n" if name == "n" else f"rectangle bound {name}"
+                object.__setattr__(self, name, _int(value, what))
+
     @staticmethod
     def torus(n: int) -> "Domain":
-        n = _int(n, "torus side n")
-        if n < 1:
+        dom = Domain("torus", n=n)
+        if dom.n < 1:
             raise ValueError("torus side must be positive")
-        return Domain("torus", n=n)
+        return dom
 
     @staticmethod
     def box(d: int) -> "Domain":
@@ -88,10 +93,10 @@ class Domain:
 
     @staticmethod
     def rect(x0: int, y0: int, x1: int, y1: int) -> "Domain":
-        x0, y0, x1, y1 = _bounds(x0, y0, x1, y1)
-        if x0 > x1 or y0 > y1:
+        dom = Domain("box", x0=x0, y0=y0, x1=x1, y1=y1)
+        if dom.x0 > dom.x1 or dom.y0 > dom.y1:
             raise ValueError("empty rectangle")
-        return Domain("box", x0=x0, y0=y0, x1=x1, y1=y1)
+        return dom
 
     @staticmethod
     def framed_box(d: int, frozen: Iterable[Site]) -> "Domain":
@@ -100,7 +105,6 @@ class Domain:
 
     @staticmethod
     def framed_rect(x0, y0, x1, y1, frozen: Iterable[Site]) -> "Domain":
-        x0, y0, x1, y1 = _bounds(x0, y0, x1, y1)
         frozen = frozenset(map(tuple, frozen))
         dom = Domain("framed_box", x0=x0, y0=y0, x1=x1, y1=y1, frozen=frozen)
         bad = [s for s in frozen if not dom.contains(s)]

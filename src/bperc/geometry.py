@@ -461,20 +461,31 @@ class StabilityReport:
         """Maximal stable runs containing at least one arc.
 
         Each run is (start, start_inclusive, end, end_inclusive) in angular
-        order, from the first unstable entry on.
+        order, from the first unstable entry on.  The walk reads the sweep:
+        piece 2i is breakpoint i and piece 2i + 1 the arc after it.
         """
-        entries = self.entries
-        first = next((i for i, e in enumerate(entries) if not e.stable), None)
+        r, bps = self.threshold, self.breakpoints
+        if not bps:  # one arc round the whole circle
+            d = Direction(1, 0)
+            return ((d, True, d, True),) if 0 < r else ()
+        stable = [c < r for pair in self.counts for c in pair]
+        first = next((i for i, s in enumerate(stable) if not s), None)
         if first is None:
-            d = entries[0].start
-            return ((d, True, d, True),)  # whole circle
-        runs = []
-        rotated = entries[first:] + entries[:first]
-        for stable, group in itertools.groupby(rotated, key=lambda e: e.stable):
-            run = list(group)
-            if stable and any(e.kind == "arc" for e in run):
-                runs.append((run[0].start, run[0].kind == "point", run[-1].end,
-                             run[-1].kind == "point"))
+            return ((bps[0], True, bps[0], True),)  # whole circle
+        m = len(stable)
+        runs, start = [], None
+        for i in range(first + 1, first + m + 1):  # back to the first unstable piece
+            i %= m
+            if stable[i]:
+                if start is None:
+                    start = i
+                continue
+            if start is not None:
+                last = (i - 1) % m
+                if last != start or start % 2:  # the run holds an arc
+                    end = bps[(last + 1) // 2 % len(bps)]  # a point's own, or an arc's end
+                    runs.append((bps[start // 2], start % 2 == 0, end, last % 2 == 0))
+                start = None
         return tuple(runs)
 
     def count_at(self, u: Direction) -> int:

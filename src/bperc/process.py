@@ -15,16 +15,25 @@ crosses it, in one of two ways with the same result: small neighbourhoods
 replay its arrivals one at a time as scalar cascades (``_replay``); from
 _BATCHED_MIN_OFFSETS nonzero offsets on, it is bisected (``_bisect``).
 
+Under the square rule, and the diamond rule at odd n, which is the square
+rule in other coordinates, a replayed cascade that outgrows n sites is first
+given to the rectangles process (``_certify``; Aizenman & Lebowitz, J. Phys.
+A 21, 1988): a rectangle of infected sites, started at the arrival, grows a
+line at a time through the sites already infected.  If it covers the torus,
+that arrival is tau, and the final fill, about 2.3 n generation rounds, is
+not run; the record's ``fill`` says "certified".  Otherwise the cascade is
+handed on as before.
+
 Runs advance in chunks (``_lockstep``).  The tori of a chunk's runs lie side
 by side in one flat int32 array of counters, where a done site holds
 ``dynamics.DONE``.  The loop is a generator that hands every cascade it
 needs grown to one driver: each batch, each bisection probe, a replayed
-cascade that outgrows n sites and the final fill.  The driver advances
-all of them one generation round at a time, so a round's fixed cost of
-numpy calls is paid once for the chunk, not once per run (iteration-level
-batching; Yu et al., Orca, OSDI 2022).  ``run_once`` is a chunk of one;
-``run_sweep`` cuts each (model, n) group into chunks of consecutive runs
-and maps them over one pool of worker processes.
+cascade that outgrows n sites and is not certified, and the final fill.
+``_lockstep`` advances all of them one generation round at a time, so a
+round's fixed cost of numpy calls is paid once for the chunk, not once per
+run (iteration-level batching; Yu et al., Orca, OSDI 2022).  ``run_once``
+is a chunk of one; ``run_sweep`` cuts each (model, n) group into chunks
+of consecutive runs and maps them over one pool of worker processes.
 
 PRNG contract (frozen under schema_version 1):
 
@@ -535,12 +544,15 @@ def _arrival_path(offs) -> str:
 
 class _Torus:
     """One run's counter-push state: ``counts``, a view of its block of a
-    chunk's flat int32 array, where a done site holds dynamics.DONE, and
-    ``saved``, the checkpoint copy of it, made on the first save()."""
+    chunk's flat int32 array, where a done site holds dynamics.DONE;
+    ``saved``, the checkpoint copy of it, made on the first save(); and
+    ``fill``, "certified" once the rectangles process (_certify) has shown
+    that the torus fills, else "cascade"."""
 
     def __init__(self, counts):
         self.counts = counts
         self.saved = None
+        self.fill = "cascade"
 
     def save(self):
         if self.saved is None:
@@ -553,8 +565,10 @@ class _Torus:
 
 def _run_batched(n, r, offs, arrivals, state):
     """Arrivals in batches of n on ``state``, a loop for _lockstep; returns
-    (tau, closure_before).  Each batch asks ``arrivals`` (an _Arrivals) to
-    solve the permutation up to its end before it slices it.
+    (tau, closure_before, fill), ``fill`` "certified" if the rectangles
+    process certified that the torus fills and "cascade" if a cascade
+    filled it.  Each batch asks ``arrivals`` (an _Arrivals) to solve the
+    permutation up to its end before it slices it.
 
     The infected set after any prefix of the arrivals is the closure of that
     prefix, so a batch goes in as one front of the generation step, after a
@@ -600,7 +614,7 @@ def _run_batched(n, r, offs, arrivals, state):
             num = before + (yield perm[t:t + 1], n2)
             lo = t + 1
         if num == n2:
-            return lo, before
+            return lo, before, state.fill
     raise AssertionError(f"all {n2} arrivals infected only {num} sites")
 
 
@@ -616,11 +630,14 @@ def _replay(n, r, offs, state, perm, lo, hi, num):
     ``state.counts``.  A site is done once it holds DONE, and no push lifts
     a done site to r, so ``c == r`` alone finds the sites to infect, and
     each is stacked once.  Once one arrival's cascade has infected more
-    than n sites, the sites still to infect are handed to the generation
-    step, with cap n^2, which finishes the cascade on the same state; the
-    result is the same because the infected set after each arrival is the
-    closure of the arrivals so far, whatever order the counter pushes run
-    in.
+    than n sites, the rectangles process (_certify) tries to show from the
+    sites done or stacked that the closure is the whole torus.  If it does,
+    the block is marked all done, as the fill would leave it, and the
+    replay returns without the fill.  Otherwise the sites still to infect
+    are handed to the generation step, with cap n^2, which finishes the
+    cascade on the same state; the result is the same because the infected
+    set after each arrival is the closure of the arrivals so far, whatever
+    order the counter pushes run in.
     """
     n2 = n * n
     counts = memoryview(state.counts)
@@ -641,7 +658,12 @@ def _replay(n, r, offs, state, perm, lo, hi, num):
             y = pop()
             if num - prev > n:
                 push(y)
-                num += yield np.array(stack, dtype=np.int64), n2
+                stacked = np.array(stack, dtype=np.int64)
+                if _certify(n, r, offs, state.counts, stacked, s):
+                    state.counts.fill(DONE)
+                    state.fill = "certified"
+                    return end, prev, n2
+                num += yield stacked, n2
                 return end, prev, num
             counts[y] = DONE
             num += 1
@@ -663,6 +685,96 @@ def _replay(n, r, offs, state, perm, lo, hi, num):
         if num == n2:
             return end, prev, num
     return hi, num, num
+
+
+# The rectangles process.  Under the square rule (the four nearest
+# neighbours, r = 2) a rectangle R of infected sites, cyclic on the torus,
+# grows by the line beyond one of its sides when
+#
+#   (a) R is one line short of the torus in that direction: each site of
+#       the missing line has R on both sides of it;
+#   (b) that line holds an infected site within the side's span widened by
+#       one: the site of the span next to it has two infected neighbours,
+#       and so on along the span;
+#   (c) the line after it holds an infected site within the span: the site
+#       between that one and R has two infected neighbours, and (b) follows.
+#
+# So R, started at one infected site, stays in the closure, and if it grows
+# to the whole torus, the closure is the whole torus (Aizenman & Lebowitz,
+# J. Phys. A 21, 1988; Holroyd, PTRF 125, 2003).  The certificate is
+# one-sided: R may stop short of a closure that is the whole torus.
+
+_SQUARE_RULE = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
+_DIAMOND_RULE = frozenset({(1, 1), (1, -1), (-1, 1), (-1, -1)})
+
+
+def _certify(n, r, offs, counts, stack, site):
+    """Whether the rectangles process from ``site`` reaches the whole torus,
+    the infected sites being those done in ``counts``, a run's block, and
+    those in ``stack``.  It runs for the square rule and, at odd n, for the
+    diamond rule, which is the square rule at (a, b) = ((x + y) h, (x - y) h)
+    mod n, h = (n + 1) / 2 the inverse of 2 mod n; for any other rule the
+    answer is False."""
+    rule = frozenset(map(tuple, offs.tolist())) if r == 2 else None
+    diamond = rule == _DIAMOND_RULE and n % 2 == 1
+    if rule != _SQUARE_RULE and not diamond:
+        return False
+    infected = counts < 0
+    infected[stack] = True
+    frame = infected.reshape(n, n)
+    x, y = divmod(site, n)
+    if diamond:
+        # frame site (a, b) holds torus site (a + b, a - b), which is flat
+        # index a (2n + 1) + b (2n - 1) + n of the torus tiled 2 x 2
+        tiled = np.tile(frame, (2, 2)).reshape(-1)
+        frame = np.lib.stride_tricks.as_strided(tiled[n:], (n, n), (2 * n + 1, 2 * n - 1))
+        h = (n + 1) // 2
+        x, y = (x + y) * h % n, (x - y) * h % n
+    return _rectangles_cover(frame.tobytes(), frame.T.tobytes(), n, x, y)
+
+
+def _rectangles_cover(rows, cols, n, x, y):
+    """Whether the rectangles process reaches the whole n x n torus from
+    site (x, y), the infected sites being the nonzero bytes of ``rows``,
+    the mask row by row, and of ``cols``, column by column.  R is rows
+    [x, x + h) by columns [y, y + w), both cyclic; its sides grow in turn,
+    each while it can, until none can."""
+    h = w = 1
+    grew = True
+    while grew and h + w < 2 * n:
+        grew = False
+        while h < n and _grows(rows, n, x + h, 1, y, w, h):
+            h += 1
+            grew = True
+        while h < n and _grows(rows, n, x - 1, -1, y, w, h):
+            x, h = x - 1, h + 1
+            grew = True
+        while w < n and _grows(cols, n, y + w, 1, x, h, w):
+            w += 1
+            grew = True
+        while w < n and _grows(cols, n, y - 1, -1, x, h, w):
+            y, w = y - 1, w + 1
+            grew = True
+    return h == w == n
+
+
+def _grows(lines, n, line, out, start, span, depth):
+    """Whether R, ``depth`` lines deep, grows by ``line``, beyond its side
+    of ``span`` sites from ``start``: by (a), (b) or (c), ``line + out``
+    being the line after it."""
+    return (depth == n - 1 or _holds(lines, n, line, start - 1, min(span + 2, n))
+            or _holds(lines, n, line + out, start, span))
+
+
+def _holds(lines, n, line, start, length):
+    """Whether line ``line`` mod n of ``lines``, n lines of n bytes, holds a
+    nonzero byte in the cyclic span of ``length`` <= n from ``start``."""
+    base = line % n * n
+    start %= n
+    end = start + length
+    if end <= n:
+        return lines.find(1, base + start, base + end) >= 0
+    return lines.find(1, base + start, base + n) >= 0 or lines.find(1, base, base + end - n) >= 0
 
 
 def _bisect(state, perm, lo, hi, cap):
@@ -688,15 +800,15 @@ def _bisect(state, perm, lo, hi, cap):
 
 def _lockstep(n, r, offs, arrivals, loop):
     """Runs ``loop`` on each _Arrivals of ``arrivals``, on one stack of n x n
-    tori; returns (tau, closure_before, seconds) for each.
+    tori; returns (tau, closure_before, fill, seconds) for each.
 
     ``loop(n, r, offs, arrivals, state)`` is a generator on its run's _Torus,
     such as _run_batched.  It yields grow requests (sites, cap):
     infect ``sites``, torus indices each given once, and their cascade.
     The reply is the number of sites infected; once more than ``cap`` are,
     it is some number above cap, and the torus is left in a state only the
-    loop's restore() mends.  The loop returns (tau, closure_before), and
-    its run's arrays are released.
+    loop's restore() mends.  The loop returns (tau, closure_before, fill),
+    and its run's arrays are released.
 
     Every pending request advances in one round of the chunk's step, one
     dynamics.grid_step over all the tori, in one int32 ``counts`` array.  A
@@ -838,6 +950,7 @@ class ProcessRecord:
     arrival_path: str = "scalar"  # crossing batches "scalar": replayed, "batched": bisected
     chunk_runs: int = 1  # the runs whose generation rounds this one shared
     arrivals_solved: int = 0  # the prefix of the permutation solved (n^2 if injected)
+    fill: str = "cascade"  # "certified" by the rectangles process, or filled by a "cascade"
 
     @property
     def jump_ratio(self) -> float:
@@ -870,14 +983,14 @@ def _run_chunk(model, nbhd, n, seeds, arrivals) -> list:
     offs = offsets_array(nbhd)
     path = _arrival_path(offs)
     records = []
-    for seed, source, (tau, before, cascade) in zip(
+    for seed, source, (tau, before, fill, cascade) in zip(
             seeds, arrivals, _lockstep(n, nbhd.threshold, offs, arrivals, _run_batched)):
         perm_ms, cascade_ms = source.seconds * 1000.0, cascade * 1000.0
         records.append(ProcessRecord(model, n, seed, int(tau), int(before),
                                      wall_ms=perm_ms + cascade_ms, perm_ms=perm_ms,
                                      cascade_ms=cascade_ms, arrival_path=path,
                                      chunk_runs=len(arrivals),
-                                     arrivals_solved=source.solved))
+                                     arrivals_solved=source.solved, fill=fill))
     return records
 
 
@@ -956,6 +1069,8 @@ def summarise(records: Sequence[ProcessRecord]) -> SweepSummary:
         # the infected fraction just before tau: 1 minus the fraction of the
         # torus in the healthy core when it first appears (arrivals reversed)
         fs = sorted(r.closure_before / (r.n * r.n) for r in recs)
+        perm_ms = sorted(r.perm_ms for r in recs)
+        cascade_ms = sorted(r.cascade_ms for r in recs)
         stats = {
             "count": len(recs),
             "tau_scaled_median": _quantile(ts, 0.5),
@@ -968,6 +1083,9 @@ def summarise(records: Sequence[ProcessRecord]) -> SweepSummary:
             "jump_ratio_q3": _quantile(js, 0.75),
             "jump_ratio_mean": statistics.fmean(js),
             "closure_before_frac_median": _quantile(fs, 0.5),
+            "certified_frac": sum(r.fill == "certified" for r in recs) / len(recs),
+            "perm_ms_median": _quantile(perm_ms, 0.5),
+            "cascade_ms_median": _quantile(cascade_ms, 0.5),
         }
         for thr in (1.5, 2.0):
             frac = sum(1 for r in recs if r.closure_before >= thr * r.tau) / len(recs)

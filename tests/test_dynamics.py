@@ -72,11 +72,21 @@ def test_frozen_sites_not_counted_in_size(square):
     (lambda: Domain.rect("0", 0, 3, 3), "rectangle bound x0"),
     (lambda: Domain.framed_box(3.0, []), "box half-width d"),
     (lambda: Domain.framed_rect(0, 0.5, 3, 3, []), "rectangle bound y0"),
+    (lambda: Domain("torus", n=16.0), "torus side n"),
+    (lambda: Domain("box", x0=0, y0=0, x1=2.5, y1=3), "rectangle bound x1"),
 ], ids=["torus-float", "torus-bool", "box-float", "rect-float", "rect-str", "framed-box-float",
-        "framed-rect-float"])
+        "framed-rect-float", "raw-torus-float", "raw-box-float"])
 def test_domains_reject_non_integer_sizes(build, what):
     with pytest.raises(ValueError, match=f"{what} must be an integer"):
         build()
+
+
+def test_raw_domains_are_checked_and_hold_ints(square):
+    with pytest.raises(ValueError, match="unknown domain kind 'sphere'"):
+        Domain("sphere", n=4)
+    dom = Domain("torus", n=np.int64(8))
+    assert type(dom.n) is int and dom == Domain.torus(8)
+    assert closure(dom, square, [(0, 0), (1, 1)]).size == 4
 
 
 def test_domains_store_numpy_integers_as_int(square):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import pickle
 import random
@@ -123,6 +124,24 @@ def reference_stable_arcs(nbhd):
             runs.append((run[0].start, run[0].kind == "point", run[-1].end,
                          run[-1].kind == "point"))
         run = []
+    return tuple(runs)
+
+
+def entries_stable_arcs(report):
+    """The maximal stable runs that hold an arc, grouped from the report's
+    own entries rotated to start at the first unstable piece."""
+    entries = report.entries
+    first = next((i for i, e in enumerate(entries) if not e.stable), None)
+    if first is None:
+        d = entries[0].start
+        return ((d, True, d, True),)  # whole circle
+    runs = []
+    rotated = entries[first:] + entries[:first]
+    for stable, group in itertools.groupby(rotated, key=lambda e: e.stable):
+        run = list(group)
+        if stable and any(e.kind == "arc" for e in run):
+            runs.append((run[0].start, run[0].kind == "point", run[-1].end,
+                         run[-1].kind == "point"))
     return tuple(runs)
 
 
@@ -450,6 +469,19 @@ def test_stable_arcs_match_a_literal_loop(offsets, r):
     assert stability_report(nb).stable_arcs == reference_stable_arcs(nb)
 
 
+@settings(max_examples=300, deadline=None)
+@given(offsets=_offset_sets, r=st.integers(0, 20))
+@example(offsets=[(0, 0)], r=1)
+@example(offsets=[(0, 0)], r=0)
+@example(offsets=[(1, 0), (0, 1), (-1, 0), (0, -1)], r=2)
+@example(offsets=[(1, 0), (2, 1), (0, 3), (-1, 1), (3, -2)], r=2)
+def test_stable_arcs_match_the_entries_walk(offsets, r):
+    report = stability_report(Neighbourhood(frozenset(offsets), r))
+    arcs = report.stable_arcs
+    assert "entries" not in vars(report)  # the walk reads the sweep alone
+    assert arcs == entries_stable_arcs(report)
+
+
 def test_report_stores_the_sweep_and_builds_entries_on_first_use(named_models):
     assert [f.name for f in dataclasses.fields(StabilityReport)] == [
         "threshold", "breakpoints", "counts"]
@@ -457,6 +489,7 @@ def test_report_stores_the_sweep_and_builds_entries_on_first_use(named_models):
         rep = stability_report(nb)
         # the readers of the sweep build no entries
         stable = rep.stable_points
+        rep.stable_arcs
         for u in rep.breakpoints + (Direction(2, 1),):
             assert rep.count_at(u) == negative_count(nb.offsets, u)
             assert rep.is_stable(u) == (rep.count_at(u) < nb.threshold)

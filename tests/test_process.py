@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -604,8 +605,15 @@ def solved(perm):
 def run_alone(loop, n, r, offs, perm):
     """(tau, closure_before) of the arrival loop ``loop`` on ``perm``, as a
     chunk of one."""
-    ((tau, before, _),) = process._lockstep(n, r, offs, [solved(perm)], loop)
+    ((tau, before, *_),) = process._lockstep(n, r, offs, [solved(perm)], loop)
     return tau, before
+
+
+@contextlib.contextmanager
+def uncertified():
+    """Every fill run as a cascade: the rectangles certificate never holds."""
+    with mock.patch.object(process, "_certify", lambda *args: False):
+        yield
 
 
 @contextlib.contextmanager
@@ -982,7 +990,7 @@ def _chunk_against_reference(nbhd, n, orders):
         with searched(path):
             got = process._lockstep(n, nbhd.threshold, offs, [solved(perm) for perm in orders],
                                     _run_batched)
-        assert [(tau, before) for tau, before, _ in got] == want
+        assert [(tau, before) for tau, before, *_ in got] == want
 
 
 @pytest.mark.parametrize("spec, n, order, handoff, path", ORACLE_CASES)
@@ -1049,7 +1057,7 @@ def test_chunk_run_past_its_cap_leaves_the_front_in_that_round(branch, path):
     with generation_branch(branch) as dense, searched(path), counted_rounds() as rounds:
         got = process._lockstep(n, r, offs, [solved(o) for o in orders],
                                 watched(_run_batched, chunked, rounds))
-        assert [(tau, before) for tau, before, _ in got] == want
+        assert [(tau, before) for tau, before, *_ in got] == want
         for o, run in zip(orders, want):
             assert run_alone(watched(_run_batched, alone, rounds), n, r, offs, o) == run
     assert bool(dense) == (branch == "dense")
@@ -1154,7 +1162,7 @@ def test_cascade_state_is_its_pushes_after_every_round_and_restore(monkeypatch, 
             part = orders[at:at + chunk]
             got = process._lockstep(n, r, offs, [solved(o) for o in part],
                                     watched(_run_batched, events, fronts))
-            assert [(tau, before) for tau, before, _ in got] == [
+            assert [(tau, before) for tau, before, *_ in got] == [
                 reference_run(n, r, offs, o) for o in part]
     assert bool(dense) == (branch == "dense") and sum(f > 1 for f in fronts) > 20
     assert any(_leaves_while_another_stays(events)) == (chunk > 1)
@@ -1330,13 +1338,28 @@ def test_batched_tau_in_a_short_last_batch(bisections):
 
 def test_replayed_tau_at_the_first_arrival_of_a_batch():
     # the row-major square order through the replay: each row's batch adds
-    # the row; batch n - 2 fills the torus, and its replay hands its first
-    # arrival's cascade, more than n sites, to the rounds, which fill it
+    # the row; batch n - 2 fills the torus, and its first arrival's cascade
+    # outgrows n sites.  Without the certificate the replay hands that
+    # cascade to the rounds, which fill the torus
+    n = 8
+    with uncertified(), replays() as calls:
+        tau, before = _batched_against_reference(SQUARE, n, row_major_permutation(n), "scalar")
+    assert (tau, before) == ((n - 1) ** 2, n * (n - 2))
+    assert calls == [(n * (n - 2), n * (n - 1), tau, True, True)]
+
+
+def test_certified_tau_at_the_first_arrival_of_a_batch(square):
+    # the same replay with the certificate: the rectangle from that arrival
+    # grows through rows 0 to n - 2 and then by (a) over the last row, so
+    # the replay returns with the torus full and hands nothing to the rounds
     n = 8
     with replays() as calls:
         tau, before = _batched_against_reference(SQUARE, n, row_major_permutation(n), "scalar")
     assert (tau, before) == ((n - 1) ** 2, n * (n - 2))
-    assert calls == [(n * (n - 2), n * (n - 1), tau, True, True)]
+    assert calls == [(n * (n - 2), n * (n - 1), tau, False, True)]
+    assert run_once(square, n, 0, permutation=row_major_permutation(n)).fill == "certified"
+    with uncertified():
+        assert run_once(square, n, 0, permutation=row_major_permutation(n)).fill == "cascade"
 
 
 def _cap_order(n, d, a, b, m):
@@ -1378,6 +1401,238 @@ def test_batch_caps_count_only_the_new_arrivals(monkeypatch, bisections, path, n
     searches = calls if path == "scalar" else bisections
     assert searches and (calls if path == "batched" else bisections) == []
     assert searches[0][:2] == (n, 2 * n)
+
+
+# ---------------------------------------------------------------------------
+# The rectangles certificate of the final fill
+# ---------------------------------------------------------------------------
+
+DIAMOND = NeighbourhoodSpec.named("diamond")
+TIMINGS = ("wall_ms", "perm_ms", "cascade_ms")
+
+
+def untimed(records):
+    """The records' fields but the timings and ``fill``."""
+    return [{k: v for k, v in dataclasses.asdict(rec).items() if k not in TIMINGS + ("fill",)}
+            for rec in records]
+
+
+def certifiable(nbhd, n):
+    """Whether _certify runs for ``nbhd`` at side n: the square rule, or the
+    diamond rule at odd n."""
+    rule = {tuple(map(int, k)) for k in offsets_array(nbhd)}
+    return nbhd.threshold == 2 and (rule == {(1, 0), (-1, 0), (0, 1), (0, -1)} or (
+        rule == {(1, 1), (1, -1), (-1, 1), (-1, -1)} and n % 2 == 1))
+
+
+def exact_fill(n, r, offs, mask):
+    """Whether the closure of ``mask``, n^2 bools flat or n x n, is the whole
+    torus, by synchronous rounds: a site is infected once r of its
+    neighbours x + k are."""
+    grid = np.asarray(mask, dtype=bool).reshape(n, n)
+    while True:
+        count = sum(np.roll(grid, (-int(kx), -int(ky)), axis=(0, 1)).astype(np.int8)
+                    for kx, ky in offs)
+        grown = grid | (count >= r)
+        if (grown == grid).all():
+            return bool(grid.all())
+        grid = grown
+
+
+def reference_rectangles(infected, n, x, y, widen=1, ahead=0):
+    """Whether the rectangles process of the square rule covers the n x n
+    torus from site (x, y), ``infected`` a set of sites; one side grows by
+    one line at a time.  R, rows x .. x + h - 1 by columns y .. y + w - 1
+    mod n, grows by the line beyond a side when R is one line short of the
+    torus that way, when that line holds an infected site within the side's
+    span widened by ``widen`` at each end, or when the line after it holds
+    one within the span widened by ``ahead``."""
+    def row(a, lo, hi):
+        return any((a % n, b % n) in infected for b in range(lo, hi))
+
+    def col(b, lo, hi):
+        return any((a % n, b % n) in infected for a in range(lo, hi))
+
+    h = w = 1
+    while True:
+        if h < n and (h == n - 1 or row(x + h, y - widen, y + w + widen)
+                      or row(x + h + 1, y - ahead, y + w + ahead)):
+            h += 1
+        elif h < n and (row(x - 1, y - widen, y + w + widen)
+                        or row(x - 2, y - ahead, y + w + ahead)):
+            x, h = x - 1, h + 1
+        elif w < n and (w == n - 1 or col(y + w, x - widen, x + h + widen)
+                        or col(y + w + 1, x - ahead, x + h + ahead)):
+            w += 1
+        elif w < n and (col(y - 1, x - widen, x + h + widen)
+                        or col(y - 2, x - ahead, x + h + ahead)):
+            y, w = y - 1, w + 1
+        else:
+            return h == w == n
+
+
+def square_frame(rule, n, sites):
+    """The sites of the torus as the square rule sees them: as they are for
+    "square"; for "diamond" at odd n, site (x, y) at ((x + y) h, (x - y) h)
+    mod n, h = (n + 1) / 2, where each diagonal neighbour becomes a
+    nearest one."""
+    if rule == "square":
+        return {(x % n, y % n) for x, y in sites}
+    h = (n + 1) // 2
+    return {((x + y) * h % n, (x - y) * h % n) for x, y in sites}
+
+
+def certify(rule, n, infected, site, stacked=()):
+    """process._certify on the torus whose infected sites are ``infected``
+    (done) and ``stacked`` (on the stack), from ``site``."""
+    offs = offsets_array(build_neighbourhood(NeighbourhoodSpec.named(rule)))
+    counts = np.zeros(n * n, dtype=np.int32)
+    counts[[x * n + y for x, y in infected]] = DONE
+    stack = np.array([x * n + y for x, y in stacked], dtype=np.int64)
+    return process._certify(n, 2, offs, counts, stack, site[0] * n + site[1])
+
+
+@pytest.mark.parametrize("rule", ["square", "diamond"])
+def test_certificate_matches_the_reference_rectangles(rule):
+    # random masks, some of their sites on the stack: the certificate is the
+    # reference process on the square-rule frame, and it holds only where
+    # the closure is the whole torus
+    rng = random.Random(11)
+    offs = offsets_array(build_neighbourhood(NeighbourhoodSpec.named(rule)))
+    held = 0
+    for _ in range(400):
+        n = rng.choice([5, 7, 9, 13] if rule == "diamond" else [4, 5, 8, 9, 12])
+        p = rng.uniform(0.05, 0.4)
+        sites = [(x, y) for x in range(n) for y in range(n) if rng.random() < p]
+        site = (rng.randrange(n), rng.randrange(n))
+        sites = sorted(set(sites) | {site})
+        stacked = [s for s in sites if rng.random() < 0.3]
+        done = [s for s in sites if s not in stacked]
+        got = certify(rule, n, done, site, stacked)
+        x, y = square_frame(rule, n, [site]).pop()
+        assert got == reference_rectangles(square_frame(rule, n, sites), n, x, y)
+        mask = np.zeros((n, n), dtype=bool)
+        mask[tuple(zip(*sites))] = True
+        assert not got or exact_fill(n, 2, offs, mask)
+        held += got
+    assert 50 < held < 350
+
+
+def staircase(n):
+    """Sites (k, 2k) mod n, odd n >= 5: no site has two of them as nearest
+    neighbours, so the set is its own closure, and each is a knight's move
+    from the one before."""
+    return [(k, 2 * k % n) for k in range(n)]
+
+
+# (n, infected sites, start) on which the torus does not fill under the
+# square rule, but the rectangles process with (b) widened by two, or with
+# (c) widened by one, covers it
+CRAFTED = [
+    pytest.param(9, staircase(9), (0, 0), id="staircase-9"),
+    pytest.param(15, staircase(15), (3, 6), id="staircase-15"),
+    pytest.param(5, [(1, 1), (2, 3), (4, 0)], (1, 1), id="three-5"),
+    pytest.param(5, [(0, 1), (1, 4), (2, 2), (3, 0)], (0, 1), id="four-5"),
+    pytest.param(6, [(0, 1), (0, 2), (2, 4), (3, 0), (3, 2), (5, 0)], (5, 0), id="six-6"),
+]
+
+
+@pytest.mark.parametrize("rule, n, sites, start", [
+    pytest.param(rule, *case.values, id=f"{rule}-{case.id}")
+    for rule in ("square", "diamond") for case in CRAFTED
+    if rule == "square" or case.values[0] % 2])  # diamond: odd n only
+def test_certificate_refuses_crafted_masks(rule, n, sites, start):
+    infected = set(sites)
+    assert not reference_rectangles(infected, n, *start)
+    assert reference_rectangles(infected, n, *start, widen=2)
+    assert reference_rectangles(infected, n, *start, ahead=1)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[tuple(zip(*sites))] = True
+    assert not exact_fill(n, 2, offsets_array(build_neighbourhood(SQUARE)), mask)
+    if rule == "diamond":
+        # the same mask as the diamond rule sees it: site (a + b, a - b)
+        # of the torus for each site (a, b) of the frame
+        sites = [((a + b) % n, (a - b) % n) for a, b in sites]
+        start = ((start[0] + start[1]) % n, (start[0] - start[1]) % n)
+        assert square_frame(rule, n, sites) == infected
+    for cut in range(len(sites) + 1):  # any split between done and stacked
+        assert not certify(rule, n, sites[cut:], start, sites[:cut])
+
+
+@pytest.mark.parametrize("spec, n, order, handoff, path", ORACLE_CASES)
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+def test_certificate_leaves_chunk_records_unchanged(branch, spec, n, order, handoff, path):
+    nbhd = build_neighbourhood(spec)
+    orders = _oracle_orders(n, order)
+
+    def chunk():
+        return process._run_chunk(nbhd.name, nbhd, n, list(range(len(orders))),
+                                  [solved(perm) for perm in orders])
+
+    with generation_branch(branch):
+        got = chunk()
+        with uncertified():
+            want = chunk()
+    assert untimed(got) == untimed(want)
+    assert {rec.fill for rec in want} == {"cascade"}
+    assert any(rec.fill == "certified" for rec in got) == certifiable(nbhd, n)
+
+
+@pytest.mark.parametrize("grid", ["square_sweep", "diamond_sweep"])
+def test_certificate_leaves_the_fixture_grids_unchanged(request, grid):
+    # the first chunk of each (model, n) group of the shared sweeps, run
+    # again without the certificate
+    records, _ = request.getfixturevalue(grid)
+    groups = {}
+    for rec in records:
+        groups.setdefault((rec.model, rec.n), []).append(rec)
+    for (model, n), recs in groups.items():
+        nbhd = build_neighbourhood(NeighbourhoodSpec.named(model))
+        first = recs[:recs[0].chunk_runs]
+        with uncertified():
+            again = process._sweep_chunk(model, nbhd, n, [rec.seed for rec in first])
+        assert untimed(again) == untimed(first)
+        assert {rec.fill for rec in again} == {"cascade"}
+        certified = sum(rec.fill == "certified" for rec in recs)
+        assert certified > len(recs) // 2 if certifiable(nbhd, n) else certified == 0
+
+
+def test_certificate_leaves_diamond_records_unchanged_at_either_parity():
+    nbhd = build_neighbourhood(DIAMOND)
+    ns = [9, 10, 17, 18, 33, 34]
+    got, _ = run_sweep([("diamond", nbhd)], ns, 12, master_seed=41, parallelism=1)
+    with uncertified():
+        want, _ = run_sweep([("diamond", nbhd)], ns, 12, master_seed=41, parallelism=1)
+    assert untimed(got) == untimed(want)
+    for n in ns:
+        fills = {rec.fill for rec in got if rec.n == n}
+        assert ("certified" in fills) == (n % 2 == 1)
+
+
+def test_every_certified_state_fills(monkeypatch):
+    # the exact fill of every state the certificate holds on: square n from
+    # 8 to 64 and diamond at odd n, 1040 runs
+    certificate = process._certify
+    held = []
+
+    def checked(n, r, offs, counts, stack, site):
+        ok = certificate(n, r, offs, counts, stack, site)
+        if ok:
+            mask = counts < 0
+            mask[stack] = True
+            assert exact_fill(n, r, offs, mask)
+        held.append(ok)
+        return ok
+
+    monkeypatch.setattr(process, "_certify", checked)
+    runs = []
+    for spec, ns, master in ((SQUARE, [8, 11, 16, 23, 32, 64], 5),
+                             (DIAMOND, [5, 7, 9, 15, 21, 33, 63], 6)):
+        records, _ = run_sweep([(spec.name, build_neighbourhood(spec))], ns, 80,
+                               master_seed=master, parallelism=1)
+        runs += records
+    assert len(runs) == 1040
+    assert sum(held) == sum(rec.fill == "certified" for rec in runs) > 900
 
 
 # ---------------------------------------------------------------------------
@@ -1677,6 +1932,9 @@ def test_summary_statistics_match_manual(square):
     assert abs(g["tau_scaled_mean"] - sum(taus) / 9) < 1e-12
     assert g["jump_ratio_q1"] <= g["jump_ratio_median"] <= g["jump_ratio_q3"]
     assert 0.0 <= g["frac_jump_ge_2"] <= g["frac_jump_ge_1.5"] <= 1.0
+    assert g["certified_frac"] == sum(r.fill == "certified" for r in records) / 9
+    assert g["perm_ms_median"] == sorted(r.perm_ms for r in records)[4]
+    assert g["cascade_ms_median"] == sorted(r.cascade_ms for r in records)[4]
 
 
 def test_summary_closure_before_fraction_on_hand_built_records():
@@ -1728,8 +1986,9 @@ def test_jsonl_round_trip(square):
     assert obj["tau"] == rec.tau
     assert obj["schema_version"] == 1
     assert set(obj) == set(CSV_COLUMNS) | {"perm_ms", "cascade_ms", "arrival_path",
-                                           "chunk_runs", "arrivals_solved"}
+                                           "chunk_runs", "arrivals_solved", "fill"}
     assert obj["arrival_path"] == "scalar"
+    assert obj["fill"] in ("certified", "cascade")
     assert obj["chunk_runs"] == 1
     assert rec.tau <= obj["arrivals_solved"] <= 64
 
