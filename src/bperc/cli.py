@@ -207,10 +207,10 @@ def _audit_tau(nbhd, n, arrived, rec) -> None:
     sites = [divmod(p, n) for p in arrived.tolist()]
     before = closure(dom, nbhd, sites[: rec.tau - 1])
     after = closure(dom, nbhd, sites[: rec.tau])
-    if before.is_full() or not after.is_full() or len(before.times) != rec.closure_before:
+    if before.is_full() or not after.is_full() or before.size != rec.closure_before:
         raise AssertionError(
             f"audit failed for n={n} seed={rec.seed}: "
-            f"|closure(A(tau-1))|={len(before.times)} recorded={rec.closure_before}"
+            f"|closure(A(tau-1))|={before.size} recorded={rec.closure_before}"
         )
 
 

@@ -18,9 +18,11 @@ Two engines compute the same thing:
 
 Both report per-site generation times with synchronous-round semantics: a
 site's time is the first parallel round at which it has >= r infected
-neighbours, never "1 + max over chosen parents".  A result, a
-``Configuration``, stores only these times; its infected set and its number
-of generations are derived from them on first use.
+neighbours, never "1 + max over chosen parents".  A result is a
+``Configuration``.  ``closure``'s keeps the initial sites and each round's
+flat index array, so its size and number of generations need no dict, and
+the times dict is built only when read; ``closure_synchronous``'s stores the
+dict.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -167,14 +170,59 @@ class Domain:
 class Configuration:
     """Infected sites with their generation times: ``times`` maps each
     infected site to the synchronous round that infected it, 0 for the
-    initial and frozen sites.  It is the one stored fact; ``infected`` (its
-    sites) and ``generation`` (the rounds applied, its largest time) are
-    derived on first use and cached.  Frozen sites are infected with time 0
-    but excluded from closure-size statistics.
+    initial and frozen sites.  ``infected`` (its sites) and ``generation``
+    (the rounds applied, its largest time) are derived on first use and
+    cached.  Frozen sites are infected with time 0 but excluded from
+    closure-size statistics.
+
+    ``closure`` makes its result with ``_from_rounds``: it keeps the time-0
+    dict and each round's flat index array, answers ``size``, ``is_full()``
+    and ``generation`` from the count taken when made and the number of
+    rounds, and adds the rounds to the dict, which becomes ``times``, only
+    when ``times`` is first read.
     """
 
     domain: Domain
     times: dict
+
+    @classmethod
+    def _from_rounds(cls, domain: Domain, base: dict, new: tuple, grid: tuple):
+        """A result whose times are ``base`` (the initial and frozen sites,
+        all at time 0, a dict no one else holds) and, for the i-th array of
+        ``new``, its flat indices at time i + 1; flat index f is the site
+        (f // height + x0, f % height + y0) for ``grid`` = (height, x0, y0)."""
+        cfg = object.__new__(cls)
+        object.__setattr__(cfg, "domain", domain)
+        object.__setattr__(cfg, "_rounds", (base, new, grid, len(base) + sum(map(len, new))))
+        return cfg
+
+    def __getattr__(self, name):
+        # reached only for attributes not in __dict__: the times of a result
+        # made by _from_rounds, on first read
+        rounds = self.__dict__.get("_rounds") if name == "times" else None
+        if rounds is None:
+            raise AttributeError(f"'Configuration' object has no attribute {name!r}")
+        times, new, (height, x0, y0), _ = rounds
+        xs, ys = np.divmod(np.concatenate(new), height)
+        xs += x0
+        ys += y0
+        # new[i]'s sites get time i + 1: repeated Python ints, cheaper than
+        # a numpy repeat and its tolist
+        gens = chain.from_iterable(map(repeat, range(1, len(new) + 1), map(len, new)))
+        times.update(zip(zip(xs.tolist(), ys.tolist()), gens))
+        object.__setattr__(self, "times", times)
+        self.__dict__.pop("_rounds", None)  # one dict, no arrays, once read
+        return times
+
+    def _count(self) -> tuple[int, int]:
+        """(infected sites, frozen sites among them)."""
+        rounds = self.__dict__.get("_rounds")
+        if rounds is None:
+            times = self.times
+            return len(times), len(self.domain.frozen & times.keys())
+        # counted when made: the dict grows when the times are built; every
+        # frozen site is in it at time 0
+        return rounds[3], len(self.domain.frozen)
 
     @functools.cached_property
     def infected(self) -> frozenset:
@@ -182,15 +230,17 @@ class Configuration:
 
     @functools.cached_property
     def generation(self) -> int:
-        return max(self.times.values(), default=0)
+        rounds = self.__dict__.get("_rounds")
+        return len(rounds[1]) if rounds else max(self.times.values(), default=0)
 
     @property
     def size(self) -> int:
         """Number of infected sites, frozen frame excluded."""
-        return len(self.times) - len(self.domain.frozen & self.times.keys())
+        infected, frozen = self._count()
+        return infected - frozen
 
     def is_full(self) -> bool:
-        return len(self.times) == self.domain.size
+        return self._count()[0] == self.domain.size
 
     @staticmethod
     def initial(domain: Domain, initial: Iterable[Site]) -> "Configuration":
@@ -423,6 +473,10 @@ def closure(
     sites outside it stay infected and still push.  A box is padded by the
     offsets' reach with sites that start done, like the initial and frozen
     sites and those outside ``region``, so pushes leaving it infect nothing.
+
+    The result keeps each round's flat index array as the loop made it, with
+    the padded grid's geometry; its ``times`` dict is built only when read
+    (see Configuration).
     """
     domain.validate_for(nbhd)
     cfg = Configuration.initial(domain, initial)
@@ -460,12 +514,7 @@ def closure(
             new.append(front)
     if not new:
         return cfg
-    xs, ys = np.divmod(np.concatenate(new), height)
-    sites = zip((xs + xmin - pad).tolist(), (ys + ymin - pad).tolist())
-    gens = np.repeat(np.arange(1, len(new) + 1), [f.size for f in new]).tolist()
-    times = dict(cfg.times)
-    times.update(zip(sites, gens))
-    return Configuration(domain, times)
+    return Configuration._from_rounds(domain, cfg.times, tuple(new), (height, xmin - pad, ymin - pad))
 
 
 # ---------------------------------------------------------------------------

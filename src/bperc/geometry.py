@@ -201,13 +201,20 @@ class Neighbourhood:
         takes 0.2 ms over the 1792 offsets of p = 2, s = 24."""
         return max(map(abs, itertools.chain.from_iterable(self.offsets)))
 
+    @functools.cached_property
+    def _sweep(self) -> tuple:
+        """(breakpoints, their angular sweep), for stability_report.  It does
+        not depend on the threshold; _critical_neighbourhood fills it in with
+        the sweep that found the threshold."""
+        return _critical(list(self.offsets))[1]
+
     def max_infectable(self) -> int:
         # (0,0) never helps an uninfected site
         return len(self.offsets) - (1 if (0, 0) in self.offsets else 0)
 
     def __getstate__(self):
-        # the angular sweep build_neighbourhood may keep is derived from the
-        # offsets: leave it out
+        # the angular sweep build_neighbourhood or stability_report may keep
+        # is derived from the offsets: leave it out
         return {"offsets": self.offsets, "threshold": self.threshold, "name": self.name}
 
 
@@ -407,7 +414,7 @@ def _critical_neighbourhood(offsets: frozenset, name: str) -> Neighbourhood:
     ==, hash, repr and pickles ignore it."""
     r, sweep = _critical(list(offsets))
     nbhd = Neighbourhood(offsets, r, name)
-    object.__setattr__(nbhd, "_sweep", sweep)
+    nbhd.__dict__["_sweep"] = sweep
     return nbhd
 
 
@@ -506,7 +513,7 @@ class StabilityReport:
 
 
 def stability_report(nbhd: Neighbourhood) -> StabilityReport:
-    bps, sweep = nbhd.__dict__.get("_sweep") or _critical(list(nbhd.offsets))[1]
+    bps, sweep = nbhd._sweep
     return StabilityReport(nbhd.threshold, tuple(bps), tuple(sweep))
 
 

@@ -258,7 +258,8 @@ def evaluate_assertion(sc: Scenario, cfg: Configuration, a: dict) -> AssertionRe
     kind = a["type"]
     initial = frozenset(sc.infected) | sc.domain.frozen
     if kind == "closure_equals_domain":
-        missing = next((s for s in sc.domain.sites() if s not in cfg.times), None)
+        missing = None if cfg.is_full() else next(
+            s for s in sc.domain.sites() if s not in cfg.times)
         return AssertionResult(kind, missing is None,
                                "" if missing is None else f"site {missing} stays healthy")
     if kind == "no_growth":

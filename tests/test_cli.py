@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import runpy
@@ -211,6 +212,24 @@ def test_tau_audit_reads_the_times_only(capsys):
         code, _, _ = run_cli(capsys, "tau", "--model", "square", "--n", "8", "--seed", "7", "8",
                              "--audit", "--format", "jsonl")
     assert code == 0 and len(results) == 4 and lazy(results)
+
+
+def test_tau_audit_builds_no_times_and_catches_a_wrong_closure_before():
+    nbhd = build_neighbourhood(NeighbourhoodSpec.named("square"))
+    n = 16
+    for seed in (3, 7, 11):
+        rec = bperc.run_once(nbhd, n, seed)
+        arrived = bperc.process.arrival_prefix(n * n, seed, rec.tau)
+        with closure_results() as results:
+            bperc.cli._audit_tau(nbhd, n, arrived, rec)
+        assert len(results) == 2 and not any("times" in cfg.__dict__ for cfg in results)
+        for wrong in (rec.closure_before - 1, rec.closure_before + 1):
+            bad = dataclasses.replace(rec, closure_before=wrong)
+            message = (f"audit failed for n={n} seed={seed}: "
+                       f"|closure(A(tau-1))|={rec.closure_before} recorded={wrong}")
+            with pytest.raises(AssertionError) as err:
+                bperc.cli._audit_tau(nbhd, n, arrived, bad)
+            assert str(err.value) == message
 
 
 def test_tau_audit_reads_only_the_first_tau_arrivals(capsys, monkeypatch):

@@ -1,5 +1,8 @@
 import dataclasses
+import pickle
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -162,13 +165,43 @@ def test_configuration_stores_only_domain_and_times():
     assert [f.name for f in dataclasses.fields(Configuration)] == ["domain", "times"]
 
 
+def test_closure_result_keeps_its_rounds_until_the_times_are_read(square):
+    dom = Domain.box(3)
+    times = {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): 1}
+    given = Configuration(dom, times)
+    assert given.times is times and "_rounds" not in given.__dict__
+    made = closure(dom, square, [(0, 0), (1, 1)])
+    # the box is padded by reach 1: flat index f is (f // 9 - 4, f % 9 - 4)
+    base, new, grid, count = made.__dict__["_rounds"]
+    assert base == {(0, 0): 0, (1, 1): 0} and grid == (9, -4, -4) and count == 4
+    assert [f.tolist() for f in new] == [[4 * 9 + 5, 5 * 9 + 4]]
+    assert (made.size, made.is_full(), made.generation) == (4, False, 1)
+    # the rounds go into the time-0 dict, which becomes the times; the
+    # arrays are dropped
+    assert made.times is base and made.__dict__.keys() == {"domain", "times", "generation"}
+    assert made.times == times and list(made.times)[2:] == [(0, 1), (1, 0)]
+    assert made == given and given == made and made != Configuration(dom, dict(base, x=1))
+    assert made != times  # a dict is not a Configuration
+    assert repr(made) == f"Configuration(domain={dom!r}, times={made.times!r})"
+    assert dataclasses.replace(closure(dom, square, [(0, 0), (1, 1)]), domain=dom) == given
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        made.times = {}
+    with pytest.raises(AttributeError):
+        made.missing
+    with pytest.raises(TypeError):
+        hash(closure(dom, square, [(0, 0), (1, 1)]))
+
+
 def test_results_derive_infected_and_generation_on_first_use(square):
     dom = Domain.framed_box(4, [(-4, 0)])
     initial = [(0, 0), (1, 1)]
     made = [closure(dom, square, initial), closure_synchronous(dom, square, initial),
             Configuration.initial(dom, initial)]
     assert lazy(made) and not any("generation" in cfg.__dict__ for cfg in made)
+    # closure keeps its one round as an array until the times are read
+    assert "times" not in made[0].__dict__ and len(made[0].__dict__["_rounds"][1]) == 1
     assert [is_closed(cfg, square) for cfg in made] == [True, True, False]
+    assert "times" in made[0].__dict__
     assert [to_grid_text(cfg).count("#") for cfg in made] == [4, 4, 2]
     assert lazy(made)
     for cfg in made:
@@ -177,6 +210,51 @@ def test_results_derive_infected_and_generation_on_first_use(square):
         assert cfg.size == len(infected) - 1
     assert [cfg.generation for cfg in made] == [1, 1, 0]
     assert all("generation" in cfg.__dict__ for cfg in made)
+
+
+def test_dense_fill_builds_no_times_until_read(square):
+    n = 64
+    rng = random.Random(3)
+    sites = [(x, y) for x in range(n) for y in range(n) if rng.random() < 0.1]
+    dom = Domain.torus(n)
+    cfg = closure(dom, square, sites)
+    base, new, _, _ = cfg.__dict__["_rounds"]
+    assert cfg.is_full() and cfg.size == n * n and cfg.generation == len(new) > 1
+    assert base == dict.fromkeys(sites, 0)
+    assert not {"times", "infected"} & cfg.__dict__.keys()
+    times = cfg.times
+    assert cfg.times is times and times == closure_synchronous(dom, square, sites).times
+    assert cfg.infected == frozenset(dom.sites())
+    # the times follow the initial sites, then the rounds in order
+    assert list(times.values()) == sorted(times.values())
+
+
+def test_threads_reading_one_unbuilt_result_agree(square):
+    n = 48
+    rng = random.Random(8)
+    sites = [(x, y) for x in range(n) for y in range(n) if rng.random() < 0.1]
+    dom = Domain.torus(n)
+    want = closure_synchronous(dom, square, sites)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            cfg = closure(dom, square, sites)
+            seen = []
+
+            def read():
+                seen.append((cfg.size, cfg.is_full(), cfg.generation, len(cfg.times), cfg.size))
+
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            row = (want.size, want.is_full(), want.generation, len(want.times), want.size)
+            assert seen == [row] * 6 and cfg == want
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def _literal_rounds(dom, nbhd, initial):
@@ -323,13 +401,23 @@ def closure_cases(draw, nbhds=_NBHDS):
 @example(case=(Domain.torus(3), _NBHDS[0], [(0, 0), (1, 1)], None))
 # diamond: the site just right of the box sees both initial sites
 @example(case=(Domain.rect(2, -3, 6, 1), _NBHDS[3], [(6, -2), (6, 0)], None))
+@example(case=(Domain.torus(5), _NBHDS[0], [], None))  # no initial sites
+@example(case=(Domain.box(3), _NBHDS[0], [(0, 0), (2, 2)], None))  # no growth
+@example(case=(Domain.torus(5), _NBHDS[0], [(0, 0), (1, 1)], []))  # an empty region
+@example(case=(Domain.framed_rect(0, 0, 4, 4, [(0, y) for y in range(5)]), _NBHDS[0],
+               [(2, 1), (2, 3), (4, 0)], None))  # the frame helps fill the box
 def test_closure_equals_synchronous_oracle(case):
     dom, nbhd, initial, region = case
     a = closure(dom, nbhd, initial, region=region)
     b = closure_synchronous(dom, nbhd, initial, region=region)
+    # closure's result answers these from its round arrays, its times unbuilt
+    assert (a.size, a.is_full(), a.generation) == (b.size, b.is_full(), b.generation)
+    # either the rounds, unread, or no growth and the dict of the initial sites
+    assert ("_rounds" in a.__dict__) != ("times" in a.__dict__)
+    unbuilt = pickle.loads(pickle.dumps(a))
     assert a.infected == b.infected
     assert a.times == b.times
-    assert a.generation == b.generation
+    assert a == b and b == a and unbuilt == b
 
 
 @pytest.mark.parametrize("branch", ["dense", "sparse"])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bperc import geometry
 from bperc.geometry import (
     Direction,
     NAMED_MODELS,
@@ -412,6 +413,31 @@ def test_stability_report_reuses_the_critical_sweep(spec):
     again = pickle.loads(pickle.dumps(cached))
     assert again == cached and "_sweep" not in again.__dict__
     assert pickle.dumps(cached) == pickle.dumps(fresh)
+
+
+@pytest.mark.parametrize("spec", [
+    NeighbourhoodSpec.lp_ball("2", "6", threshold=40),
+    NeighbourhoodSpec.lp_ball("inf", "5/2", threshold=3),
+    NeighbourhoodSpec.explicit([(1, 0), (0, 1), (-1, 0), (0, -1), (2, 1)], 2),
+])
+def test_stability_report_keeps_its_sweep_on_first_use(spec, monkeypatch):
+    nb = build_neighbourhood(spec)
+    assert "_sweep" not in nb.__dict__  # not at its critical threshold
+    sweeps = []
+    critical = geometry._critical
+    monkeypatch.setattr(geometry, "_critical", lambda offs: sweeps.append(1) or critical(offs))
+    first = stability_report(nb)
+    assert "_sweep" in nb.__dict__ and sweeps == [1]
+    assert stability_report(nb) == first and sweeps == [1]
+    fresh = Neighbourhood(nb.offsets, nb.threshold, nb.name)
+    assert stability_report(fresh) == first == reference_stability_report(fresh)
+    assert first.entries == reference_entries(fresh)
+    # the kept sweep is not part of the value
+    bare = Neighbourhood(nb.offsets, nb.threshold, nb.name)
+    assert nb == bare and hash(nb) == hash(bare) and repr(nb) == repr(bare)
+    assert pickle.dumps(nb) == pickle.dumps(bare)
+    again = pickle.loads(pickle.dumps(nb))
+    assert again == nb and "_sweep" not in again.__dict__
 
 
 _coord = st.integers(-5, 5)

@@ -452,3 +452,24 @@ def test_rectangle_assertion_failure_detail():
                           "length": 3, "direction": [1, 0]}]
     res = run_scenario(scenario_from_json(obj))[0]
     assert not res.passed and "3x3" in res.detail
+
+
+def test_closure_equals_domain_names_the_first_missing_site():
+    # the frame column x = -2 and one site fill column x = -1; the first
+    # healthy site in domain.sites() order is then (0, -2)
+    frame = [[-2, y] for y in range(-2, 3)]
+    failing = scenario_from_json(minimal_scenario(
+        domain={"kind": "framed_box", "d": 2}, frozen=frame, infected=[[-1, -1]],
+        assertions=[{"type": "closure_equals_domain"}]))
+    with closure_results() as results:
+        (res,) = run_scenario(failing)
+    assert not res.passed and res.detail == "site (0, -2) stays healthy"
+    cfg = results[0]
+    assert cfg.size == 5 and not cfg.is_full()
+    full = scenario_from_json(minimal_scenario(
+        domain={"kind": "framed_box", "d": 2}, frozen=frame, infected=[[-1, -1], [0, 0], [1, 0], [2, 0]],
+        assertions=[{"type": "closure_equals_domain"}]))
+    with closure_results() as results:
+        (res,) = run_scenario(full)
+    assert res.passed and res.detail == ""
+    assert results[0].is_full() and "times" not in results[0].__dict__
