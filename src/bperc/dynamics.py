@@ -201,6 +201,10 @@ class Configuration:
         # made by _from_rounds, on first read
         rounds = self.__dict__.get("_rounds") if name == "times" else None
         if rounds is None:
+            if name == "times" and "times" in self.__dict__:
+                # another thread stored times, then dropped the rounds, after
+                # this read missed times
+                return self.__dict__["times"]
             raise AttributeError(f"'Configuration' object has no attribute {name!r}")
         times, new, (height, x0, y0), _ = rounds
         xs, ys = np.divmod(np.concatenate(new), height)

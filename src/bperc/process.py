@@ -15,20 +15,26 @@ crosses it, in one of two ways with the same result: small neighbourhoods
 replay its arrivals one at a time as scalar cascades (``_replay``); from
 _BATCHED_MIN_OFFSETS nonzero offsets on, it is bisected (``_bisect``).
 
-Under the square rule, and the diamond rule at odd n, which is the square
-rule in other coordinates, a replayed cascade that outgrows n sites is first
-given to the rectangles process (``_certify``; Aizenman & Lebowitz, J. Phys.
-A 21, 1988): a rectangle of infected sites, started at the arrival, grows a
-line at a time through the sites already infected.  If it covers the torus,
-that arrival is tau, and the final fill, about 2.3 n generation rounds, is
-not run; the record's ``fill`` says "certified".  Otherwise the cascade is
-handed on as before.
+A large cascade is first given to the rectangles process (``_certify``;
+Aizenman & Lebowitz, J. Phys. A 21, 1988) where the rule has a line table
+(``_LINE_TABLES``): a rectangle with cut corners, started at the arrival,
+grows a line at a time through the sites already infected, one infected
+site within a window beyond a side growing that side, as the table says.
+The square rule (and the diamond rule at odd n, which is the square rule in
+other coordinates) and square4 have tables; tests/test_line_tables.py
+derives both from closures.  A replayed cascade is tried once it outgrows n
+sites; a bisected one goes in with cap n first, from the checkpoint, and is
+tried once it passes it.  If the rectangle covers the torus, that arrival is
+tau, and the final fill, about 2.3 n generation rounds, is not run; the
+record's ``fill`` says "certified".  Otherwise the cascade runs to the end
+as before.  Every other rule runs the fill.
 
 Runs advance in chunks (``_lockstep``).  The tori of a chunk's runs lie side
 by side in one flat int32 array of counters, where a done site holds
 ``dynamics.DONE``.  The loop is a generator that hands every cascade it
-needs grown to one driver: each batch, each bisection probe, a replayed
-cascade that outgrows n sites and is not certified, and the final fill.
+needs grown to one driver: each batch, each bisection probe, the arrival a
+bisection finds, a replayed cascade that outgrows n sites and is not
+certified, and the final fill.
 ``_lockstep`` advances all of them one generation round at a time, so a
 round's fixed cost of numpy calls is paid once for the chunk, not once per
 run (iteration-level batching; Yu et al., Orca, OSDI 2022).  ``run_once``
@@ -86,7 +92,7 @@ import statistics
 import time
 from concurrent import futures
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -367,11 +373,12 @@ class _Arrivals:
     blocks that double (from n_items / 16).  ``seconds`` is all the time
     spent drawing and solving, and ``release()`` drops the arrays once the
     run is over.  The state is the draws and succ, int32 each, plus perm, as
-    long as the solved prefix; a block adds work arrays for its steps, at
-    most about n_items / 4 (for [n_items / 4, n_items / 2)), or for
-    n_items / 16 positions.  So a run at 1/16 of n_items holds about as
-    much as a whole permutation; the whole solve peaks at 20 bytes an entry:
-    draws, succ and the last two perms.
+    long as the blocks solved and allocated once per need() call, for all
+    the blocks it solves; a block adds work arrays for its steps, at most
+    about n_items / 4 (for [n_items / 4, n_items / 2)), or for n_items / 16
+    positions.  So a run at 1/16 of n_items holds about as much as a whole
+    permutation, and a whole solve holds draws, succ and one perm, 16 bytes
+    an entry, besides a block's work arrays.
     """
 
     def __init__(self, n_items: int, seed: int):
@@ -414,9 +421,12 @@ class _Arrivals:
         hi = min(hi, self.n_items)
         if hi > self.solved:
             start = time.perf_counter()
-            while self.solved < hi:
-                top = min(self.n_items, max(1, self.n_items // 16, 2 * self.solved))
-                self._solve(self.solved, top)
+            ends = [self.solved]
+            while ends[-1] < hi:
+                ends.append(min(self.n_items, max(1, self.n_items // 16, 2 * ends[-1])))
+            self._reserve(ends[-1])
+            for lo, top in zip(ends, ends[1:]):
+                self._solve(lo, top)
                 self.solved = top
             self.seconds += time.perf_counter() - start
         return self.perm
@@ -424,9 +434,16 @@ class _Arrivals:
     def release(self) -> None:
         self.perm = self._draw = self._succ = None
 
+    def _reserve(self, hi: int) -> None:
+        """Makes perm at least hi long, keeping its solved prefix."""
+        if self.perm.size < hi:
+            perm = np.empty(hi, dtype=np.int64)
+            perm[:self.solved] = self.perm[:self.solved]
+            self.perm = perm
+
     def _solve(self, lo: int, hi: int) -> None:
-        """Solves perm[lo:hi], perm[:lo] being solved; perm, as long as the
-        solved prefix, moves to a new array of hi entries.
+        """Solves perm[lo:hi], perm[:lo] being solved, in place once perm is
+        at least hi long (need() makes it so for all its blocks at once).
 
         The steps that draw in [lo, hi) are packed as draw << bits | step in
         an int64 and sorted: each draw's steps then follow in increasing
@@ -454,9 +471,8 @@ class _Arrivals:
         np.subtract(-1, nxt, out=nxt)
         draw[at] = nxt
         del at, nxt
-        perm = np.empty(hi, dtype=np.int64)
-        perm[:lo] = self.perm
-        self.perm = perm
+        self._reserve(hi)
+        perm = self.perm
         for p in range(lo, hi, max(1, self.n_items // 16)):
             q = min(p + max(1, self.n_items // 16), hi)
             code = draw[m + 1 - q:m + 1 - p][::-1]  # positions p .. q - 1
@@ -545,14 +561,17 @@ def _arrival_path(offs) -> str:
 class _Torus:
     """One run's counter-push state: ``counts``, a view of its block of a
     chunk's flat int32 array, where a done site holds dynamics.DONE;
-    ``saved``, the checkpoint copy of it, made on the first save(); and
+    ``saved``, the checkpoint copy of it, made on the first save();
     ``fill``, "certified" once the rectangles process (_certify) has shown
-    that the torus fills, else "cascade"."""
+    that the torus fills, else "cascade"; and ``tries`` and ``certify_s``,
+    the certificate's tries and their time."""
 
     def __init__(self, counts):
         self.counts = counts
         self.saved = None
         self.fill = "cascade"
+        self.tries = 0
+        self.certify_s = 0.0
 
     def save(self):
         if self.saved is None:
@@ -562,13 +581,28 @@ class _Torus:
     def restore(self):
         np.copyto(self.counts, self.saved)
 
+    def certify(self, n, r, offs, stack, site):
+        """Whether the rectangles process (_certify) from ``site`` shows
+        that the torus fills, the infected sites being those done and those
+        in ``stack``; if it does, the block is marked all done, as the fill
+        would leave it."""
+        start = time.perf_counter()
+        held = _certify(n, r, offs, self.counts, stack, site)
+        if held:
+            self.counts.fill(DONE)
+            self.fill = "certified"
+        self.tries += 1
+        self.certify_s += time.perf_counter() - start
+        return held
+
 
 def _run_batched(n, r, offs, arrivals, state):
     """Arrivals in batches of n on ``state``, a loop for _lockstep; returns
-    (tau, closure_before, fill), ``fill`` "certified" if the rectangles
-    process certified that the torus fills and "cascade" if a cascade
-    filled it.  Each batch asks ``arrivals`` (an _Arrivals) to solve the
-    permutation up to its end before it slices it.
+    (tau, closure_before, fill, tries, certify_s): ``fill`` "certified" if
+    the rectangles process certified that the torus fills and "cascade" if
+    a cascade filled it, and the certificate's tries and their time.  Each
+    batch asks ``arrivals`` (an _Arrivals) to solve the permutation up to
+    its end before it slices it.
 
     The infected set after any prefix of the arrivals is the closure of that
     prefix, so a batch goes in as one front of the generation step, after a
@@ -581,7 +615,12 @@ def _run_batched(n, r, offs, arrivals, state):
       a time, up to the first whose cascade outgrows n sites or fills the
       torus;
     * from there on the cap is n, and _bisect finds the first arrival t
-      whose prefix crosses it; t's cascade then runs to the end.
+      whose prefix crosses it; t's cascade then runs to the end.  For a
+      rule with a line table (_line_table) it first goes in with cap n,
+      from the checkpoint, the closure of perm[:t]; if it passes the cap,
+      the rectangles process from t's site tries to certify the fill from
+      the sites done, and only if it does not is the checkpoint restored
+      and the cascade run to the end.
 
     Either way tau is that arrival's index + 1 if it fills the torus, and
     otherwise the batches go on from the arrival after it.  So a large
@@ -590,6 +629,7 @@ def _run_batched(n, r, offs, arrivals, state):
     """
     n2 = n * n
     replay = _arrival_path(offs) == "scalar"
+    tabled = _line_table(n, r, offs)[0] is not None
     multiple = _REPLAY_CAP_MULTIPLE if replay else 1
     num = 0  # infected sites: the closure of perm[:lo]
     lo = 0
@@ -611,10 +651,17 @@ def _run_batched(n, r, offs, arrivals, state):
         else:
             t, added = yield from _bisect(state, perm, lo, hi, cap)
             before = num + added
-            num = before + (yield perm[t:t + 1], n2)
             lo = t + 1
+            grown = yield perm[t:lo], (n if tabled else n2)
+            if tabled and grown > n:
+                if state.certify(n, r, offs, _NO_SITES, int(perm[t])):
+                    grown = n2 - before
+                else:
+                    state.restore()
+                    grown = yield perm[t:lo], n2
+            num = before + grown
         if num == n2:
-            return lo, before, state.fill
+            return lo, before, state.fill, state.tries, state.certify_s
     raise AssertionError(f"all {n2} arrivals infected only {num} sites")
 
 
@@ -630,10 +677,10 @@ def _replay(n, r, offs, state, perm, lo, hi, num):
     ``state.counts``.  A site is done once it holds DONE, and no push lifts
     a done site to r, so ``c == r`` alone finds the sites to infect, and
     each is stacked once.  Once one arrival's cascade has infected more
-    than n sites, the rectangles process (_certify) tries to show from the
-    sites done or stacked that the closure is the whole torus.  If it does,
-    the block is marked all done, as the fill would leave it, and the
-    replay returns without the fill.  Otherwise the sites still to infect
+    than n sites, the rectangles process (_Torus.certify) tries to show
+    from the sites done or stacked that the closure is the whole torus.  If
+    it does, the block is marked all done, as the fill would leave it, and
+    the replay returns without the fill.  Otherwise the sites still to infect
     are handed to the generation step, with cap n^2, which finishes the
     cascade on the same state; the result is the same because the infected
     set after each arrival is the closure of the arrivals so far, whatever
@@ -659,9 +706,7 @@ def _replay(n, r, offs, state, perm, lo, hi, num):
             if num - prev > n:
                 push(y)
                 stacked = np.array(stack, dtype=np.int64)
-                if _certify(n, r, offs, state.counts, stacked, s):
-                    state.counts.fill(DONE)
-                    state.fill = "certified"
+                if state.certify(n, r, offs, stacked, s):
                     return end, prev, n2
                 num += yield stacked, n2
                 return end, prev, num
@@ -687,94 +732,223 @@ def _replay(n, r, offs, state, perm, lo, hi, num):
     return hi, num, num
 
 
-# The rectangles process.  Under the square rule (the four nearest
-# neighbours, r = 2) a rectangle R of infected sites, cyclic on the torus,
-# grows by the line beyond one of its sides when
+# The rectangles process (Aizenman & Lebowitz, J. Phys. A 21, 1988; Holroyd,
+# PTRF 125, 2003), run along a rule's stable directions, here the axes
+# (Bollobas, Smith & Uzzell, CPC 24, 2015).  Its shape S is h lines by w,
+# cyclic on the torus, with c sites cut from each corner: line i from one
+# side holds position j from an end unless i + j < c.  A side of span W
+# (its sites along it, cut corners included) and depth H (the lines behind
+# it) grows by the line beyond it, to the same shape one line longer, when
 #
-#   (a) R is one line short of the torus in that direction: each site of
-#       the missing line has R on both sides of it;
-#   (b) that line holds an infected site within the side's span widened by
-#       one: the site of the span next to it has two infected neighbours,
-#       and so on along the span;
-#   (c) the line after it holds an infected site within the span: the site
-#       between that one and R has two infected neighbours, and (b) follows.
+#   * W >= W0 and H >= H0, and for some depth d = 1, 2, ... the line d
+#     beyond the side holds an infected site within the side's span shrunk
+#     at each end by s_d (widened where s_d < 0);
+#   * or every site the grown shape adds is infected.
 #
-# So R, started at one infected site, stays in the closure, and if it grows
-# to the whole torus, the closure is the whole torus (Aizenman & Lebowitz,
-# J. Phys. A 21, 1988; Holroyd, PTRF 125, 2003).  The certificate is
-# one-sided: R may stop short of a closure that is the whole torus.
+# The first holds for each rule of _LINE_TABLES:
+#
+#   square   (4 nearest neighbours, r = 2): c = 0, (W0, H0) = (1, 1),
+#            s = (-1, 0): one site on the next line within the span
+#            widened by one, or on the line after it within the span;
+#   square4  (l1 ball of radius 4, r = 17): c = 2, (W0, H0) = (12, 7),
+#            s = (0, 1, 2, 4, 5): a site just outside an axis side has 16
+#            infected neighbours, one short, so one site within reach of
+#            the side's middle grows it.
+#
+# tests/test_line_tables.py derives each table from closures on boxes
+# that hold the shape and one candidate site, on each of the four sides,
+# for W from W0 to W0 + 2 (reach + 5) and H from H0 on.  The table at
+# (W0, H0) alone gives it for every larger side, by translation.  Let S
+# have span W >= W0 and depth H >= H0, and z lie at depth d within its
+# window.  The shape of span W0 and depth H0 against the same side, its
+# span starting k sites into S's, lies inside S for 0 <= k <= W - W0, and
+# z lies within its window for some such k (a window of W0 is never
+# empty).  So its next line is in the closure; that line holds a site of
+# the depth-1 window of the placements at k - 1 and k + 1, whose next
+# lines follow in turn, out to k = 0 and k = W - W0.  Those lines, with S,
+# are the grown shape.
+#
+# So S, started at one infected site (the (c + 1)-square with corner cut c
+# is its centre alone, for even c), stays in the closure, and if its
+# projection covers the torus, the closure is the whole torus.  The
+# process runs on the universal cover, with the mask read mod n: a closure
+# there maps into the torus's closure, n being more than twice the reach.
+# S's translates by multiples of n count as infected, so a line beyond a
+# side that is one of S's own lines mod n holds S's sites on it: once
+# h = n - 1, the line after the next is S's first, which grows the last
+# line of the square rule (once its rule (a)).  The projection is the torus
+# once h and w reach n + 2c.  The certificate is one-sided: S may stop
+# short of a closure that is the whole torus.
+
+
+class _LineTable(NamedTuple):
+    cut: int  # c: sites (i, j) of a corner, i and j lines in, with i + j < c
+    least: tuple  # (W0, H0): the least span and depth the windows hold from
+    shrinks: tuple  # s_d, d = 1, 2, ...: the window at depth d is the span shrunk by s_d
+
 
 _SQUARE_RULE = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
 _DIAMOND_RULE = frozenset({(1, 1), (1, -1), (-1, 1), (-1, -1)})
+_SQUARE4_RULE = frozenset((a, b) for a in range(-4, 5) for b in range(-4, 5)
+                          if 0 < abs(a) + abs(b) <= 4)
+
+# (nonzero offsets, r) -> the rule's line table
+_LINE_TABLES = {
+    (_SQUARE_RULE, 2): _LineTable(0, (1, 1), (-1, 0)),
+    (_SQUARE4_RULE, 17): _LineTable(2, (12, 7), (0, 1, 2, 4, 5)),
+}
+
+_NO_SITES = np.empty(0, dtype=np.int64)
+
+
+def _line_table(n, r, offs):
+    """(table, diamond): the line table of the rule of nonzero offsets
+    ``offs`` and threshold r on the torus of side n, or None; ``diamond``
+    when it is the square rule's, seen through the diamond map (odd n)."""
+    rule = frozenset(map(tuple, offs.tolist()))
+    if r == 2 and rule == _DIAMOND_RULE and n % 2 == 1:
+        return _LINE_TABLES[_SQUARE_RULE, 2], True
+    return _LINE_TABLES.get((rule, r)), False
 
 
 def _certify(n, r, offs, counts, stack, site):
     """Whether the rectangles process from ``site`` reaches the whole torus,
     the infected sites being those done in ``counts``, a run's block, and
-    those in ``stack``.  It runs for the square rule and, at odd n, for the
-    diamond rule, which is the square rule at (a, b) = ((x + y) h, (x - y) h)
-    mod n, h = (n + 1) / 2 the inverse of 2 mod n; for any other rule the
-    answer is False."""
-    rule = frozenset(map(tuple, offs.tolist())) if r == 2 else None
-    diamond = rule == _DIAMOND_RULE and n % 2 == 1
-    if rule != _SQUARE_RULE and not diamond:
+    those in ``stack``.  It runs for the rules of _LINE_TABLES and, at odd
+    n, for the diamond rule, which is the square rule at (a, b) =
+    ((x + y) h, (x - y) h) mod n, h = (n + 1) / 2 the inverse of 2 mod n;
+    for any other rule the answer is False."""
+    table, diamond = _line_table(n, r, offs)
+    if table is None:
         return False
-    infected = counts < 0
-    infected[stack] = True
-    frame = infected.reshape(n, n)
+    mask = bytearray(n * n)  # the try's one mask, row by row
+    flat = np.frombuffer(mask, dtype=bool)
     x, y = divmod(site, n)
     if diamond:
+        infected = counts < 0
+        infected[stack] = True
         # frame site (a, b) holds torus site (a + b, a - b), which is flat
         # index a (2n + 1) + b (2n - 1) + n of the torus tiled 2 x 2
-        tiled = np.tile(frame, (2, 2)).reshape(-1)
-        frame = np.lib.stride_tricks.as_strided(tiled[n:], (n, n), (2 * n + 1, 2 * n - 1))
+        tiled = np.tile(infected.reshape(n, n), (2, 2)).reshape(-1)
+        flat.reshape(n, n)[:] = np.lib.stride_tricks.as_strided(
+            tiled[n:], (n, n), (2 * n + 1, 2 * n - 1))
         h = (n + 1) // 2
         x, y = (x + y) * h % n, (x - y) * h % n
-    return _rectangles_cover(frame.tobytes(), frame.T.tobytes(), n, x, y)
+    else:
+        np.less(counts, 0, out=flat)
+        flat[stack] = True
+    return _rectangles_cover(mask, n, x, y, table)
 
 
-def _rectangles_cover(rows, cols, n, x, y):
-    """Whether the rectangles process reaches the whole n x n torus from
-    site (x, y), the infected sites being the nonzero bytes of ``rows``,
-    the mask row by row, and of ``cols``, column by column.  R is rows
-    [x, x + h) by columns [y, y + w), both cyclic; its sides grow in turn,
-    each while it can, until none can."""
-    h = w = 1
+def _rectangles_cover(mask, n, x, y, table):
+    """Whether the rectangles process of line table ``table`` covers the
+    n x n torus from site (x, y), the infected sites being the nonzero
+    bytes of ``mask``, row by row.  The shape is rows [x, x + h) by columns
+    [y, y + w) of the cover; its sides grow in turn until none can.
+
+    A side whose span and depth are the table's least or more grows while
+    it can: the windows of a larger shape are larger, so the order of such
+    growth does not change where the process stops.  A smaller side grows
+    a line a turn, which keeps the shape as round as the infected sites
+    let it be; grown while it could, it would run out along a line of
+    them."""
+    c = table.cut
+    least_span, least_depth = table.least
+    x, y = x - c // 2, y - c // 2
+    h = w = c + 1
+    full = n + 2 * c
     grew = True
-    while grew and h + w < 2 * n:
+    while grew and (h < full or w < full):
         grew = False
-        while h < n and _grows(rows, n, x + h, 1, y, w, h):
+        while h < full and _grow(mask, n, True, x + h, 1, y, w, h, table):
             h += 1
             grew = True
-        while h < n and _grows(rows, n, x - 1, -1, y, w, h):
+            if w < least_span or h < least_depth:
+                break
+        while h < full and _grow(mask, n, True, x - 1, -1, y, w, h, table):
             x, h = x - 1, h + 1
             grew = True
-        while w < n and _grows(cols, n, y + w, 1, x, h, w):
+            if w < least_span or h < least_depth:
+                break
+        while w < full and _grow(mask, n, False, y + w, 1, x, h, w, table):
             w += 1
             grew = True
-        while w < n and _grows(cols, n, y - 1, -1, x, h, w):
+            if h < least_span or w < least_depth:
+                break
+        while w < full and _grow(mask, n, False, y - 1, -1, x, h, w, table):
             y, w = y - 1, w + 1
             grew = True
-    return h == w == n
+            if h < least_span or w < least_depth:
+                break
+    return h >= full and w >= full
 
 
-def _grows(lines, n, line, out, start, span, depth):
-    """Whether R, ``depth`` lines deep, grows by ``line``, beyond its side
-    of ``span`` sites from ``start``: by (a), (b) or (c), ``line + out``
-    being the line after it."""
-    return (depth == n - 1 or _holds(lines, n, line, start - 1, min(span + 2, n))
-            or _holds(lines, n, line + out, start, span))
+def _grow(mask, n, rows, line, out, start, span, depth, table):
+    """Whether the side of ``span`` sites from ``start``, ``depth`` lines
+    deep, grows by ``line``, ``line + out`` being the line after it.  The
+    lines are rows if ``rows``, else columns.
+
+    A line k + 1 deep, ``line + out * k``, is the shape's own line
+    j = depth + k - n from the far side, moved on by n, once j >= 0; it
+    then holds that line's sites, which lie within any window of the span
+    when there are any (both are the span cut evenly at its ends).  The
+    sites a line adds below the least sides count only as the mask holds
+    them: a translate of the shape among them is missed, which can stop
+    the shape short but never grow it wrongly."""
+    c, (least_span, least_depth), shrinks = table
+    if span >= least_span and depth >= least_depth:
+        for k, s in enumerate(shrinks):
+            length = span - 2 * s
+            if length > 0:
+                j = depth + k - n
+                if j >= 0 and span > 2 * max(0, c - min(j, depth - 1 - j)):
+                    return True
+                if _holds(mask, n, rows, line + out * k, start + s, length, 1):
+                    return True
+        return False
+    return not any(_holds(mask, n, rows, line - out * b, start + lo, hi - lo, 0)
+                   for b, lo, hi in _added(span, depth, c))
 
 
-def _holds(lines, n, line, start, length):
-    """Whether line ``line`` mod n of ``lines``, n lines of n bytes, holds a
-    nonzero byte in the cyclic span of ``length`` <= n from ``start``."""
-    base = line % n * n
+def _added(span, depth, c):
+    """The sites a side adds when its shape, ``depth`` lines deep with
+    corner cut c, grows by a line: (b, lo, hi) for the positions [lo, hi)
+    along the side, on the line b lines back from the new one."""
+    added = []
+    for b in range(min(c, depth) + 1):
+        # the cuts at either end of line b, the new shape's and the old's,
+        # the line being depth - b lines from the far side
+        new = max(0, c - min(depth - b, b))
+        old = max(0, c - min(depth - b, b - 1)) if b else span
+        if span - old > old:
+            if old > new:
+                added += [(b, new, old), (b, span - old, span - new)]
+        elif span - new > new:
+            added.append((b, new, span - new))
+    return added
+
+
+def _holds(mask, n, rows, line, start, length, byte):
+    """Whether line ``line`` mod n of ``mask``, a row if ``rows`` and else a
+    column, holds ``byte`` in the cyclic span of ``length`` from ``start``,
+    the whole line if that is n or more.  A column is read as strided
+    slices of the row-major mask, of 16 sites and then four times as many
+    each, so a site near the start ends the read early."""
+    line %= n
     start %= n
-    end = start + length
-    if end <= n:
-        return lines.find(1, base + start, base + end) >= 0
-    return lines.find(1, base + start, base + n) >= 0 or lines.find(1, base, base + end - n) >= 0
+    end = start + (length if length < n else n)
+    if end > n:
+        return (_holds(mask, n, rows, line, start, n - start, byte)
+                or _holds(mask, n, rows, line, 0, end - n, byte))
+    if rows:
+        return mask.find(byte, line * n + start, line * n + end) >= 0
+    step = 16
+    while start < end:
+        top = min(end, start + step)
+        if byte in mask[line + start * n:line + top * n:n]:
+            return True
+        start, step = top, 4 * step
+    return False
 
 
 def _bisect(state, perm, lo, hi, cap):
@@ -800,15 +974,16 @@ def _bisect(state, perm, lo, hi, cap):
 
 def _lockstep(n, r, offs, arrivals, loop):
     """Runs ``loop`` on each _Arrivals of ``arrivals``, on one stack of n x n
-    tori; returns (tau, closure_before, fill, seconds) for each.
+    tori; returns the loop's result followed by ``seconds`` for each.
 
     ``loop(n, r, offs, arrivals, state)`` is a generator on its run's _Torus,
     such as _run_batched.  It yields grow requests (sites, cap):
     infect ``sites``, torus indices each given once, and their cascade.
     The reply is the number of sites infected; once more than ``cap`` are,
     it is some number above cap, and the torus is left in a state only the
-    loop's restore() mends.  The loop returns (tau, closure_before, fill),
-    and its run's arrays are released.
+    loop's restore() mends: every site marked done is infected, but the
+    counts of the others may miss pushes.  The loop returns a tuple that
+    starts (tau, closure_before), and its run's arrays are released.
 
     Every pending request advances in one round of the chunk's step, one
     dynamics.grid_step over all the tori, in one int32 ``counts`` array.  A
@@ -951,6 +1126,8 @@ class ProcessRecord:
     chunk_runs: int = 1  # the runs whose generation rounds this one shared
     arrivals_solved: int = 0  # the prefix of the permutation solved (n^2 if injected)
     fill: str = "cascade"  # "certified" by the rectangles process, or filled by a "cascade"
+    certify_tries: int = 0  # rectangles-process tries (_certify calls)
+    certify_ms: float = 0.0  # their time, part of cascade_ms
 
     @property
     def jump_ratio(self) -> float:
@@ -983,14 +1160,15 @@ def _run_chunk(model, nbhd, n, seeds, arrivals) -> list:
     offs = offsets_array(nbhd)
     path = _arrival_path(offs)
     records = []
-    for seed, source, (tau, before, fill, cascade) in zip(
+    for seed, source, (tau, before, fill, tries, certify_s, cascade) in zip(
             seeds, arrivals, _lockstep(n, nbhd.threshold, offs, arrivals, _run_batched)):
         perm_ms, cascade_ms = source.seconds * 1000.0, cascade * 1000.0
         records.append(ProcessRecord(model, n, seed, int(tau), int(before),
                                      wall_ms=perm_ms + cascade_ms, perm_ms=perm_ms,
                                      cascade_ms=cascade_ms, arrival_path=path,
                                      chunk_runs=len(arrivals),
-                                     arrivals_solved=source.solved, fill=fill))
+                                     arrivals_solved=source.solved, fill=fill,
+                                     certify_tries=tries, certify_ms=certify_s * 1000.0))
     return records
 
 
@@ -1114,8 +1292,9 @@ def summarise(records: Sequence[ProcessRecord]) -> SweepSummary:
 # at n = 512.  A chunk's peak, arrays and the runs' solver state
 # (draws and succ, 8 bytes a site, and the solved prefix), is about 33 MB
 # for 7 square runs at n = 512, 7 MB of it their checkpoint copies of n^2
-# int32 (26 MB when square runs took no checkpoint), and 41 MB for 27
-# square4 runs at n = 256 (tracemalloc, after a warm-up run).
+# int32 (26 MB when square runs took no checkpoint), and 36 MB for 27
+# square4 runs at n = 256, 41 MB before their fills were certified
+# (tracemalloc, after a warm-up run).
 _CHUNK_SITES = 1 << 21
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import pickle
 import random
 import sys
@@ -705,6 +706,24 @@ def test_infection_graph_in_degree_and_recount(square):
             1 for v in cfg.infected if cfg.times[v] > 0 and out.get(v, 0) >= bar
         )
         assert recount == g.good_count
+
+
+@pytest.mark.parametrize("name, density, want", [
+    ("square", 0.08, {"lex": "ba143f2cd0e5aea4", "random": "04b08bb54b4075c9"}),
+    ("triangular", 0.12, {"lex": "d913b91c0379a14f", "random": "65b165d479ab71ed"}),
+])
+def test_infection_graph_is_pinned_on_fixed_closures(name, density, want):
+    # sha256 (first 16 hex digits) of the sorted edges and good flags, on
+    # one closure on the 16-torus per rule: "random" draws its parents in
+    # the order it walks cfg.infected, which nothing else pins
+    nbhd = build_neighbourhood(NeighbourhoodSpec.named(name))
+    rng = random.Random(16)
+    sites = [(x, y) for x in range(16) for y in range(16) if rng.random() < density]
+    cfg = closure(Domain.torus(16), nbhd, sites)
+    for rule in ("lex", "random"):
+        g = infection_graph(cfg, nbhd, rule=rule, seed=3)
+        text = repr((sorted(g.edges.items()), sorted(g.good.items())))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == want[rule], rule
 
 
 def test_infection_graph_requires_closed_configuration(square):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -1408,7 +1409,8 @@ def test_batch_caps_count_only_the_new_arrivals(monkeypatch, bisections, path, n
 # ---------------------------------------------------------------------------
 
 DIAMOND = NeighbourhoodSpec.named("diamond")
-TIMINGS = ("wall_ms", "perm_ms", "cascade_ms")
+SQUARE4 = NeighbourhoodSpec.named("square4")
+TIMINGS = ("wall_ms", "perm_ms", "cascade_ms", "certify_ms")
 
 
 def untimed(records):
@@ -1418,9 +1420,16 @@ def untimed(records):
 
 
 def certifiable(nbhd, n):
-    """Whether _certify runs for ``nbhd`` at side n: the square rule, or the
-    diamond rule at odd n."""
+    """Whether the certificate holds on most runs of ``nbhd`` at side n:
+    the square rule, the diamond rule at odd n, and square4 from n = 96 on.
+    square4's certified fraction over 40 runs (master seed 7) is 0 up to
+    n = 32, 0.03 at n = 48, 0.2 at 64, 0.68 at 96, 0.95 at 128 and 1 at
+    192: its try starts from one site, and on a small torus the cascade
+    that passes its cap of n sites seldom holds a shape of 12 by 12."""
     rule = {tuple(map(int, k)) for k in offsets_array(nbhd)}
+    if nbhd.threshold == 17:
+        return rule == {(a, b) for a in range(-4, 5) for b in range(-4, 5)
+                        if 0 < abs(a) + abs(b) <= 4} and n >= 96
     return nbhd.threshold == 2 and (rule == {(1, 0), (-1, 0), (0, 1), (0, -1)} or (
         rule == {(1, 1), (1, -1), (-1, 1), (-1, -1)} and n % 2 == 1))
 
@@ -1633,6 +1642,253 @@ def test_every_certified_state_fills(monkeypatch):
         runs += records
     assert len(runs) == 1040
     assert sum(held) == sum(rec.fill == "certified" for rec in runs) > 900
+
+
+def cut_shape(x, y, h, w, cut):
+    """Rows [x, x + h) by columns [y, y + w), without the sites within
+    ``cut`` of a corner (i + j < cut, i and j counted from that corner)."""
+    return {(x + i, y + j) for i in range(h) for j in range(w)
+            if min(i, h - 1 - i) + min(j, w - 1 - j) >= cut}
+
+
+def reference_shapes(infected, n, x, y, table, widen=None):
+    """Whether the rectangles process of the line table ``table`` (cut,
+    (W0, H0), shrinks) covers the n x n torus from site (x, y), ``infected``
+    a set of sites, with the shape kept as a set of sites of the cover.  A
+    side of span W and depth H grows by a line when W >= W0, H >= H0 and a
+    site d lines beyond it lies within the span shrunk by s_d at each end,
+    a site counting when it is infected or a translate of the shape by
+    multiples of n; or else when every site the grown shape adds is
+    infected.  ``widen`` = (d, end) widens the window at depth d by one at
+    its low (0) or high (1) end.  Sides grow in turn, each while it can
+    once its span and depth are the least sides, else a line a turn."""
+    cut, (w0, h0), shrinks = table
+
+    def on(p):
+        return p[0] % n, p[1] % n
+
+    def counts(p, shape):
+        return on(p) in infected or any(
+            (p[0] + a * n, p[1] + b * n) in shape for a in (-1, 0, 1) for b in (-1, 0, 1))
+
+    def grows(rows, out, x, y, h, w):
+        shape = cut_shape(x, y, h, w, cut)
+        span, depth = (w, h) if rows else (h, w)
+        gx, gy = (x - (out < 0), y) if rows else (x, y - (out < 0))
+        gh, gw = (h + 1, w) if rows else (h, w + 1)
+        if span >= w0 and depth >= h0:
+            for d, s in enumerate(shrinks, 1):
+                lo, hi = s, span - s
+                if widen == (d, 0):
+                    lo -= 1
+                elif widen == (d, 1):
+                    hi += 1
+                for b in range(lo, hi):
+                    if rows:
+                        p = (x + h - 1 + d if out > 0 else x - d, y + b)
+                    else:
+                        p = (x + b, y + w - 1 + d if out > 0 else y - d)
+                    if counts(p, shape):
+                        return gx, gy, gh, gw
+            return None
+        if all(on(p) in infected for p in cut_shape(gx, gy, gh, gw, cut) - shape):
+            return gx, gy, gh, gw
+        return None
+
+    x, y = x - cut // 2, y - cut // 2
+    h = w = cut + 1
+    full = n + 2 * cut
+    grew = True
+    while grew and (h < full or w < full):
+        grew = False
+        for rows, out in ((True, 1), (True, -1), (False, 1), (False, -1)):
+            while (h if rows else w) < full:
+                grown = grows(rows, out, x, y, h, w)
+                if grown is None:
+                    break
+                x, y, h, w = grown
+                grew = True
+                span, depth = (w, h) if rows else (h, w)
+                if span < w0 or depth < h0:
+                    break
+    return h >= full and w >= full
+
+
+SQUARE4_TABLE = (2, (12, 7), (0, 1, 2, 4, 5))
+
+
+def square4_try(n, sites, start, stacked=()):
+    """process._certify for square4 on the torus whose infected sites are
+    ``sites`` (done) and ``stacked`` (on the stack), from ``start``."""
+    offs = offsets_array(build_neighbourhood(SQUARE4))
+    counts = np.zeros(n * n, dtype=np.int32)
+    counts[[a % n * n + b % n for a, b in sites]] = DONE
+    stack = np.array([a % n * n + b % n for a, b in stacked], dtype=np.int64)
+    return process._certify(n, 17, offs, counts, stack, start[0] % n * n + start[1] % n)
+
+
+def test_square4_certificate_matches_the_reference_process():
+    # a cut rectangle of random sides around the start, its sides trimmed
+    # at random, in random noise: the certificate is the reference process,
+    # and it holds only where the closure is the whole torus
+    rng = random.Random(12)
+    offs = offsets_array(build_neighbourhood(SQUARE4))
+    held = 0
+    for _ in range(150):
+        n = rng.choice([9, 12, 16, 20, 24])
+        h, w = rng.randrange(3, n + 4), rng.randrange(3, n + 4)
+        core = cut_shape(0, 0, h, w, rng.choice([0, 2, 3]))
+        core = {p for p in core if rng.random() < rng.choice([1.0, 0.98, 0.9])}
+        p = rng.uniform(0.0, 0.5)
+        sites = {(a % n, b % n) for a, b in core}
+        sites |= {(a, b) for a in range(n) for b in range(n) if rng.random() < p}
+        start = (h // 2 % n, w // 2 % n)
+        sites = sorted(sites | {start})
+        stacked = [q for q in sites if rng.random() < 0.3]
+        got = square4_try(n, [q for q in sites if q not in stacked], start, stacked)
+        assert got == reference_shapes(set(sites), n, *start, SQUARE4_TABLE)
+        mask = np.zeros((n, n), dtype=bool)
+        mask[tuple(zip(*sites))] = True
+        assert not got or exact_fill(n, 17, offs, mask)
+        held += got
+    assert 20 < held < 130
+
+
+def square4_crafted(d, end):
+    """(n, sites, start) on which square4's torus does not fill, but the
+    rectangles process with the window at depth d widened by one at its
+    low (end 0) or high (end 1) end covers it.  A 12 x 12 cut rectangle R
+    holds no trigger; one site lies at depth d below it, just outside that
+    window's low end, and two diagonal chains beyond its bottom right
+    corner each trigger a line once the other side has grown: after one
+    false line, the bottom and right sides grow in turn until R wraps.
+    The high end is the same mask mirrored."""
+    n = 32
+    sites = cut_shape(0, 0, 12, 12, 2) | {(11 + d, SQUARE4_TABLE[2][d - 1] - 1)}
+    for k in range(n - 12):
+        sites |= {(17 + k, 7 + k), (7 + k, 16 + k)}
+    sites = {(a % n, b % n) for a, b in sites}
+    if end:
+        sites = {(a, (11 - b) % n) for a, b in sites}
+    return n, sorted(sites), (6, 6)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("end", [0, 1])
+def test_square4_certificate_refuses_crafted_masks(d, end):
+    n, sites, start = square4_crafted(d, end)
+    infected = set(sites)
+    assert not reference_shapes(infected, n, *start, SQUARE4_TABLE)
+    assert reference_shapes(infected, n, *start, SQUARE4_TABLE, widen=(d, end))
+    mask = np.zeros((n, n), dtype=bool)
+    mask[tuple(zip(*sites))] = True
+    assert not exact_fill(n, 17, offsets_array(build_neighbourhood(SQUARE4)), mask)
+    for cut in (0, len(sites) // 3, len(sites)):  # splits between done and stacked
+        assert not square4_try(n, sites[cut:], start, sites[:cut])
+
+
+def test_every_certified_square4_state_fills(monkeypatch):
+    # the exact fill of every state the square4 certificate holds on, 240
+    # runs at n from 24 to 64 and 16 at n = 96
+    certificate = process._certify
+    held = []
+
+    def checked(n, r, offs, counts, stack, site):
+        ok = certificate(n, r, offs, counts, stack, site)
+        if ok:
+            mask = counts < 0
+            mask[stack] = True
+            assert exact_fill(n, r, offs, mask)
+        held.append(ok)
+        return ok
+
+    monkeypatch.setattr(process, "_certify", checked)
+    nbhd = build_neighbourhood(SQUARE4)
+    records, _ = run_sweep([("square4", nbhd)], [24, 32, 48, 64], 60, master_seed=8,
+                           parallelism=1)
+    more, _ = run_sweep([("square4", nbhd)], [96], 16, master_seed=9, parallelism=1)
+    runs = records + more
+    assert sum(held) == sum(rec.fill == "certified" for rec in runs) > 20
+    assert len(held) == sum(rec.certify_tries for rec in runs) >= len(runs)
+
+
+def test_certificate_leaves_square4_records_unchanged():
+    # square4 sweeps with the certificate and without it, on either side of
+    # n = 96, where it starts to hold on most runs
+    nbhd = build_neighbourhood(SQUARE4)
+    ns = [48, 64, 96, 128]
+    got, _ = run_sweep([("square4", nbhd)], ns, 8, master_seed=43, parallelism=1)
+    with uncertified():
+        want, _ = run_sweep([("square4", nbhd)], ns, 8, master_seed=43, parallelism=1)
+    assert untimed(got) == untimed(want)
+    assert {rec.fill for rec in want} == {"cascade"}
+    for n in ns:
+        certified = sum(rec.fill == "certified" for rec in got if rec.n == n)
+        assert certified > 4 if certifiable(nbhd, n) else certified < 4
+
+
+@pytest.mark.parametrize("spec, n, order, handoff, path", ORACLE_CASES)
+def test_records_count_the_certificate_tries(spec, n, order, handoff, path):
+    # each run's certify_tries is the number of _certify calls on its block
+    # (told apart by the address of its counts), and certify_ms a part of
+    # its cascade_ms
+    nbhd = build_neighbourhood(spec)
+    orders = _oracle_orders(n, order)
+    certificate = process._certify
+    calls = {}
+
+    def counted(n, r, offs, counts, stack, site):
+        at = counts.__array_interface__["data"][0]
+        calls[at] = calls.get(at, 0) + 1
+        return certificate(n, r, offs, counts, stack, site)
+
+    with mock.patch.object(process, "_certify", counted):
+        records = process._run_chunk(nbhd.name, nbhd, n, list(range(len(orders))),
+                                     [solved(perm) for perm in orders])
+    tried = [rec.certify_tries for rec in records if rec.certify_tries]
+    assert tried == [calls[at] for at in sorted(calls)]
+    assert sum(tried) == sum(calls.values())
+    for rec in records:
+        assert 0 <= rec.certify_ms <= rec.cascade_ms
+        assert (rec.certify_ms > 0) == (rec.certify_tries > 0)
+
+
+def request_digest(spec, n, seeds):
+    """sha256 (first 16 hex digits) of every grow request (sites, cap) that
+    the runs of ``seeds`` make in one chunk, and of their (tau,
+    closure_before)."""
+    nbhd = build_neighbourhood(spec)
+    offs = offsets_array(nbhd)
+    digest = hashlib.sha256()
+
+    def loop(n, r, offs, arrivals, state):
+        gen = _run_batched(n, r, offs, arrivals, state)
+        reply = None
+        while True:
+            try:
+                sites, cap = gen.send(reply)
+            except StopIteration as stop:
+                digest.update(repr(stop.value[:2]).encode())
+                return stop.value
+            digest.update(np.asarray(sites, dtype=np.int64).tobytes() + repr(cap).encode())
+            reply = yield sites, cap
+
+    process._lockstep(n, nbhd.threshold, offs, [_Arrivals(n * n, s) for s in seeds], loop)
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("spec, n, want", [
+    (NeighbourhoodSpec.named("boxtimes"), 48, "54550d90db6c0a83"),
+    (NeighbourhoodSpec.named("triangular"), 48, "2f6091dc5adf2351"),
+    (NeighbourhoodSpec.lp_ball("2", "3"), 40, "9e7c8e3b6d7e37ec"),
+    (DIAMOND, 48, "17c04387f10ea6e6"),
+])
+def test_rules_without_a_line_table_make_the_same_requests(spec, n, want):
+    # pinned before square4 had a line table: a rule without one gets no
+    # request of cap n for the arrival a bisection finds, nor any try
+    assert request_digest(spec, n, [1, 2, 3]) == want
+    nbhd = build_neighbourhood(spec)
+    assert process._line_table(n, nbhd.threshold, offsets_array(nbhd)) == (None, False)
 
 
 # ---------------------------------------------------------------------------
@@ -1986,7 +2242,8 @@ def test_jsonl_round_trip(square):
     assert obj["tau"] == rec.tau
     assert obj["schema_version"] == 1
     assert set(obj) == set(CSV_COLUMNS) | {"perm_ms", "cascade_ms", "arrival_path",
-                                           "chunk_runs", "arrivals_solved", "fill"}
+                                           "chunk_runs", "arrivals_solved", "fill",
+                                           "certify_tries", "certify_ms"}
     assert obj["arrival_path"] == "scalar"
     assert obj["fill"] in ("certified", "cascade")
     assert obj["chunk_runs"] == 1
