@@ -111,6 +111,7 @@ _SQUARE = frozenset({(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)})
 _TRIANGULAR = _SQUARE | {(1, -1), (-1, 1)}
 _BOXTIMES = frozenset((x, y) for x in (-1, 0, 1) for y in (-1, 0, 1))
 _DIAMOND = frozenset({(1, 1), (-1, 1), (-1, -1), (1, -1)})
+_SQUARE4 = frozenset((x, y) for x in range(-4, 5) for y in range(-4, 5) if abs(x) + abs(y) <= 4)
 
 Threshold = Union[int, str]  # an explicit integer or the string "critical"
 
@@ -266,12 +267,8 @@ def build_neighbourhood(spec: NeighbourhoodSpec) -> Neighbourhood:
             "triangular": (_TRIANGULAR, 3),
             "boxtimes": (_BOXTIMES, 4),
             "diamond": (_DIAMOND, 2),
+            "square4": (_SQUARE4, 17),
         }
-        if spec.name == "square4":
-            offsets = frozenset(
-                (x, y) for x in range(-4, 5) for y in range(-4, 5) if abs(x) + abs(y) <= 4
-            )
-            return Neighbourhood(offsets, 17, "square4")
         offsets, r = table[spec.name]
         return Neighbourhood(frozenset(offsets), r, spec.name)
 

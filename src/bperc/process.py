@@ -22,12 +22,13 @@ grows a line at a time through the sites already infected, one infected
 site within a window beyond a side growing that side, as the table says.
 The square rule (and the diamond rule at odd n, which is the square rule in
 other coordinates) and square4 have tables; tests/test_line_tables.py
-derives both from closures.  A replayed cascade is tried once it outgrows n
-sites; a bisected one goes in with cap n first, from the checkpoint, and is
-tried once it passes it.  If the rectangle covers the torus, that arrival is
-tau, and the final fill, about 2.3 n generation rounds, is not run; the
-record's ``fill`` says "certified".  Otherwise the cascade runs to the end
-as before.  Every other rule runs the fill.
+derives both from closures.  A chunk looks its rule up once (``_Rule``).
+With a table, a replayed cascade is tried once it outgrows n sites, and a
+bisected one goes in with cap n first, from the checkpoint, and is tried
+once it passes it.  If the rectangle covers the torus, that arrival is tau,
+and the final fill, about 2.3 n generation rounds, is not run; the record's
+``fill`` says "certified".  Otherwise the cascade runs to the end as
+before.  A rule without a table makes no try and runs the fill.
 
 Runs advance in chunks (``_lockstep``).  The tori of a chunk's runs lie side
 by side in one flat int32 array of counters, where a done site holds
@@ -97,7 +98,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .dynamics import DONE, Domain, _integer, grid_step, offsets_array
-from .geometry import Neighbourhood
+from .geometry import _DIAMOND, _SQUARE, _SQUARE4, Neighbourhood
 
 SCHEMA_VERSION = 1
 
@@ -512,25 +513,29 @@ def arrival_prefix(n_items: int, seed: int, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # |K*| from which a batch that crosses its cap is bisected (_bisect) rather
-# than replayed arrival by arrival (_replay).  The cascade's CPU time when
+# than replayed arrival by arrival (_replay).  The cascade's time when
 # every crossing batch is replayed, over its time when every one is
 # bisected, on the same runs in the chunks a sweep makes of them (16, 16, 7
-# and 1 runs; medians of 4 alternating pairs, 8 for boxtimes; 2-vCPU VM;
-# BENCH_batch_replay.json, "search"):
+# and 1 runs, two master seeds; medians of 4 alternating pairs, 8 for
+# boxtimes; 2-vCPU VM).  Rows 4-8 have the rectangles certificate on
+# (BENCH_rule_once.json, "search"); rows 12-40 predate it
+# (BENCH_batch_replay.json, "search"):
 #
 #   |K*|  neighbourhood        n = 128  n = 256  n = 512  n = 1024
-#      4  square                  0.82     0.74     0.64     0.75
-#      6  triangular              0.78     0.89     0.85     0.90
-#      8  boxtimes                0.97     1.04     0.89     0.89
+#      4  square                  0.80     0.62     0.49     0.50
+#      6  triangular              1.02     0.81     0.78     0.85
+#      8  boxtimes                0.96     0.95     0.98     0.86
 #     12  lp p = 1, s = 2         1.11     1.17     1.02     0.99
 #     24  lp p = 1, s = 3         1.25     1.07     1.16     1.00
 #     40  square4                 1.11     1.08     1.07     0.99
 #
 # A replay costs Python time per arrival and per push, which grows with
 # |K*|; a bisection costs rounds, which a small neighbourhood's slow-growing
-# cascades make many.  At |K*| = 8 the two are about even up to n = 256,
-# and the replay about 11% faster from n = 512; that margin changes sign
-# with n, so boxtimes stays with the bisection.
+# cascades make many.  Square gains most: a bisected square run also sends
+# the arrival it finds with cap n before the try.  At |K*| = 8 the replay
+# is now 2-14% faster, but its pairs spread from 0.73 to 1.10 at n = 128,
+# and a boundary above 8 would change boxtimes records' ``arrival_path``,
+# so boxtimes stays with the bisection.
 _BATCHED_MIN_OFFSETS = 8
 
 # A replaying batch's cap: this many times n sites beyond its new arrivals.
@@ -558,16 +563,40 @@ def _arrival_path(offs) -> str:
     return "batched" if len(offs) >= _BATCHED_MIN_OFFSETS else "scalar"
 
 
+class _Rule:
+    """The rule of nonzero offsets ``offs`` and threshold r on the torus of
+    side n, resolved once for a chunk's runs: ``path``, how a batch that
+    crosses its cap is searched (_arrival_path); ``table`` and ``diamond``,
+    the rule's line table, None for a rule without one, and whether the
+    rectangles process reads the torus through the diamond map
+    (_line_table); and the replay's scalar loop's ``offsets`` as int pairs,
+    their flat ``deltas`` and, on the "scalar" path, ``interior``, a byte a
+    site, 1 where no neighbour wraps."""
+
+    def __init__(self, n, r, offs):
+        self.n = n
+        self.path = _arrival_path(offs)
+        self.table, self.diamond = _line_table(n, r, offs)
+        self.offsets = [(int(a), int(b)) for a, b in offs]
+        self.deltas = [kx * n + ky for kx, ky in self.offsets]
+        reach = int(np.abs(offs).max(initial=0))
+        line = bytes(reach) + b"\1" * (n - 2 * reach) + bytes(reach)
+        self.interior = (bytes(reach * n) + line * (n - 2 * reach) + bytes(reach * n)
+                         if self.path == "scalar" else None)
+
+
 class _Torus:
     """One run's counter-push state: ``counts``, a view of its block of a
     chunk's flat int32 array, where a done site holds dynamics.DONE;
-    ``saved``, the checkpoint copy of it, made on the first save();
-    ``fill``, "certified" once the rectangles process (_certify) has shown
-    that the torus fills, else "cascade"; and ``tries`` and ``certify_s``,
-    the certificate's tries and their time."""
+    ``rule``, the chunk's _Rule; ``saved``, the checkpoint copy of
+    ``counts``, made on the first save(); ``fill``, "certified" once the
+    rectangles process (_certify) has shown that the torus fills, else
+    "cascade"; and ``tries`` and ``certify_s``, the certificate's tries and
+    their time, 0 for a rule without a line table, which never tries."""
 
-    def __init__(self, counts):
+    def __init__(self, counts, rule=None):
         self.counts = counts
+        self.rule = rule
         self.saved = None
         self.fill = "cascade"
         self.tries = 0
@@ -581,13 +610,14 @@ class _Torus:
     def restore(self):
         np.copyto(self.counts, self.saved)
 
-    def certify(self, n, r, offs, stack, site):
-        """Whether the rectangles process (_certify) from ``site`` shows
-        that the torus fills, the infected sites being those done and those
-        in ``stack``; if it does, the block is marked all done, as the fill
-        would leave it."""
+    def certify(self, stack, site):
+        """Whether the rectangles process (_certify) of the rule's line
+        table from ``site`` shows that the torus fills, the infected sites
+        being those done and those in ``stack``; if it does, the block is
+        marked all done, as the fill would leave it."""
         start = time.perf_counter()
-        held = _certify(n, r, offs, self.counts, stack, site)
+        rule = self.rule
+        held = _certify(rule.n, rule.table, rule.diamond, self.counts, stack, site)
         if held:
             self.counts.fill(DONE)
             self.fill = "certified"
@@ -598,11 +628,10 @@ class _Torus:
 
 def _run_batched(n, r, offs, arrivals, state):
     """Arrivals in batches of n on ``state``, a loop for _lockstep; returns
-    (tau, closure_before, fill, tries, certify_s): ``fill`` "certified" if
-    the rectangles process certified that the torus fills and "cascade" if
-    a cascade filled it, and the certificate's tries and their time.  Each
-    batch asks ``arrivals`` (an _Arrivals) to solve the permutation up to
-    its end before it slices it.
+    (tau, closure_before), and leaves on ``state`` whether the rectangles
+    process certified the fill and its tries.  Each batch asks ``arrivals``
+    (an _Arrivals) to solve the permutation up to its end before it slices
+    it.
 
     The infected set after any prefix of the arrivals is the closure of that
     prefix, so a batch goes in as one front of the generation step, after a
@@ -616,8 +645,8 @@ def _run_batched(n, r, offs, arrivals, state):
       torus;
     * from there on the cap is n, and _bisect finds the first arrival t
       whose prefix crosses it; t's cascade then runs to the end.  For a
-      rule with a line table (_line_table) it first goes in with cap n,
-      from the checkpoint, the closure of perm[:t]; if it passes the cap,
+      rule with a line table (``state.rule.table``) it first goes in with
+      cap n, from the checkpoint, the closure of perm[:t]; if it passes the cap,
       the rectangles process from t's site tries to certify the fill from
       the sites done, and only if it does not is the checkpoint restored
       and the cascade run to the end.
@@ -628,8 +657,8 @@ def _run_batched(n, r, offs, arrivals, state):
     it passes its cap.
     """
     n2 = n * n
-    replay = _arrival_path(offs) == "scalar"
-    tabled = _line_table(n, r, offs)[0] is not None
+    replay = state.rule.path == "scalar"
+    tabled = state.rule.table is not None
     multiple = _REPLAY_CAP_MULTIPLE if replay else 1
     num = 0  # infected sites: the closure of perm[:lo]
     lo = 0
@@ -654,14 +683,14 @@ def _run_batched(n, r, offs, arrivals, state):
             lo = t + 1
             grown = yield perm[t:lo], (n if tabled else n2)
             if tabled and grown > n:
-                if state.certify(n, r, offs, _NO_SITES, int(perm[t])):
+                if state.certify(perm[t:lo], int(perm[t])):
                     grown = n2 - before
                 else:
                     state.restore()
                     grown = yield perm[t:lo], n2
             num = before + grown
         if num == n2:
-            return lo, before, state.fill, state.tries, state.certify_s
+            return lo, before
     raise AssertionError(f"all {n2} arrivals infected only {num} sites")
 
 
@@ -676,24 +705,21 @@ def _replay(n, r, offs, state, perm, lo, hi, num):
     Each cascade runs as a scalar loop over a memoryview of
     ``state.counts``.  A site is done once it holds DONE, and no push lifts
     a done site to r, so ``c == r`` alone finds the sites to infect, and
-    each is stacked once.  Once one arrival's cascade has infected more
-    than n sites, the rectangles process (_Torus.certify) tries to show
-    from the sites done or stacked that the closure is the whole torus.  If
-    it does, the block is marked all done, as the fill would leave it, and
-    the replay returns without the fill.  Otherwise the sites still to infect
-    are handed to the generation step, with cap n^2, which finishes the
-    cascade on the same state; the result is the same because the infected
-    set after each arrival is the closure of the arrivals so far, whatever
-    order the counter pushes run in.
+    each is stacked once; its tables are the chunk's (``state.rule``).
+    Once one arrival's cascade has infected more than n sites, the
+    rectangles process (_Torus.certify) tries, for a rule with a line
+    table, to show from the sites done or stacked that the closure is the
+    whole torus.  If it does, the block is marked all done, as the fill
+    would leave it, and the replay returns without the fill.  Otherwise,
+    and for a rule without a line table, which makes no try, the sites
+    still to infect are handed to the generation step, with cap n^2, which
+    finishes the cascade on the same state; the result is the same because
+    the infected set after each arrival is the closure of the arrivals so
+    far, whatever order the counter pushes run in.
     """
     n2 = n * n
     counts = memoryview(state.counts)
-    offsets = [(int(a), int(b)) for a, b in offs]
-    deltas = [kx * n + ky for kx, ky in offsets]
-    reach = int(np.abs(offs).max(initial=0))
-    inner = np.zeros((n, n), dtype=np.uint8)  # sites whose neighbours never wrap
-    inner[reach:n - reach, reach:n - reach] = 1
-    interior = inner.tobytes()
+    offsets, deltas, interior = state.rule.offsets, state.rule.deltas, state.rule.interior
     stack = []  # each site at most once: it is pushed when its count reaches r
     push, pop = stack.append, stack.pop
     for end, s in enumerate(perm[lo:hi].tolist(), lo + 1):
@@ -706,7 +732,7 @@ def _replay(n, r, offs, state, perm, lo, hi, num):
             if num - prev > n:
                 push(y)
                 stacked = np.array(stack, dtype=np.int64)
-                if state.certify(n, r, offs, stacked, s):
+                if state.rule.table is not None and state.certify(stacked, s):
                     return end, prev, n2
                 num += yield stacked, n2
                 return end, prev, num
@@ -787,18 +813,12 @@ class _LineTable(NamedTuple):
     shrinks: tuple  # s_d, d = 1, 2, ...: the window at depth d is the span shrunk by s_d
 
 
-_SQUARE_RULE = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
-_DIAMOND_RULE = frozenset({(1, 1), (1, -1), (-1, 1), (-1, -1)})
-_SQUARE4_RULE = frozenset((a, b) for a in range(-4, 5) for b in range(-4, 5)
-                          if 0 < abs(a) + abs(b) <= 4)
-
-# (nonzero offsets, r) -> the rule's line table
+# (nonzero offsets, r) -> the rule's line table, keyed by the named models'
+# offset sets (geometry) without the origin
 _LINE_TABLES = {
-    (_SQUARE_RULE, 2): _LineTable(0, (1, 1), (-1, 0)),
-    (_SQUARE4_RULE, 17): _LineTable(2, (12, 7), (0, 1, 2, 4, 5)),
+    (_SQUARE - {(0, 0)}, 2): _LineTable(0, (1, 1), (-1, 0)),
+    (_SQUARE4 - {(0, 0)}, 17): _LineTable(2, (12, 7), (0, 1, 2, 4, 5)),
 }
-
-_NO_SITES = np.empty(0, dtype=np.int64)
 
 
 def _line_table(n, r, offs):
@@ -806,37 +826,31 @@ def _line_table(n, r, offs):
     ``offs`` and threshold r on the torus of side n, or None; ``diamond``
     when it is the square rule's, seen through the diamond map (odd n)."""
     rule = frozenset(map(tuple, offs.tolist()))
-    if r == 2 and rule == _DIAMOND_RULE and n % 2 == 1:
-        return _LINE_TABLES[_SQUARE_RULE, 2], True
+    if r == 2 and rule == _DIAMOND - {(0, 0)} and n % 2 == 1:
+        return _LINE_TABLES[_SQUARE - {(0, 0)}, 2], True
     return _LINE_TABLES.get((rule, r)), False
 
 
-def _certify(n, r, offs, counts, stack, site):
-    """Whether the rectangles process from ``site`` reaches the whole torus,
-    the infected sites being those done in ``counts``, a run's block, and
-    those in ``stack``.  It runs for the rules of _LINE_TABLES and, at odd
-    n, for the diamond rule, which is the square rule at (a, b) =
-    ((x + y) h, (x - y) h) mod n, h = (n + 1) / 2 the inverse of 2 mod n;
-    for any other rule the answer is False."""
-    table, diamond = _line_table(n, r, offs)
-    if table is None:
-        return False
+def _certify(n, table, diamond, counts, stack, site):
+    """Whether the rectangles process of line table ``table`` from ``site``
+    reaches the whole torus of side n, the infected sites being those done
+    in ``counts``, a run's block, and those in ``stack``.  With
+    ``diamond`` (the diamond rule at odd n) the mask is read as the square
+    rule sees it, at (a, b) = ((x + y) h, (x - y) h) mod n, h = (n + 1) / 2
+    the inverse of 2 mod n.  (table, diamond) is what _line_table gives."""
     mask = bytearray(n * n)  # the try's one mask, row by row
     flat = np.frombuffer(mask, dtype=bool)
+    np.less(counts, 0, out=flat)
+    flat[stack] = True
     x, y = divmod(site, n)
     if diamond:
-        infected = counts < 0
-        infected[stack] = True
         # frame site (a, b) holds torus site (a + b, a - b), which is flat
         # index a (2n + 1) + b (2n - 1) + n of the torus tiled 2 x 2
-        tiled = np.tile(infected.reshape(n, n), (2, 2)).reshape(-1)
+        tiled = np.tile(flat.reshape(n, n), (2, 2)).reshape(-1)
         flat.reshape(n, n)[:] = np.lib.stride_tricks.as_strided(
             tiled[n:], (n, n), (2 * n + 1, 2 * n - 1))
         h = (n + 1) // 2
         x, y = (x + y) * h % n, (x - y) * h % n
-    else:
-        np.less(counts, 0, out=flat)
-        flat[stack] = True
     return _rectangles_cover(mask, n, x, y, table)
 
 
@@ -852,35 +866,27 @@ def _rectangles_cover(mask, n, x, y, table):
     a line a turn, which keeps the shape as round as the infected sites
     let it be; grown while it could, it would run out along a line of
     them."""
-    c = table.cut
-    least_span, least_depth = table.least
-    x, y = x - c // 2, y - c // 2
-    h = w = c + 1
+    c, (least_span, least_depth), _ = table
+    first = [x - c // 2, y - c // 2]  # the shape's first row and column
+    size = [c + 1, c + 1]  # its rows h and columns w
     full = n + 2 * c
-    grew = True
-    while grew and (h < full or w < full):
-        grew = False
-        while h < full and _grow(mask, n, True, x + h, 1, y, w, h, table):
-            h += 1
-            grew = True
-            if w < least_span or h < least_depth:
-                break
-        while h < full and _grow(mask, n, True, x - 1, -1, y, w, h, table):
-            x, h = x - 1, h + 1
-            grew = True
-            if w < least_span or h < least_depth:
-                break
-        while w < full and _grow(mask, n, False, y + w, 1, x, h, w, table):
-            w += 1
-            grew = True
-            if h < least_span or w < least_depth:
-                break
-        while w < full and _grow(mask, n, False, y - 1, -1, x, h, w, table):
-            y, w = y - 1, w + 1
-            grew = True
-            if h < least_span or w < least_depth:
-                break
-    return h >= full and w >= full
+    while min(size) < full:
+        grown = sum(size)
+        # the sides in turn: rows beyond, rows before, columns beyond, before
+        for a, out in ((0, 1), (0, -1), (1, 1), (1, -1)):
+            depth, span, start = size[a], size[1 - a], first[1 - a]
+            line = first[a] + depth if out > 0 else first[a] - 1  # the line beyond
+            while depth < full and _grow(mask, n, a == 0, line, out, start, span, depth, table):
+                line += out
+                depth += 1
+                if span < least_span or depth < least_depth:
+                    break
+            size[a] = depth
+            if out < 0:
+                first[a] = line + 1
+        if sum(size) == grown:  # no side grew
+            break
+    return min(size) >= full
 
 
 def _grow(mask, n, rows, line, out, start, span, depth, table):
@@ -974,10 +980,12 @@ def _bisect(state, perm, lo, hi, cap):
 
 def _lockstep(n, r, offs, arrivals, loop):
     """Runs ``loop`` on each _Arrivals of ``arrivals``, on one stack of n x n
-    tori; returns the loop's result followed by ``seconds`` for each.
+    tori; returns the loop's result followed by ``seconds`` and the run's
+    _Torus for each.
 
     ``loop(n, r, offs, arrivals, state)`` is a generator on its run's _Torus,
-    such as _run_batched.  It yields grow requests (sites, cap):
+    such as _run_batched; the tori share the rule, resolved once for the
+    chunk (_Rule).  It yields grow requests (sites, cap):
     infect ``sites``, torus indices each given once, and their cascade.
     The reply is the number of sites infected; once more than ``cap`` are,
     it is some number above cap, and the torus is left in a state only the
@@ -1010,8 +1018,9 @@ def _lockstep(n, r, offs, arrivals, loop):
     counts = np.zeros(k * n2, dtype=np.int32)
     step = grid_step(n, n, offs, r, k)
     bounds = np.arange(0, (k + 1) * n2, n2)  # run j's block: bounds[j] to bounds[j + 1]
-    runs = [loop(n, r, offs, source, _Torus(counts[j * n2:(j + 1) * n2]))
-            for j, source in enumerate(arrivals)]
+    rule = _Rule(n, r, offs)
+    tori = [_Torus(block, rule) for block in counts.reshape(k, n2)]
+    runs = [loop(n, r, offs, source, state) for source, state in zip(arrivals, tori)]
     out = [None] * k
     caps = [0] * k
     room = [0] * k  # while in the front: cap + 1 - the sites added so far
@@ -1038,6 +1047,7 @@ def _lockstep(n, r, offs, arrivals, loop):
         except StopIteration as stop:
             out[j] = stop.value
             runs[j] = None
+            tori[j].saved = None  # the run is over: free its checkpoint copy
             arrivals[j].release()
         else:
             counts.put(piece, DONE)
@@ -1055,7 +1065,11 @@ def _lockstep(n, r, offs, arrivals, loop):
         front = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         if len(active) == 1:
             # one run in the front: its rounds run on until it leaves, and
-            # the front, all its own, leaves with it
+            # the front, all its own, leaves with it.  The loop below does
+            # the same, but without this branch run_once's cascade took 1.04
+            # times as long on square, triangular and diamond at n = 1024
+            # (kept faster in 7, 8 and 5 of 8 alternating pairs; medians) and
+            # a tau-sweep-like mix 1.03 (5 of 8; BENCH_rule_once.json)
             (j,) = active
             left = room[j]
             while True:
@@ -1091,7 +1105,7 @@ def _lockstep(n, r, offs, arrivals, loop):
         for j in leaving:
             seconds[j] += clock - entered[j]
             resume(j, caps[j] + 1 - room[j])
-    return [(*out[j], seconds[j]) for j in range(k)]
+    return [(*out[j], seconds[j], tori[j]) for j in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -1126,7 +1140,7 @@ class ProcessRecord:
     chunk_runs: int = 1  # the runs whose generation rounds this one shared
     arrivals_solved: int = 0  # the prefix of the permutation solved (n^2 if injected)
     fill: str = "cascade"  # "certified" by the rectangles process, or filled by a "cascade"
-    certify_tries: int = 0  # rectangles-process tries (_certify calls)
+    certify_tries: int = 0  # rectangles-process tries (_certify calls); 0 without a line table
     certify_ms: float = 0.0  # their time, part of cascade_ms
 
     @property
@@ -1157,18 +1171,15 @@ class ProcessRecord:
 def _run_chunk(model, nbhd, n, seeds, arrivals) -> list:
     """The records of runs on the arrival orders ``arrivals`` (_Arrivals),
     advanced together by _lockstep."""
-    offs = offsets_array(nbhd)
-    path = _arrival_path(offs)
+    runs = _lockstep(n, nbhd.threshold, offsets_array(nbhd), arrivals, _run_batched)
     records = []
-    for seed, source, (tau, before, fill, tries, certify_s, cascade) in zip(
-            seeds, arrivals, _lockstep(n, nbhd.threshold, offs, arrivals, _run_batched)):
+    for seed, source, (tau, before, cascade, state) in zip(seeds, arrivals, runs):
         perm_ms, cascade_ms = source.seconds * 1000.0, cascade * 1000.0
-        records.append(ProcessRecord(model, n, seed, int(tau), int(before),
-                                     wall_ms=perm_ms + cascade_ms, perm_ms=perm_ms,
-                                     cascade_ms=cascade_ms, arrival_path=path,
-                                     chunk_runs=len(arrivals),
-                                     arrivals_solved=source.solved, fill=fill,
-                                     certify_tries=tries, certify_ms=certify_s * 1000.0))
+        records.append(ProcessRecord(
+            model, n, seed, int(tau), int(before), wall_ms=perm_ms + cascade_ms,
+            perm_ms=perm_ms, cascade_ms=cascade_ms, arrival_path=state.rule.path,
+            chunk_runs=len(arrivals), arrivals_solved=source.solved, fill=state.fill,
+            certify_tries=state.tries, certify_ms=state.certify_s * 1000.0))
     return records
 
 

@@ -1498,7 +1498,8 @@ def certify(rule, n, infected, site, stacked=()):
     counts = np.zeros(n * n, dtype=np.int32)
     counts[[x * n + y for x, y in infected]] = DONE
     stack = np.array([x * n + y for x, y in stacked], dtype=np.int64)
-    return process._certify(n, 2, offs, counts, stack, site[0] * n + site[1])
+    return process._certify(n, *process._line_table(n, 2, offs), counts, stack,
+                            site[0] * n + site[1])
 
 
 @pytest.mark.parametrize("rule", ["square", "diamond"])
@@ -1624,12 +1625,13 @@ def test_every_certified_state_fills(monkeypatch):
     certificate = process._certify
     held = []
 
-    def checked(n, r, offs, counts, stack, site):
-        ok = certificate(n, r, offs, counts, stack, site)
+    def checked(n, table, diamond, counts, stack, site):
+        ok = certificate(n, table, diamond, counts, stack, site)
         if ok:
             mask = counts < 0
             mask[stack] = True
-            assert exact_fill(n, r, offs, mask)
+            offs = offsets_array(build_neighbourhood(DIAMOND if diamond else SQUARE))
+            assert exact_fill(n, 2, offs, mask)
         held.append(ok)
         return ok
 
@@ -1724,7 +1726,8 @@ def square4_try(n, sites, start, stacked=()):
     counts = np.zeros(n * n, dtype=np.int32)
     counts[[a % n * n + b % n for a, b in sites]] = DONE
     stack = np.array([a % n * n + b % n for a, b in stacked], dtype=np.int64)
-    return process._certify(n, 17, offs, counts, stack, start[0] % n * n + start[1] % n)
+    return process._certify(n, *process._line_table(n, 17, offs), counts, stack,
+                            start[0] % n * n + start[1] % n)
 
 
 def test_square4_certificate_matches_the_reference_process():
@@ -1792,18 +1795,18 @@ def test_every_certified_square4_state_fills(monkeypatch):
     # runs at n from 24 to 64 and 16 at n = 96
     certificate = process._certify
     held = []
+    nbhd = build_neighbourhood(SQUARE4)
 
-    def checked(n, r, offs, counts, stack, site):
-        ok = certificate(n, r, offs, counts, stack, site)
+    def checked(n, table, diamond, counts, stack, site):
+        ok = certificate(n, table, diamond, counts, stack, site)
         if ok:
             mask = counts < 0
             mask[stack] = True
-            assert exact_fill(n, r, offs, mask)
+            assert exact_fill(n, 17, offsets_array(nbhd), mask)
         held.append(ok)
         return ok
 
     monkeypatch.setattr(process, "_certify", checked)
-    nbhd = build_neighbourhood(SQUARE4)
     records, _ = run_sweep([("square4", nbhd)], [24, 32, 48, 64], 60, master_seed=8,
                            parallelism=1)
     more, _ = run_sweep([("square4", nbhd)], [96], 16, master_seed=9, parallelism=1)
@@ -1837,10 +1840,10 @@ def test_records_count_the_certificate_tries(spec, n, order, handoff, path):
     certificate = process._certify
     calls = {}
 
-    def counted(n, r, offs, counts, stack, site):
+    def counted(n, table, diamond, counts, stack, site):
         at = counts.__array_interface__["data"][0]
         calls[at] = calls.get(at, 0) + 1
-        return certificate(n, r, offs, counts, stack, site)
+        return certificate(n, table, diamond, counts, stack, site)
 
     with mock.patch.object(process, "_certify", counted):
         records = process._run_chunk(nbhd.name, nbhd, n, list(range(len(orders))),
@@ -1885,10 +1888,27 @@ def request_digest(spec, n, seeds):
 ])
 def test_rules_without_a_line_table_make_the_same_requests(spec, n, want):
     # pinned before square4 had a line table: a rule without one gets no
-    # request of cap n for the arrival a bisection finds, nor any try
-    assert request_digest(spec, n, [1, 2, 3]) == want
+    # request of cap n for the arrival a bisection finds, nor any try, so
+    # its records count none; and each chunk resolves its rule once
     nbhd = build_neighbourhood(spec)
     assert process._line_table(n, nbhd.threshold, offsets_array(nbhd)) == (None, False)
+    calls = dict.fromkeys(("_certify", "_line_table", "_arrival_path"), 0)
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    with contextlib.ExitStack() as patches:
+        for name in calls:
+            patches.enter_context(
+                mock.patch.object(process, name, counting(name, getattr(process, name))))
+        assert request_digest(spec, n, [1, 2, 3]) == want
+        records = process._run_chunk(nbhd.name, nbhd, n, [1, 2, 3],
+                                     [_Arrivals(n * n, seed) for seed in (1, 2, 3)])
+    assert calls == {"_certify": 0, "_line_table": 2, "_arrival_path": 2}  # two chunks
+    assert all(rec.certify_tries == 0 and rec.certify_ms == 0 for rec in records)
 
 
 # ---------------------------------------------------------------------------
